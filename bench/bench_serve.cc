@@ -2,8 +2,12 @@
 // latency through the full serve path (normalize -> parse -> cache ->
 // optimize -> render), the plan cache's hit speedup, and a QPS / p50 / p99 /
 // hit-rate profile over a mixed workload — the numbers recorded in
-// BENCH_6.json. Excluded from the bench-smoke CI trajectory (that job runs
-// bench_micro only).
+// BENCH_6.json. Every benchmark runs on wall time (UseRealTime), so
+// items_per_second and qps count requests per second of wall clock: the
+// submitting thread's CPU time misses the work a worker does for a miss, and
+// includes all of it for a hit served on the submitting thread. BENCH_6.json
+// predates this and divides by the submitting thread's CPU time. Excluded
+// from the bench-smoke CI trajectory (that job runs bench_micro only).
 
 #include <benchmark/benchmark.h>
 
@@ -50,7 +54,7 @@ void BM_ServeRequestCold(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ServeRequestCold);
+BENCHMARK(BM_ServeRequestCold)->UseRealTime();
 
 /// The same mix with the cache on: after the first lap every request hits.
 void BM_ServeRequestCached(benchmark::State& state) {
@@ -65,7 +69,7 @@ void BM_ServeRequestCached(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ServeRequestCached);
+BENCHMARK(BM_ServeRequestCached)->UseRealTime();
 
 /// The serve profile: a fixed mixed stream (90% repeat traffic, 10%
 /// cache-busting constants) through one server; reports QPS, p50/p99
@@ -110,7 +114,7 @@ void BM_ServeMixedProfile(benchmark::State& state) {
       benchmark::Counter(double(state.iterations()),
                          benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ServeMixedProfile);
+BENCHMARK(BM_ServeMixedProfile)->UseRealTime();
 
 /// Cache-churn robustness: every 64th request bumps the catalog, forcing
 /// invalidation + model rebuilds; measures the serving cost under DDL churn.
@@ -127,7 +131,7 @@ void BM_ServeUnderCatalogChurn(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ServeUnderCatalogChurn);
+BENCHMARK(BM_ServeUnderCatalogChurn)->UseRealTime();
 
 }  // namespace
 }  // namespace volcano::serve

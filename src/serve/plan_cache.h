@@ -8,10 +8,14 @@
 //   (normalized query signature, catalog version, required-props goal)
 //
 // where the signature is rel::NormalizeSql's canonical token string (so
-// whitespace/keyword-case variants share an entry), the catalog version is
+// whitespace/keyword-case variants share an entry) and the catalog version is
 // the epoch of rel::Catalog at optimization time (so any schema/statistics
-// change observably invalidates every plan derived from the old state), and
-// the required-props component keeps differently-ordered requests apart.
+// change observably invalidates every plan derived from the old state). The
+// server keys on (signature, version) alone and passes an empty required-
+// props component: texts with equal signatures parse to identical algebra
+// and required properties, so the signature already fixes the goal, and a
+// probe needs no parse. Callers that key on a parse's required properties
+// pass their rendering.
 //
 // Values are fully-rendered response fields, not live PlanNode pointers: a
 // PlanNode borrows rule-name storage from its model's RuleSet, and sessions

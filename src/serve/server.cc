@@ -137,17 +137,19 @@ Server::~Server() {
 
 bool Server::Submit(std::string line, std::function<void(std::string)> done) {
   uint64_t id;
-  bool shed = false;
   size_t inflight;
+  bool shed, idle;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     id = next_id_++;
     inflight = inflight_;
-    if (inflight_ >= options_.max_inflight) {
-      shed = true;
-    } else {
+    shed = inflight_ >= options_.max_inflight;
+    idle = inflight_ == 0;
+    if (!shed) {
       ++inflight_;
-      queue_.push_back(Request{id, std::move(line), std::move(done)});
+      if (!idle) {
+        queue_.push_back(Request{id, std::move(line), std::move(done), {}});
+      }
     }
   }
   {
@@ -164,6 +166,19 @@ bool Server::Submit(std::string line, std::function<void(std::string)> done) {
                         std::to_string(options_.max_inflight)),
         /*shed=*/true));
     return false;
+  }
+  if (idle) {
+    // Nothing is ahead of this request, so running its front half here
+    // keeps FIFO order — and a hit then costs no thread handoff at all.
+    Miss miss;
+    if (std::optional<std::string> resp = Front(id, line, &miss)) {
+      done(std::move(*resp));
+      Finished();
+      return true;
+    }
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    queue_.push_back(
+        Request{id, std::move(line), std::move(done), std::move(miss)});
   }
   queue_cv_.notify_one();
   return true;
@@ -262,20 +277,34 @@ void Server::WorkerLoop(int worker_index) {
       req = std::move(queue_.front());
       queue_.pop_front();
     }
-    std::string resp = Process(*session, req.id, std::move(req.line));
+    std::string resp = Process(*session, req);
     session_arena_bytes_[worker_index].store(session->arena_bytes(),
                                              std::memory_order_relaxed);
     req.done(std::move(resp));
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      --inflight_;
-      if (inflight_ == 0) drain_cv_.notify_all();
-    }
+    Finished();
   }
 }
 
-std::string Server::Process(Session& session, uint64_t id, std::string line) {
-  OptimizationBudget budget = options_.budget;
+void Server::Finished() {
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  --inflight_;
+  if (inflight_ == 0) drain_cv_.notify_all();
+}
+
+std::string Server::Process(Session& session, Request& req) {
+  if (!req.miss.has_value()) {
+    Miss miss;
+    if (std::optional<std::string> resp = Front(req.id, req.line, &miss)) {
+      return std::move(*resp);
+    }
+    req.miss = std::move(miss);
+  }
+  return ProcessSql(session, req.id, req.line, *req.miss);
+}
+
+std::optional<std::string> Server::Front(uint64_t id, std::string& line,
+                                         Miss* miss) {
+  miss->budget = options_.budget;
   bool malform = false, shrink = false, bump = false;
   if (options_.fault != nullptr) {
     std::lock_guard<std::mutex> lock(fault_mu_);
@@ -291,10 +320,42 @@ std::string Server::Process(Session& session, uint64_t id, std::string line) {
   if (shrink) {
     // Mid-request budget trip: the tightest call budget trips at the first
     // checkpoint past the root, exercising the degradation ladder.
-    budget = OptimizationBudget{};
-    budget.max_find_best_plan_calls = 1;
+    miss->budget = OptimizationBudget{};
+    miss->budget.max_find_best_plan_calls = 1;
   }
-  return ProcessSql(session, id, line, budget);
+
+  // A hit needs no parse. Texts with equal signatures parse to identical
+  // algebra and required properties (sql_test.cc), so an entry exists only
+  // for a signature that parsed and optimized at this very version, and the
+  // signature alone fixes the required-props part of the goal.
+  std::shared_lock<std::shared_mutex> lock(catalog_mu_);
+  miss->version = catalog_->version();
+  StatusOr<std::string> signature = rel::NormalizeSql(line, *catalog_);
+  if (signature.ok()) {
+    if (std::optional<CachedPlan> hit =
+            cache_.Lookup(*signature, miss->version, /*required=*/{})) {
+      return HitResponse(id, miss->version, *hit);
+    }
+  }
+  lock.unlock();
+  if (!signature.ok()) {
+    std::lock_guard<std::mutex> slock(stats_mu_);
+    ++stats_.errors;
+    return ErrorResponse(id, signature.status());
+  }
+  miss->signature = std::move(*signature);
+  return std::nullopt;
+}
+
+std::string Server::HitResponse(uint64_t id, uint64_t version,
+                                const CachedPlan& hit) {
+  {
+    std::lock_guard<std::mutex> slock(stats_mu_);
+    ++stats_.ok;
+    ++stats_.cached;
+  }
+  return PlanResponse(id, /*cached=*/true, /*degraded=*/false, "exhaustive",
+                      version, hit.algebra, hit.required, hit.plan, hit.cost);
 }
 
 std::string Server::ProcessAdmin(uint64_t id, const std::string& line) {
@@ -361,47 +422,32 @@ std::string Server::ProcessAdmin(uint64_t id, const std::string& line) {
 }
 
 std::string Server::ProcessSql(Session& session, uint64_t id,
-                               const std::string& sql,
-                               const OptimizationBudget& budget) {
+                               const std::string& sql, const Miss& miss) {
   std::shared_lock<std::shared_mutex> lock(catalog_mu_);
   uint64_t version = catalog_->version();
+  // The catalog moved since the front half probed: look for an entry at the
+  // new version before paying for a search. The signature still holds — the
+  // request protocol changes statistics, never the names it folds around.
+  if (version != miss.version) {
+    if (std::optional<CachedPlan> hit =
+            cache_.Lookup(miss.signature, version, /*required=*/{})) {
+      return HitResponse(id, version, *hit);
+    }
+  }
   if (session.SyncCatalog()) {
     std::lock_guard<std::mutex> slock(stats_mu_);
     ++stats_.model_rebuilds;
   }
 
-  StatusOr<std::string> signature = rel::NormalizeSql(sql, *catalog_);
-  if (!signature.ok()) {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.errors;
-    return ErrorResponse(id, signature.status());
-  }
-
-  // Parse unconditionally: a hit must only be served for a request that is
-  // still valid under the current catalog, and the required-props component
-  // of the cache key comes from the parse.
   StatusOr<rel::ParsedQuery> parsed = session.Parse(sql);
   if (!parsed.ok()) {
     std::lock_guard<std::mutex> slock(stats_mu_);
     ++stats_.errors;
     return ErrorResponse(id, parsed.status());
   }
-  std::string required = parsed->required->ToString();
-
-  if (std::optional<CachedPlan> hit =
-          cache_.Lookup(*signature, version, required)) {
-    {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.ok;
-      ++stats_.cached;
-    }
-    return PlanResponse(id, /*cached=*/true, /*degraded=*/false, "exhaustive",
-                        version, hit->algebra, hit->required, hit->plan,
-                        hit->cost);
-  }
 
   Session::Result r =
-      session.Optimize(*parsed, budget, options_.exodus_fallback);
+      session.Optimize(*parsed, miss.budget, options_.exodus_fallback);
   if (!r.status.ok()) {
     std::lock_guard<std::mutex> slock(stats_mu_);
     ++stats_.errors;
@@ -410,7 +456,7 @@ std::string Server::ProcessSql(Session& session, uint64_t id,
   // Only optimal plans enter the cache: a degraded plan reflects one
   // request's budget weather, not the query.
   if (!r.degraded) {
-    cache_.Insert(*signature, version, required,
+    cache_.Insert(miss.signature, version, /*required=*/{},
                   CachedPlan{r.algebra, r.required, r.plan, r.cost});
   }
   {

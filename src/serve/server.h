@@ -15,9 +15,9 @@
 //  * crash isolation — every Status error path (malformed request, unknown
 //    relation, budget exhaustion, impossible goal) becomes a structured
 //    error response; no request input tears down the process;
-//  * a cross-query plan cache — (normalized SQL signature, catalog version,
-//    required props) -> rendered plan, hit responses byte-identical to cold
-//    optimization (see plan_cache.h);
+//  * a cross-query plan cache — (normalized SQL signature, catalog version)
+//    -> rendered plan, hit responses byte-identical to cold optimization
+//    (see plan_cache.h);
 //  * memory robustness — each worker recycles one Optimizer's memo arena
 //    across requests (session.h), keeping steady-state footprint flat.
 //
@@ -40,10 +40,19 @@
 //    ...}}                                               -- admission shed
 //
 // Threading: `workers` threads each own a Session. The catalog is guarded
-// by a reader/writer lock — optimizations hold it shared, version bumps
-// hold it exclusive, and sessions re-derive their models lazily after a
-// bump. Responses are delivered by callback on the worker thread, tagged
-// with the request id (completion order is unspecified across workers).
+// by a reader/writer lock — normalization, cache probes and optimizations
+// hold it shared, version bumps hold it exclusive, and sessions re-derive
+// their models lazily after a bump. A request is served in two halves. The
+// front half needs no session: fault injection, admin commands,
+// NormalizeSql and the plan-cache probe; a hit is answered right there. The
+// session half parses, optimizes and inserts a miss. When nothing is queued
+// or running, Submit runs the front half on the calling thread, so an idle
+// hit never touches a worker, and queues only a miss, with its signature and
+// probed version (the worker probes again only if the catalog version moved
+// in between). Otherwise the request queues whole and a worker runs both
+// halves. Responses from workers are delivered by callback on the worker
+// thread, tagged with the request id (completion order is unspecified
+// across workers; a single worker answers in FIFO order).
 
 #ifndef VOLCANO_SERVE_SERVER_H_
 #define VOLCANO_SERVE_SERVER_H_
@@ -56,6 +65,7 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -130,10 +140,12 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Enqueues one request line. `done` is invoked exactly once with the
-  /// response JSON — immediately (on this thread) when the request is shed
-  /// by admission control, otherwise later on a worker thread. Returns false
-  /// iff the request was shed.
+  /// Submits one request line. `done` is invoked exactly once with the
+  /// response JSON. It runs on this thread, before Submit returns, when the
+  /// request is shed by admission control, and when the server was idle and
+  /// the request needed no session (a cache hit, an admin command, or a
+  /// line that does not normalize). Otherwise it runs later on a worker
+  /// thread. Returns false iff the request was shed.
   bool Submit(std::string line, std::function<void(std::string)> done);
 
   /// Synchronous convenience: Submit + wait. Used by tests and single-shot
@@ -165,18 +177,38 @@ class Server {
   const ServerOptions& options() const { return options_; }
 
  private:
+  /// A SQL request that missed the cache in the front half: what the
+  /// session half needs to finish it without normalizing or probing again.
+  struct Miss {
+    std::string signature;
+    uint64_t version = 0;  ///< catalog version of the probe
+    OptimizationBudget budget;
+  };
+
   struct Request {
     uint64_t id;
     std::string line;
     std::function<void(std::string)> done;
+    std::optional<Miss> miss;  ///< set once the front half has run
   };
 
   void WorkerLoop(int worker_index);
-  std::string Process(class Session& session, uint64_t id, std::string line);
+  /// Retires one accepted request from the in-flight count.
+  void Finished();
+  /// Both halves for a queued request; the front half only if it has not
+  /// run on the submitting thread.
+  std::string Process(class Session& session, Request& req);
+  /// The front half (needs no session). Returns the response, or nullopt
+  /// with `*miss` filled when the session half must finish the request.
+  /// May rewrite `line` (fault-injected malformation).
+  std::optional<std::string> Front(uint64_t id, std::string& line,
+                                   Miss* miss);
+  std::string HitResponse(uint64_t id, uint64_t version,
+                          const CachedPlan& hit);
   std::string ProcessAdmin(uint64_t id, const std::string& line);
+  /// The session half: parse, optimize and cache one missed request.
   std::string ProcessSql(Session& session, uint64_t id,
-                         const std::string& sql,
-                         const OptimizationBudget& budget);
+                         const std::string& sql, const Miss& miss);
 
   rel::Catalog* catalog_;
   ServerOptions options_;

@@ -21,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "support/json_writer.h"
+
 namespace volcano {
 
 /// Effort attributed to one rule. The three counts mean, per rule kind:
@@ -61,22 +63,6 @@ struct SearchMetrics {
 
 namespace metrics_internal {
 
-inline void AppendJsonEscaped(const char* s, std::string* out) {
-  for (; *s != '\0'; ++s) {
-    char c = *s;
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out->append(buf);
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
 inline void AppendRuleArray(const char* key,
                             const std::vector<RuleCounters>& rules,
                             bool with_winners, std::string* out) {
@@ -89,7 +75,7 @@ inline void AppendRuleArray(const char* key,
     if (!first) out->append(", ");
     first = false;
     out->append("{\"rule\": \"");
-    AppendJsonEscaped(r.name, out);
+    JsonWriter::Escape(r.name, out);
     out->append("\", \"fired\": ");
     out->append(std::to_string(r.fired));
     out->append(", \"succeeded\": ");

@@ -17,8 +17,11 @@
 namespace volcano {
 namespace {
 
+// gtest describes each case by the raw bytes of its parameter, so the struct
+// must have no padding: uninitialised padding bytes would make that
+// description differ from run to run. A 64-bit `relations` fills the slot.
 struct Case {
-  int relations;
+  int64_t relations;
   uint64_t seed;
   double order_by_prob;
 };
@@ -27,7 +30,7 @@ class EndToEnd : public ::testing::TestWithParam<Case> {};
 
 rel::Workload MakeWorkload(const Case& c) {
   rel::WorkloadOptions wopts;
-  wopts.num_relations = c.relations;
+  wopts.num_relations = static_cast<int>(c.relations);
   // Small relations keep the nested-loop reference evaluation fast.
   wopts.min_cardinality = 40;
   wopts.max_cardinality = 120;
@@ -119,7 +122,7 @@ TEST_P(EndToEnd, VolcanoNeverCostsMoreThanExodus) {
 
 std::vector<Case> MakeCases() {
   std::vector<Case> cases;
-  for (int relations : {1, 2, 3, 4, 5}) {
+  for (int64_t relations : {1, 2, 3, 4, 5}) {
     for (uint64_t seed : {11u, 22u, 33u, 44u}) {
       cases.push_back(Case{relations, seed, 0.5});
     }

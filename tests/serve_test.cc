@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "relational/catalog.h"
+#include "relational/sql.h"
 #include "search/search_config.h"
 #include "serve/server.h"
 #include "serve/session.h"
@@ -42,6 +46,22 @@ bool Contains(const std::string& s, const std::string& sub) {
   return s.find(sub) != std::string::npos;
 }
 
+/// A plan response without its "id" and "cached" fields: what a hit must
+/// share byte for byte with the cold response.
+std::string StripIdAndCached(std::string s) {
+  s = s.substr(s.find(','));  // drop {"id": N
+  size_t pos = s.find("\"cached\": ");
+  size_t end = s.find_first_of(",}", pos);
+  return s.substr(0, pos) + s.substr(end);
+}
+
+std::vector<std::string> Lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
 TEST(Serve, PlanResponseSchema) {
   rel::Catalog catalog;
   FillCatalog(&catalog);
@@ -68,18 +88,120 @@ TEST(Serve, CacheHitsAreByteIdentical) {
     ASSERT_TRUE(Contains(cold, "\"cached\": false")) << cold;
     ASSERT_TRUE(Contains(warm, "\"cached\": true")) << warm;
     // Responses carry distinct ids; normalize id and cached flag.
-    auto strip = [](std::string s) {
-      size_t comma = s.find(',');
-      s = s.substr(comma);  // drop {"id": N
-      size_t pos = s.find("\"cached\": ");
-      size_t end = s.find_first_of(",}", pos);
-      return s.substr(0, pos) + s.substr(end);
-    };
-    EXPECT_EQ(strip(cold), strip(warm)) << sql;
+    EXPECT_EQ(StripIdAndCached(cold), StripIdAndCached(warm)) << sql;
   }
   ServeStats stats = server.stats();
   EXPECT_EQ(stats.cache_hits, std::size(kQueries));
   EXPECT_EQ(stats.cached, std::size(kQueries));
+}
+
+// An idle server answers a hit on the submitting thread, before Submit
+// returns; a miss still goes to a worker.
+TEST(Serve, IdleHitAnswersOnTheSubmittingThread) {
+  rel::Catalog catalog;
+  FillCatalog(&catalog);
+  Server server(&catalog);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const char* sql : kQueries) {
+    std::thread::id cold_thread;
+    std::string cold;
+    server.Submit(sql, [&](std::string r) {
+      cold_thread = std::this_thread::get_id();
+      cold = std::move(r);
+    });
+    server.Drain();  // returns after `done` ran
+    EXPECT_NE(cold_thread, caller) << sql;
+    ASSERT_TRUE(Contains(cold, "\"cached\": false")) << cold;
+
+    std::thread::id warm_thread;
+    std::string warm;
+    server.Submit(sql, [&](std::string r) {
+      warm_thread = std::this_thread::get_id();
+      warm = std::move(r);
+    });
+    server.Drain();  // a no-op when the hit was answered inline
+    EXPECT_EQ(warm_thread, caller) << sql;
+    ASSERT_TRUE(Contains(warm, "\"cached\": true")) << warm;
+    EXPECT_EQ(StripIdAndCached(cold), StripIdAndCached(warm)) << sql;
+  }
+}
+
+// A request that queues behind others is probed by the worker, after every
+// request ahead of it: a bump ahead of a repeat makes the repeat cold.
+TEST(Serve, PipelinedBumpAnswersTheRepeatCold) {
+  rel::Catalog catalog;
+  FillCatalog(&catalog);
+  Server server(&catalog);
+  const std::string q = "SELECT * FROM emp WHERE emp.a1 < 10";
+  server.HandleLine(q);  // cache q at the current version
+  const uint64_t v0 = server.catalog_version();
+  const std::string v0_field = "\"catalog_version\": " + std::to_string(v0);
+  const std::string v1_field =
+      "\"catalog_version\": " + std::to_string(v0 + 1);
+  // Hold the worker in a request's callback while Serve submits the
+  // stream, so all of it queues.
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  server.Submit("SELECT * FROM emp", [released](std::string) {
+    released.wait();
+  });
+  std::thread releaser([&release] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    release.set_value();
+  });
+  std::istringstream in(std::string(kQueries[5]) + "\n" + q + "\n!bump\n" +
+                        q + "\n");
+  std::ostringstream out;
+  ASSERT_EQ(server.Serve(in, out), 4u);
+  releaser.join();
+  std::vector<std::string> resp = Lines(out.str());
+  ASSERT_EQ(resp.size(), 4u) << out.str();  // one worker: FIFO order
+  EXPECT_TRUE(Contains(resp[0], "\"cached\": false")) << resp[0];
+  EXPECT_TRUE(Contains(resp[1], "\"cached\": true")) << resp[1];
+  EXPECT_TRUE(Contains(resp[1], v0_field)) << resp[1];
+  EXPECT_TRUE(Contains(resp[2], "\"admin\": \"bump\"")) << resp[2];
+  EXPECT_TRUE(Contains(resp[2], v1_field)) << resp[2];
+  EXPECT_TRUE(Contains(resp[3], "\"cached\": false")) << resp[3];
+  EXPECT_TRUE(Contains(resp[3], v1_field)) << resp[3];
+}
+
+// Every SQL request that normalizes probes the cache exactly once — on the
+// submitting thread or on the worker, never both — whether it hits, misses
+// or fails to parse afterwards.
+TEST(Serve, EveryNormalizedRequestProbesOnce) {
+  rel::Catalog catalog;
+  FillCatalog(&catalog);
+  Server server(&catalog);
+  std::vector<std::string> stream;
+  for (int round = 0; round < 3; ++round) {
+    for (const char* sql : kQueries) stream.push_back(sql);
+    stream.push_back("SELECT * FROM emp WHERE emp.a1 < " +
+                     std::to_string(20 + round));  // a fresh miss
+    stream.push_back("SELECT * FROM nowhere");     // normalizes, no parse
+    stream.push_back("SELEC * FROM emp");          // normalizes, no parse
+    stream.push_back("\x01garbage");               // does not normalize
+    stream.push_back("!stats");
+    if (round == 1) stream.push_back("!bump");
+  }
+  uint64_t normalized = 0;
+  for (const std::string& line : stream) {
+    if (line[0] != '!' && rel::NormalizeSql(line, catalog).ok()) ++normalized;
+  }
+  // Once request by request (every front half on this thread), once
+  // pipelined (most of them queued whole to the worker).
+  for (const std::string& line : stream) server.HandleLine(line);
+  std::string text;
+  for (const std::string& line : stream) text += line + "\n";
+  std::istringstream in(text);
+  std::ostringstream out;
+  server.Serve(in, out);
+
+  ServeStats stats = server.stats();
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 2 * normalized);
+  EXPECT_GT(stats.cache_hits, 0u);
+  EXPECT_GT(stats.cache_misses, 0u);
+  EXPECT_EQ(stats.requests, 2 * stream.size());
+  EXPECT_EQ(stats.ok + stats.errors + stats.shed, stats.requests);
 }
 
 // Spelling variants that normalize to the same signature share an entry;

@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <map>
+
 #include "exec/datagen.h"
 #include "exec/plan_exec.h"
+#include "relational/query_gen.h"
 #include "relational/sql.h"
 #include "search/optimizer.h"
+#include "support/rng.h"
 
 namespace volcano::rel {
 namespace {
@@ -442,6 +447,194 @@ TEST(SqlNormalize, DistinctTwinsNeverCollide) {
 TEST(SqlNormalize, LexErrorsPropagate) {
   Fixture f;
   EXPECT_FALSE(NormalizeSql("SELECT \x01 FROM emp", f.catalog).ok());
+}
+
+// --- signature soundness: equal signatures parse identically -------------
+
+/// Re-spells `sql` with seeded keyword case and whitespace: every whitespace
+/// run becomes a random gap, and every all-upper-case keyword gets a random
+/// case per letter. Identifiers keep their spelling.
+std::string Respell(const std::string& sql, Rng& rng) {
+  static constexpr std::string_view kKeywords[] = {
+      "SELECT", "DISTINCT", "COUNT", "FROM", "WHERE", "AND",    "GROUP",
+      "ORDER",  "BY",       "LEFT",  "OUTER", "JOIN", "ON",     "IN",
+      "EXISTS", "NOT",      "HAVING",
+  };
+  static constexpr const char* kGaps[] = {" ", "  ", "\t", "\n ", " \t "};
+  auto word_char = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
+           c == '.';
+  };
+  std::string out = rng.NextBool() ? " " : "";
+  size_t i = 0;
+  while (i < sql.size()) {
+    if (sql[i] == ' ') {
+      while (i < sql.size() && sql[i] == ' ') ++i;
+      out += kGaps[rng.Uniform(std::size(kGaps))];
+    } else if (word_char(sql[i])) {
+      size_t j = i;
+      while (j < sql.size() && word_char(sql[j])) ++j;
+      std::string word = sql.substr(i, j - i);
+      for (std::string_view kw : kKeywords) {
+        if (word != kw) continue;
+        for (char& c : word) {
+          if (rng.NextBool()) c = static_cast<char>(std::tolower(c));
+        }
+      }
+      out += word;
+      i = j;
+    } else {
+      out += sql[i++];
+    }
+  }
+  if (rng.NextBool()) out += '\t';
+  return out;
+}
+
+/// Renders a generated select-join (query_gen.h) as SQL: its relations, its
+/// join and selection predicates, and ORDER BY for a sorted requirement.
+std::string GridSql(const Workload& w) {
+  const RelOps& ops = w.model->ops();
+  const SymbolTable& symbols = w.catalog->symbols();
+  std::vector<std::string> relations, conjuncts;
+  auto walk = [&](auto& self, const Expr& e) -> void {
+    if (e.op() == ops.get) {
+      relations.push_back(symbols.Name(
+          static_cast<const GetArg&>(*e.arg()).relation()));
+    } else if (e.op() == ops.select) {
+      conjuncts.push_back(e.arg()->ToString());
+    } else {
+      VOLCANO_CHECK(e.op() == ops.join);
+      const auto& join = static_cast<const JoinArg&>(*e.arg());
+      conjuncts.push_back(symbols.Name(join.left_attr()) + " = " +
+                          symbols.Name(join.right_attr()));
+    }
+    for (const ExprPtr& in : e.inputs()) self(self, *in);
+  };
+  walk(walk, *w.query);
+  std::string sql = "SELECT * FROM ";
+  for (size_t i = 0; i < relations.size(); ++i) {
+    sql += (i ? ", " : "") + relations[i];
+  }
+  for (size_t i = 0; i < conjuncts.size(); ++i) {
+    sql += (i ? " AND " : " WHERE ") + conjuncts[i];
+  }
+  const SortOrder& order =
+      static_cast<const RelPhysProps&>(*w.required).order();
+  if (!order.empty()) sql += " ORDER BY " + symbols.Name(order.attrs[0]);
+  return sql;
+}
+
+/// Groups `texts` by signature and requires every group to parse alike:
+/// the same algebra and required properties, or the same error. Returns the
+/// number of groups that held two or more distinct texts.
+int ExpectEqualSignaturesParseAlike(const std::vector<std::string>& texts,
+                                    Catalog& catalog, const RelModel& model) {
+  std::map<std::string, std::vector<std::string>> groups;
+  for (const std::string& text : texts) {
+    StatusOr<std::string> sig = NormalizeSql(text, catalog);
+    if (sig.ok()) groups[*sig].push_back(text);
+  }
+  auto render = [&](const std::string& text) {
+    StatusOr<ParsedQuery> q = ParseSql(text, model, catalog.symbols());
+    if (!q.ok()) return "error: " + q.status().ToString();
+    return model.ExprToString(*q->expr) + " | " + q->required->ToString();
+  };
+  int shared = 0;
+  for (const auto& [sig, members] : groups) {
+    std::string want = render(members[0]);
+    for (const std::string& text : members) {
+      EXPECT_EQ(render(text), want) << "signature: " << sig << "\ntext: "
+                                    << text << "\nvs: " << members[0];
+      if (text != members[0]) ++shared;
+    }
+  }
+  return shared;
+}
+
+// The plan cache answers a hit from the signature alone, without a parse
+// (src/serve/server.cc), so NormalizeSql must never map two texts that
+// parse differently to one signature.
+TEST(SqlNormalize, EqualSignaturesParseIdentically) {
+  constexpr int kSpellings = 8;
+  Rng rng(15);
+
+  TpchWorkload tpch = MakeTpchWorkload();
+  std::vector<std::string> texts;
+  for (const TpchQuery& q : tpch.queries) {
+    ASSERT_TRUE(ParseSql(q.sql, *tpch.model, tpch.catalog->symbols()).ok())
+        << q.name;
+    StatusOr<std::string> want = NormalizeSql(q.sql, *tpch.catalog);
+    ASSERT_TRUE(want.ok()) << q.name;
+    texts.push_back(q.sql);
+    for (int k = 0; k < kSpellings; ++k) {
+      texts.push_back(Respell(q.sql, rng));
+      EXPECT_EQ(NormalizeSql(texts.back(), *tpch.catalog).value(), *want)
+          << texts.back();
+    }
+  }
+  EXPECT_GT(ExpectEqualSignaturesParseAlike(texts, *tpch.catalog, *tpch.model),
+            0);
+
+  // The 54-query grid of plan_digest: chain joins of 2-10 relations, seeds
+  // 1-3, with and without ORDER BY, each on its own catalog.
+  int grid = 0;
+  for (int order_by = 0; order_by <= 1; ++order_by) {
+    for (int n = 2; n <= 10; ++n) {
+      for (uint64_t seed = 1; seed <= 3; ++seed) {
+        WorkloadOptions wopts;
+        wopts.num_relations = n;
+        wopts.join_graph = WorkloadOptions::JoinGraph::kChain;
+        wopts.hub_attr_prob = 0.25;
+        wopts.sorted_base_prob = 0.5;
+        wopts.order_by_prob = order_by ? 1.0 : 0.0;
+        Workload w = GenerateWorkload(wopts, seed);
+        std::string sql = GridSql(w);
+        ASSERT_TRUE(ParseSql(sql, *w.model, w.catalog->symbols()).ok())
+            << sql;
+        std::vector<std::string> spellings{sql};
+        for (int k = 0; k < kSpellings; ++k) {
+          spellings.push_back(Respell(sql, rng));
+        }
+        EXPECT_GT(ExpectEqualSignaturesParseAlike(spellings, *w.catalog,
+                                                  *w.model),
+                  0)
+            << sql;
+        ++grid;
+      }
+    }
+  }
+  EXPECT_EQ(grid, 54);
+
+  // Relations named like keywords: a spelling that names a catalog object
+  // keeps its case in the signature, so folding can never alias it.
+  Catalog catalog;
+  VOLCANO_CHECK(catalog.AddRelation("from", 100, 10, 2).ok());
+  VOLCANO_CHECK(catalog.AddRelation("select", 50, 10, 2).ok());
+  RelModel model(catalog);
+  const char* const kKeywordNames[] = {
+      "SELECT * FROM from",
+      "SELECT * FROM select",
+      "SELECT * FROM from WHERE from.a0 < 7",
+      "SELECT * FROM from, select WHERE from.a0 = select.a1",
+      "SELECT * FROM select, from WHERE select.a1 = from.a0 "
+      "ORDER BY from.a0",
+      "SELECT from.a1, COUNT(*) FROM from GROUP BY from.a1",
+      "SELECT DISTINCT select.a0 FROM select",
+  };
+  texts.clear();
+  for (const char* sql : kKeywordNames) {
+    texts.push_back(sql);
+    for (int k = 0; k < kSpellings; ++k) texts.push_back(Respell(sql, rng));
+  }
+  // Also the texts with every keyword-named identifier folded too: those
+  // must land in other groups, or parse alike where they do not.
+  for (const char* sql : kKeywordNames) {
+    std::string upper = sql;
+    for (char& c : upper) c = static_cast<char>(std::toupper(c));
+    texts.push_back(upper);
+  }
+  EXPECT_GT(ExpectEqualSignaturesParseAlike(texts, catalog, model), 0);
 }
 
 TEST(SqlEndToEnd, ParseOptimizeExecute) {
