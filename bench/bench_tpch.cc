@@ -15,13 +15,15 @@
 //                  with unnesting disabled (the only SUBQUERY
 //                  implementation left is the quadratic NESTED_SUBQ — the
 //                  naive correlated baseline) vs enabled. bench_report
-//                  guards the mean speedup.
+//                  guards the aggregate speedup (sum of nested times over
+//                  sum of unnested times).
 //
 // Usage: bench_tpch [reps]
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -69,15 +71,14 @@ Compiled Compile(const rel::TpchWorkload& w, const rel::TpchQuery& q) {
   return c;
 }
 
-double TimeExec(const PlanNode& plan, const rel::RelModel& model,
-                const exec::Database& db, int reps) {
+/// Wall-clock milliseconds of one execution of `plan`.
+double ExecOnceMs(const PlanNode& plan, const rel::RelModel& model,
+                  const exec::Database& db) {
   Timer t;
-  for (int r = 0; r < reps; ++r) {
-    std::vector<exec::Row> rows = exec::ExecutePlan(plan, model, db);
-    // Keep the optimizer from proving the drain dead.
-    if (rows.size() == SIZE_MAX) std::abort();
-  }
-  return t.ElapsedMillis() / reps;
+  std::vector<exec::Row> rows = exec::ExecutePlan(plan, model, db);
+  // Keep the optimizer from proving the drain dead.
+  if (rows.size() == SIZE_MAX) std::abort();
+  return t.ElapsedMillis();
 }
 
 bool HasSubquery(const rel::TpchQuery& q) {
@@ -111,16 +112,28 @@ void RunFamily(int reps) {
     }
     bool match = exec::SameMultiset(exec::ReorderToSchema(got, gs, ws), want);
 
-    double exec_ms = TimeExec(*c.plan, *w.model, db, reps);
+    // Each side is timed as its fastest of `reps` runs, and the unnested
+    // and nested plans alternate run by run, so a host slowdown hits both
+    // sides alike and the minimum drops it from either.
+    bool has_subquery = HasSubquery(q);
+    Compiled nc;
+    if (has_subquery) nc = Compile(nested, nested.queries[i]);
+    double exec_ms = std::numeric_limits<double>::infinity();
+    double nested_ms = std::numeric_limits<double>::infinity();
+    for (int r = 0; r < reps; ++r) {
+      exec_ms = std::min(exec_ms, ExecOnceMs(*c.plan, *w.model, db));
+      if (has_subquery) {
+        nested_ms = std::min(
+            nested_ms, ExecOnceMs(*nc.plan, *nested.model, nested_db));
+      }
+    }
     std::printf(
         "tpch query=%s valid=%d match=%d rows=%zu opt_ms=%.3f exec_ms=%.3f\n",
         q.name.c_str(), valid ? 1 : 0, match ? 1 : 0, got.size(), c.opt_ms,
         exec_ms);
 
-    if (!HasSubquery(q)) continue;
-    Compiled nc = Compile(nested, nested.queries[i]);
+    if (!has_subquery) continue;
     bool nested_valid = rel::ValidatePlan(*nc.plan, *nested.model).ok();
-    double nested_ms = TimeExec(*nc.plan, *nested.model, nested_db, reps);
     std::printf(
         "tpch_unnest query=%s nested_valid=%d nested_ms=%.3f unnested_ms=%.3f "
         "speedup=%.2f\n",
@@ -133,7 +146,7 @@ void RunFamily(int reps) {
 }  // namespace volcano
 
 int main(int argc, char** argv) {
-  int reps = argc > 1 ? std::atoi(argv[1]) : 5;
+  int reps = argc > 1 ? std::max(1, std::atoi(argv[1])) : 20;
   std::printf("reps: %d\n", reps);
   volcano::RunFamily(reps);
   return 0;

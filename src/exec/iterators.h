@@ -1,29 +1,146 @@
 // Physical operator iterators: scan, filter, sort, merge join, hybrid hash
 // join, outer/semi/anti joins, project, merge/hash intersect.
+//
+// Tuples flow by pointer (iterator.h). Streaming operators forward their
+// input's pointer or write into one fixed-width output slot sized when the
+// iterator is built; materializing operators keep their rows in one
+// contiguous RowBuffer and index it with row numbers, so a plan execution
+// allocates per buffer growth, never per tuple.
 
 #ifndef VOLCANO_EXEC_ITERATORS_H_
 #define VOLCANO_EXEC_ITERATORS_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "exec/iterator.h"
 #include "relational/rel_args.h"
+#include "support/flat_hash.h"
 
 namespace volcano::exec {
 
-/// Full scan of a stored table.
+/// Tuples of one fixed width packed back to back in one int64_t array. Row
+/// i starts at row(i); pointers stay valid until the next Append, Clear or
+/// Release.
+class RowBuffer {
+ public:
+  /// Empties the buffer and sets the width of the rows it will hold.
+  void Reset(size_t width) {
+    width_ = width;
+    stride_ = width == 0 ? 1 : width;  // zero-width rows still get an address
+    Clear();
+  }
+  void Clear() {
+    values_.clear();
+    rows_ = 0;
+  }
+  /// Clear that also gives the memory back.
+  void Release() {
+    Clear();
+    values_.shrink_to_fit();
+  }
+
+  size_t width() const { return width_; }
+  size_t size() const { return rows_; }
+  const int64_t* row(size_t i) const { return values_.data() + i * stride_; }
+  int64_t* row(size_t i) { return values_.data() + i * stride_; }
+
+  /// Appends a copy of the width() values at `t`.
+  void Append(const int64_t* t) {
+    if (values_.size() + stride_ > values_.capacity()) {
+      values_.reserve(std::max(2 * values_.capacity(), kMinRows * stride_));
+    }
+    values_.insert(values_.end(), t, t + width_);
+    if (width_ == 0) values_.push_back(0);
+    ++rows_;
+  }
+
+ private:
+  // First allocation: enough rows that small inputs never regrow.
+  static constexpr size_t kMinRows = 256;
+
+  std::vector<int64_t> values_;
+  size_t width_ = 0;
+  size_t stride_ = 1;
+  size_t rows_ = 0;
+};
+
+/// Hash index over one key column of a RowBuffer: bucket heads and per-row
+/// next links, both uint32_t row numbers in one array, with no node per
+/// row. Each chain lists its rows in build order. The indexed rows hold no
+/// kNull key (NULL keys never join; their rows are not stored).
+class KeyIndex {
+ public:
+  static constexpr uint32_t kEnd = UINT32_MAX;
+
+  /// Indexes every row of `rows` (which must outlive the index) by `col`.
+  void Build(const RowBuffer& rows, int col);
+  void Release();
+
+  /// First row whose key is `key`, or kEnd.
+  uint32_t Find(int64_t key) const {
+    if (links_.empty()) return kEnd;
+    return Skip(links_[Bucket(key)], key);
+  }
+  /// The row after `i` in its chain whose key is `key`, or kEnd.
+  uint32_t NextMatch(uint32_t i, int64_t key) const {
+    return Skip(links_[buckets() + i], key);
+  }
+
+ private:
+  size_t buckets() const { return static_cast<size_t>(mask_ + 1); }
+  size_t Bucket(int64_t key) const {
+    return static_cast<size_t>(Mix64(static_cast<uint64_t>(key)) & mask_);
+  }
+  uint32_t Skip(uint32_t i, int64_t key) const {
+    while (i != kEnd && rows_->row(i)[col_] != key) i = links_[buckets() + i];
+    return i;
+  }
+
+  const RowBuffer* rows_ = nullptr;
+  int col_ = 0;
+  uint64_t mask_ = 0;  // bucket count - 1
+  std::vector<uint32_t> links_;  // [0, buckets) heads, then one per row
+};
+
+/// Set of distinct tuples of one width. The tuples live in a RowBuffer in
+/// first-insertion order; an open-addressing set of their row numbers finds
+/// them by whole-tuple hash.
+class DistinctRows {
+ public:
+  void Reset(size_t width) {
+    rows_.Reset(width);
+    index_.Clear();
+  }
+  void Release() {
+    rows_.Release();
+    index_.Clear();
+  }
+
+  /// Adds a copy of `t` unless an equal tuple is present; true if added.
+  bool Insert(const int64_t* t);
+  bool Contains(const int64_t* t) const;
+  const RowBuffer& rows() const { return rows_; }
+
+ private:
+  uint64_t HashTuple(const int64_t* t) const;
+  bool SameTuple(uint32_t i, const int64_t* t) const;
+
+  RowBuffer rows_;
+  FlatHashSet<uint32_t> index_;
+};
+
+/// Full scan of a stored table: hands out pointers into the table itself.
 class ScanIterator final : public Iterator {
  public:
   explicit ScanIterator(const Table& table) : table_(table) {}
   void Open() override { pos_ = 0; }
-  bool Next(Row* row) override {
-    if (pos_ >= table_.rows.size()) return false;
-    *row = table_.rows[pos_++];
-    return true;
+  const int64_t* Pull() override {
+    if (pos_ >= table_.rows.size()) return nullptr;
+    return table_.rows[pos_++].data();
   }
   void Close() override {}
   const Schema& schema() const override { return table_.schema; }
@@ -38,7 +155,7 @@ class FilterIterator final : public Iterator {
  public:
   FilterIterator(IteratorPtr input, const rel::SelectArg& pred);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Pull() override;
   void Close() override;
   const Schema& schema() const override { return input_->schema(); }
 
@@ -49,19 +166,20 @@ class FilterIterator final : public Iterator {
 };
 
 /// Full sort (materializing); ascending on the given attributes
-/// major-to-minor.
+/// major-to-minor. Sorts a permutation of row numbers, not the rows.
 class SortIterator final : public Iterator {
  public:
   SortIterator(IteratorPtr input, std::vector<Symbol> order);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Pull() override;
   void Close() override;
   const Schema& schema() const override { return input_->schema(); }
 
  private:
   IteratorPtr input_;
   std::vector<Symbol> order_;
-  std::vector<Row> rows_;
+  RowBuffer rows_;
+  std::vector<uint32_t> perm_;
   size_t pos_ = 0;
 };
 
@@ -72,7 +190,7 @@ class MergeJoinIterator final : public Iterator {
   MergeJoinIterator(IteratorPtr left, IteratorPtr right, Symbol left_attr,
                     Symbol right_attr);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Pull() override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
 
@@ -84,11 +202,10 @@ class MergeJoinIterator final : public Iterator {
   int lcol_ = -1;
   int rcol_ = -1;
   Schema schema_;
-  Row lrow_;
-  bool lvalid_ = false;
-  Row rrow_;
-  bool rvalid_ = false;
-  std::vector<Row> rgroup_;
+  std::vector<int64_t> out_;
+  const int64_t* lrow_ = nullptr;  // held across right-hand Pulls
+  const int64_t* rrow_ = nullptr;
+  RowBuffer rgroup_;
   int64_t rgroup_key_ = 0;
   bool rgroup_valid_ = false;
   size_t rpos_ = 0;
@@ -102,7 +219,7 @@ class HashJoinIterator final : public Iterator {
   HashJoinIterator(IteratorPtr left, IteratorPtr right, Symbol left_attr,
                    Symbol right_attr);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Pull() override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
 
@@ -112,13 +229,11 @@ class HashJoinIterator final : public Iterator {
   int lcol_ = -1;
   int rcol_ = -1;
   Schema schema_;
-  std::unordered_multimap<int64_t, Row> hash_;
-  Row rrow_;
-  bool rvalid_ = false;
-  std::pair<std::unordered_multimap<int64_t, Row>::iterator,
-            std::unordered_multimap<int64_t, Row>::iterator>
-      match_range_;
-  bool in_match_ = false;
+  std::vector<int64_t> out_;
+  RowBuffer build_;
+  KeyIndex index_;
+  int64_t key_ = 0;
+  uint32_t match_ = KeyIndex::kEnd;
 };
 
 /// Hash left outer join: builds on the right (inner) input, probes with the
@@ -129,21 +244,21 @@ class HashLeftOuterJoinIterator final : public Iterator {
   HashLeftOuterJoinIterator(IteratorPtr left, IteratorPtr right,
                             Symbol left_attr, Symbol right_attr);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Pull() override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
 
  private:
-  using Multimap = std::unordered_multimap<int64_t, Row>;
-
   IteratorPtr left_;
   IteratorPtr right_;
   int lcol_ = -1;
   int rcol_ = -1;
   Schema schema_;
-  Multimap hash_;
-  Row lrow_;
-  std::pair<Multimap::iterator, Multimap::iterator> match_range_;
+  std::vector<int64_t> out_;
+  RowBuffer build_;
+  KeyIndex index_;
+  int64_t key_ = 0;
+  uint32_t match_ = KeyIndex::kEnd;
   bool in_probe_ = false;
   bool emitted_match_ = false;
 };
@@ -156,7 +271,7 @@ class HashSemiJoinIterator final : public Iterator {
   HashSemiJoinIterator(IteratorPtr left, IteratorPtr right, Symbol left_attr,
                        Symbol right_attr);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Pull() override;
   void Close() override;
   const Schema& schema() const override { return left_->schema(); }
 
@@ -165,7 +280,7 @@ class HashSemiJoinIterator final : public Iterator {
   IteratorPtr right_;
   int lcol_ = -1;
   int rcol_ = -1;
-  std::unordered_set<int64_t> keys_;
+  FlatHashSet<int64_t> keys_;
 };
 
 /// Hash antijoin: the complement of the semijoin — emits exactly the outer
@@ -176,7 +291,7 @@ class HashAntiJoinIterator final : public Iterator {
   HashAntiJoinIterator(IteratorPtr left, IteratorPtr right, Symbol left_attr,
                        Symbol right_attr);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Pull() override;
   void Close() override;
   const Schema& schema() const override { return left_->schema(); }
 
@@ -185,7 +300,7 @@ class HashAntiJoinIterator final : public Iterator {
   IteratorPtr right_;
   int lcol_ = -1;
   int rcol_ = -1;
-  std::unordered_set<int64_t> keys_;
+  FlatHashSet<int64_t> keys_;
 };
 
 /// Naive correlated subquery execution (NESTED_SUBQ): materializes the
@@ -197,7 +312,7 @@ class NestedSubqIterator final : public Iterator {
   NestedSubqIterator(IteratorPtr left, IteratorPtr right,
                      const rel::SubqueryArg& arg);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Pull() override;
   void Close() override;
   const Schema& schema() const override { return left_->schema(); }
 
@@ -207,24 +322,23 @@ class NestedSubqIterator final : public Iterator {
   rel::SubqueryArg arg_;
   int lcol_ = -1;
   int rcol_ = -1;
-  std::vector<Row> inner_;
+  RowBuffer inner_;
 };
 
 /// Ternary multi-way hash join (MULTI_HASH_JOIN): builds hash tables on the
 /// second and third inputs and streams the first through both probes; the
-/// intermediate join result is never materialized.
+/// intermediate join result is never materialized. kNull keys never match,
+/// on either probe.
 class MultiHashJoinIterator final : public Iterator {
  public:
   MultiHashJoinIterator(IteratorPtr a, IteratorPtr b, IteratorPtr c,
                         const rel::MultiJoinArg& arg);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Pull() override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
 
  private:
-  using Multimap = std::unordered_multimap<int64_t, Row>;
-
   IteratorPtr a_;
   IteratorPtr b_;
   IteratorPtr c_;
@@ -234,15 +348,15 @@ class MultiHashJoinIterator final : public Iterator {
   int b_inner_col_ = -1;   // inner-right attribute in b's schema
   int ab_outer_col_ = -1;  // outer-left attribute in the (a,b) row
   int c_outer_col_ = -1;   // outer-right attribute in c's schema
-  Multimap b_hash_;
-  Multimap c_hash_;
-  Row arow_;
-  bool avalid_ = false;
-  std::pair<Multimap::iterator, Multimap::iterator> b_range_;
-  bool in_b_ = false;
-  Row ab_row_;
-  std::pair<Multimap::iterator, Multimap::iterator> c_range_;
-  bool in_c_ = false;
+  std::vector<int64_t> out_;  // the (a,b) prefix, then the c suffix
+  RowBuffer b_rows_;
+  RowBuffer c_rows_;
+  KeyIndex b_index_;
+  KeyIndex c_index_;
+  int64_t b_key_ = 0;
+  int64_t c_key_ = 0;
+  uint32_t b_match_ = KeyIndex::kEnd;
+  uint32_t c_match_ = KeyIndex::kEnd;
 };
 
 /// Duplicate-preserving column projection; order preserving.
@@ -250,7 +364,7 @@ class ProjectIterator final : public Iterator {
  public:
   ProjectIterator(IteratorPtr input, std::vector<Symbol> attrs);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Pull() override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
 
@@ -258,6 +372,7 @@ class ProjectIterator final : public Iterator {
   IteratorPtr input_;
   Schema schema_;
   std::vector<int> cols_;
+  std::vector<int64_t> out_;
 };
 
 /// Set intersection of two fully sorted inputs (positional column
@@ -272,7 +387,7 @@ class MergeIntersectIterator final : public Iterator {
                          std::vector<Symbol> left_order,
                          std::vector<Symbol> right_order);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Pull() override;
   void Close() override;
   const Schema& schema() const override { return left_->schema(); }
 
@@ -282,10 +397,10 @@ class MergeIntersectIterator final : public Iterator {
   std::vector<Symbol> left_order_;
   std::vector<Symbol> right_order_;
   std::vector<int> lcols_, rcols_;
-  Row lrow_, rrow_;
-  bool lvalid_ = false, rvalid_ = false;
+  const int64_t* lrow_ = nullptr;
+  const int64_t* rrow_ = nullptr;
   bool have_last_ = false;
-  Row last_;
+  std::vector<int64_t> last_;  // the last tuple emitted: the output slot
 };
 
 /// Bag union: forwards all rows of the first input, then the second.
@@ -293,7 +408,7 @@ class ConcatIterator final : public Iterator {
  public:
   ConcatIterator(IteratorPtr left, IteratorPtr right);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Pull() override;
   void Close() override;
   const Schema& schema() const override { return left_->schema(); }
 
@@ -304,12 +419,12 @@ class ConcatIterator final : public Iterator {
 };
 
 /// Hash aggregation: GROUP BY one column, COUNT(*). Output rows are
-/// (group value, count) in unspecified order.
+/// (group value, count) in first-seen group order.
 class HashAggIterator final : public Iterator {
  public:
   HashAggIterator(IteratorPtr input, Symbol group_attr, Symbol count_attr);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Pull() override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
 
@@ -317,7 +432,8 @@ class HashAggIterator final : public Iterator {
   IteratorPtr input_;
   Schema schema_;
   int group_col_ = -1;
-  std::vector<Row> out_;
+  FlatHashMap<int64_t, uint32_t> groups_;  // group value -> row of out_
+  RowBuffer out_;
   size_t pos_ = 0;
 };
 
@@ -327,7 +443,7 @@ class SortAggIterator final : public Iterator {
  public:
   SortAggIterator(IteratorPtr input, Symbol group_attr, Symbol count_attr);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Pull() override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
 
@@ -335,9 +451,8 @@ class SortAggIterator final : public Iterator {
   IteratorPtr input_;
   Schema schema_;
   int group_col_ = -1;
-  Row pending_;
-  bool pending_valid_ = false;
-  bool done_ = false;
+  const int64_t* pending_ = nullptr;  // first row of the next group
+  int64_t out_[2] = {0, 0};
 };
 
 /// Sort-based duplicate elimination: sorts by the given prefix order then
@@ -346,29 +461,31 @@ class SortDedupIterator final : public Iterator {
  public:
   SortDedupIterator(IteratorPtr input, std::vector<Symbol> prefix_order);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Pull() override;
   void Close() override;
   const Schema& schema() const override { return input_->schema(); }
 
  private:
   IteratorPtr input_;
   std::vector<Symbol> prefix_order_;
-  std::vector<Row> rows_;
+  RowBuffer rows_;
+  std::vector<uint32_t> perm_;
   size_t pos_ = 0;
 };
 
-/// Hash-based duplicate elimination (HASH_DEDUP enforcer); order-destroying.
+/// Hash-based duplicate elimination (HASH_DEDUP enforcer); emits rows in
+/// first-seen order.
 class HashDedupIterator final : public Iterator {
  public:
   explicit HashDedupIterator(IteratorPtr input);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Pull() override;
   void Close() override;
   const Schema& schema() const override { return input_->schema(); }
 
  private:
   IteratorPtr input_;
-  std::vector<Row> out_;
+  DistinctRows rows_;
   size_t pos_ = 0;
 };
 
@@ -377,14 +494,15 @@ class HashIntersectIterator final : public Iterator {
  public:
   HashIntersectIterator(IteratorPtr left, IteratorPtr right);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Pull() override;
   void Close() override;
   const Schema& schema() const override { return left_->schema(); }
 
  private:
   IteratorPtr left_;
   IteratorPtr right_;
-  std::vector<Row> out_;
+  DistinctRows left_rows_;
+  DistinctRows out_;
   size_t pos_ = 0;
 };
 

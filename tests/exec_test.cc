@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 
 #include "exec/datagen.h"
 #include "exec/iterators.h"
@@ -91,10 +93,12 @@ TEST(SortIterator, StableUnderEqualKeys) {
   EXPECT_EQ(out[2][0], 1);
 }
 
+// Nested-loop equi-join; NULL keys never join.
 std::vector<Row> JoinReference(const Table& l, const Table& r, int lc,
                                int rc) {
   std::vector<Row> out;
   for (const Row& a : l.rows) {
+    if (a[lc] == kNull) continue;
     for (const Row& b : r.rows) {
       if (a[lc] == b[rc]) {
         Row row = a;
@@ -195,6 +199,334 @@ TEST(HashIntersectIterator, SetSemantics) {
   HashIntersectIterator hi(std::make_unique<ScanIterator>(l),
                            std::make_unique<ScanIterator>(r));
   EXPECT_TRUE(SameMultiset(Drain(hi), {{2}, {3}}));
+}
+
+// --- Iterators checked against nested-loop references --------------------
+//
+// Every input pair below runs through each operator: duplicate-heavy keys
+// with kNull keys on both sides, an empty left (build or outer) side, an
+// empty right side, and inputs whose only keys are kNull. Column 0 is the
+// key everywhere, column 1 a payload.
+//
+// Inputs are scans wrapped in StrictInput, which holds the Pull lifetime
+// contract (iterator.h) to the letter: each tuple lives in a fresh heap
+// copy that is poisoned and freed at the next Pull. An operator that keeps
+// a child's tuple past that child's next Pull reads poison or, under
+// AddressSanitizer, freed memory.
+
+constexpr int64_t kPoison = 0x5A5A5A5A5A5A5A5A;
+
+class StrictInput final : public Iterator {
+ public:
+  explicit StrictInput(IteratorPtr input) : input_(std::move(input)) {}
+  void Open() override { input_->Open(); }
+  const int64_t* Pull() override {
+    std::fill(tuple_.begin(), tuple_.end(), kPoison);
+    const int64_t* t = input_->Pull();
+    // A new allocation each time; assigning it frees the previous copy.
+    tuple_ = t == nullptr ? Row() : Row(t, t + schema().size());
+    return t == nullptr ? nullptr : tuple_.data();
+  }
+  void Close() override { input_->Close(); }
+  const Schema& schema() const override { return input_->schema(); }
+
+ private:
+  IteratorPtr input_;
+  Row tuple_;
+};
+
+IteratorPtr Strict(const Table& t) {
+  return std::make_unique<StrictInput>(std::make_unique<ScanIterator>(t));
+}
+
+struct InputPair {
+  std::vector<Row> left;
+  std::vector<Row> right;
+};
+
+std::vector<InputPair> JoinInputs() {
+  return {
+      {{{1, 10}, {1, 11}, {2, 20}, {kNull, 30}, {1, 12}, {2, 21}, {4, 40}},
+       {{1, 100}, {kNull, 101}, {1, 102}, {3, 103}, {2, 104}, {1, 105}}},
+      {{}, {{1, 100}, {kNull, 101}}},
+      {{{1, 10}, {kNull, 11}}, {}},
+      {{{kNull, 10}, {kNull, 11}}, {{kNull, 100}}},
+  };
+}
+
+Table LeftTable(const InputPair& in) {
+  return MakeTable({Sym("it_lk"), Sym("it_lv")}, in.left);
+}
+Table RightTable(const InputPair& in) {
+  return MakeTable({Sym("it_rk"), Sym("it_rv")}, in.right);
+}
+
+std::vector<Row> LeftOuterJoinReference(const Table& l, const Table& r) {
+  std::vector<Row> out;
+  for (const Row& a : l.rows) {
+    bool matched = false;
+    for (const Row& b : r.rows) {
+      if (a[0] != kNull && a[0] == b[0]) {
+        Row row = a;
+        row.insert(row.end(), b.begin(), b.end());
+        out.push_back(row);
+        matched = true;
+      }
+    }
+    if (!matched) {
+      Row row = a;
+      row.insert(row.end(), r.schema.size(), kNull);
+      out.push_back(row);
+    }
+  }
+  return out;
+}
+
+/// Outer rows with (want_match) or without a matching inner key, in outer
+/// order.
+std::vector<Row> SemiJoinReference(const Table& l, const Table& r,
+                                   bool want_match) {
+  std::vector<Row> out;
+  for (const Row& a : l.rows) {
+    bool matched = false;
+    for (const Row& b : r.rows) matched |= a[0] != kNull && a[0] == b[0];
+    if (matched == want_match) out.push_back(a);
+  }
+  return out;
+}
+
+TEST(HashLeftOuterJoinIterator, MatchesNestedLoopReference) {
+  for (const InputPair& in : JoinInputs()) {
+    Table l = LeftTable(in);
+    Table r = RightTable(in);
+    HashLeftOuterJoinIterator it(Strict(l), Strict(r), Sym("it_lk"),
+                                 Sym("it_rk"));
+    EXPECT_TRUE(SameMultiset(Drain(it), LeftOuterJoinReference(l, r)));
+  }
+}
+
+TEST(HashSemiJoinIterator, MatchesNestedLoopReference) {
+  for (const InputPair& in : JoinInputs()) {
+    Table l = LeftTable(in);
+    Table r = RightTable(in);
+    HashSemiJoinIterator it(Strict(l), Strict(r), Sym("it_lk"),
+                            Sym("it_rk"));
+    // Order and duplicates of the outer stream are preserved exactly.
+    EXPECT_EQ(Drain(it), SemiJoinReference(l, r, true));
+  }
+}
+
+TEST(HashAntiJoinIterator, MatchesNestedLoopReference) {
+  for (const InputPair& in : JoinInputs()) {
+    Table l = LeftTable(in);
+    Table r = RightTable(in);
+    HashAntiJoinIterator it(Strict(l), Strict(r), Sym("it_lk"),
+                            Sym("it_rk"));
+    EXPECT_EQ(Drain(it), SemiJoinReference(l, r, false));
+  }
+}
+
+TEST(NestedSubqIterator, MatchesNestedLoopReference) {
+  for (const InputPair& in : JoinInputs()) {
+    Table l = LeftTable(in);
+    Table r = RightTable(in);
+    for (bool negated : {false, true}) {
+      rel::SubqueryArg arg(g_symbols, Sym("it_lk"), Sym("it_rk"),
+                           rel::SubqueryKind::kIn, negated);
+      NestedSubqIterator it(Strict(l), Strict(r), arg);
+      EXPECT_EQ(Drain(it), SemiJoinReference(l, r, !negated));
+    }
+  }
+}
+
+TEST(HashJoinIterator, NullKeysAndDuplicatesMatchReference) {
+  for (const InputPair& in : JoinInputs()) {
+    Table l = LeftTable(in);
+    Table r = RightTable(in);
+    HashJoinIterator it(Strict(l), Strict(r), Sym("it_lk"), Sym("it_rk"));
+    EXPECT_TRUE(SameMultiset(Drain(it), JoinReference(l, r, 0, 0)));
+  }
+}
+
+// MULTI_HASH_JOIN computes JOIN(JOIN(a, b), c). kNull keys sit in every
+// input — including the outer key of the (a, b) row — and must never join,
+// as in the two-way joins.
+TEST(MultiHashJoinIterator, NullKeysNeverJoin) {
+  Table a = MakeTable({Sym("mhj_ak"), Sym("mhj_av")},
+                      {{1, 10}, {kNull, 11}, {1, 12}, {2, 13}, {3, 14}});
+  Table b = MakeTable({Sym("mhj_bk"), Sym("mhj_bv")},
+                      {{1, 7}, {kNull, 7}, {1, kNull}, {2, 8}, {1, 7}});
+  Table c = MakeTable({Sym("mhj_ck"), Sym("mhj_cv")},
+                      {{7, 70}, {kNull, 71}, {8, 80}, {7, 72}});
+  rel::MultiJoinArg arg(g_symbols, Sym("mhj_ak"), Sym("mhj_bk"),
+                        Sym("mhj_bv"), Sym("mhj_ck"));
+  MultiHashJoinIterator it(Strict(a), Strict(b), Strict(c), arg);
+  Table ab = MakeTable(
+      {Sym("mhj_ak"), Sym("mhj_av"), Sym("mhj_bk"), Sym("mhj_bv")},
+      JoinReference(a, b, 0, 0));
+  std::vector<Row> want = JoinReference(ab, c, 3, 0);
+  EXPECT_EQ(want.size(), 2u * 2u + 2u * 2u + 1u);
+  EXPECT_TRUE(SameMultiset(Drain(it), want));
+}
+
+TEST(MultiHashJoinIterator, EmptyInputsAndDuplicates) {
+  // Each of the three inputs empty in turn, then all three duplicate-heavy.
+  std::vector<std::vector<Row>> full = {{{1, 5}, {1, 5}, {2, 6}},
+                                        {{1, 5}, {1, 6}, {2, 5}},
+                                        {{5, 0}, {5, 1}, {6, 2}}};
+  for (int empty = -1; empty < 3; ++empty) {
+    std::vector<std::vector<Row>> in = full;
+    if (empty >= 0) in[empty].clear();
+    Table a = MakeTable({Sym("mhj2_ak"), Sym("mhj2_av")}, in[0]);
+    Table b = MakeTable({Sym("mhj2_bk"), Sym("mhj2_bv")}, in[1]);
+    Table c = MakeTable({Sym("mhj2_ck"), Sym("mhj2_cv")}, in[2]);
+    rel::MultiJoinArg arg(g_symbols, Sym("mhj2_ak"), Sym("mhj2_bk"),
+                          Sym("mhj2_av"), Sym("mhj2_ck"));
+    MultiHashJoinIterator it(Strict(a), Strict(b), Strict(c), arg);
+    Table ab = MakeTable(
+        {Sym("mhj2_ak"), Sym("mhj2_av"), Sym("mhj2_bk"), Sym("mhj2_bv")},
+        JoinReference(a, b, 0, 0));
+    std::vector<Row> want = JoinReference(ab, c, 1, 0);
+    EXPECT_EQ(want.empty(), empty >= 0);
+    EXPECT_TRUE(SameMultiset(Drain(it), want)) << "empty input " << empty;
+  }
+}
+
+TEST(ConcatIterator, ForwardsLeftThenRight) {
+  for (const InputPair& in : JoinInputs()) {
+    Table l = LeftTable(in);
+    Table r = RightTable(in);
+    ConcatIterator it(Strict(l), Strict(r));
+    std::vector<Row> want = in.left;
+    want.insert(want.end(), in.right.begin(), in.right.end());
+    EXPECT_EQ(Drain(it), want);
+  }
+}
+
+/// (group, COUNT(*)) per distinct value of column 0, ascending; kNull is a
+/// group like any other.
+std::vector<Row> AggregateReference(const std::vector<Row>& rows) {
+  std::map<int64_t, int64_t> counts;
+  for (const Row& row : rows) ++counts[row[0]];
+  std::vector<Row> out;
+  for (const auto& [group, count] : counts) out.push_back(Row{group, count});
+  return out;
+}
+
+TEST(HashAggIterator, MatchesReference) {
+  for (const InputPair& in : JoinInputs()) {
+    for (const std::vector<Row>* rows : {&in.left, &in.right}) {
+      Table t = MakeTable({Sym("ha_k"), Sym("ha_v")}, *rows);
+      HashAggIterator it(Strict(t), Sym("ha_k"), Sym("ha_n"));
+      EXPECT_TRUE(SameMultiset(Drain(it), AggregateReference(*rows)));
+    }
+  }
+}
+
+TEST(SortAggIterator, MatchesReference) {
+  for (const InputPair& in : JoinInputs()) {
+    for (const std::vector<Row>* rows : {&in.left, &in.right}) {
+      Table t = MakeTable({Sym("sa_k"), Sym("sa_v")}, *rows);
+      SortAggIterator it(
+          std::make_unique<StrictInput>(std::make_unique<SortIterator>(
+              Strict(t), std::vector<Symbol>{Sym("sa_k")})),
+          Sym("sa_k"), Sym("sa_n"));
+      // Sorted input, so the output is in group order.
+      EXPECT_EQ(Drain(it), AggregateReference(*rows));
+    }
+  }
+}
+
+std::vector<Row> DuplicateHeavyRows() {
+  return {{2, 1}, {1, 9}, {2, 1}, {kNull, 3}, {1, 9}, {1, 8},
+          {kNull, 3}, {2, 0}, {1, 9}};
+}
+
+TEST(SortDedupIterator, SortsAndDropsDuplicates) {
+  Table t = MakeTable({Sym("sd_a"), Sym("sd_b")}, DuplicateHeavyRows());
+  // Prefix on the second column: it sorts major, the first column minor.
+  SortDedupIterator it(Strict(t), {Sym("sd_b")});
+  EXPECT_EQ(Drain(it), (std::vector<Row>{
+                           {2, 0}, {2, 1}, {kNull, 3}, {1, 8}, {1, 9}}));
+
+  Table empty = MakeTable({Sym("sd_a"), Sym("sd_b")}, {});
+  SortDedupIterator none(Strict(empty), {});
+  EXPECT_TRUE(Drain(none).empty());
+}
+
+TEST(HashDedupIterator, KeepsFirstOccurrences) {
+  std::vector<Row> rows = DuplicateHeavyRows();
+  Table t = MakeTable({Sym("hd_a"), Sym("hd_b")}, rows);
+  HashDedupIterator it(Strict(t));
+  std::vector<Row> want;
+  std::set<Row> seen;
+  for (const Row& row : rows) {
+    if (seen.insert(row).second) want.push_back(row);
+  }
+  EXPECT_EQ(Drain(it), want);
+
+  Table empty = MakeTable({Sym("hd_a"), Sym("hd_b")}, {});
+  HashDedupIterator none(Strict(empty));
+  EXPECT_TRUE(Drain(none).empty());
+}
+
+// The pointer contract: a merge join keeps its left child's tuple while it
+// pulls the right child's whole duplicate group. Both children hand out
+// pointers into their own storage (a projection's output slot over a sort
+// buffer, a filter forwarding a sort buffer's rows); under AddressSanitizer
+// a tuple used past its lifetime would be reported.
+// A merge join keeps its left child's tuple while it pulls the right
+// child's whole duplicate group, and must copy each right tuple it buffers.
+// Both children are strict, over operators that hand out pointers into their
+// own storage (a projection's output slot, a filter forwarding a sort
+// buffer's rows).
+TEST(MergeJoinIterator, HoldsLeftTupleAcrossRightPulls) {
+  Table l = MakeTable({Sym("pl_k"), Sym("pl_v")},
+                      {{3, 1}, {1, 2}, {3, 3}, {1, 4}, {2, 5}, {3, 6}});
+  Table r = MakeTable({Sym("pr_k"), Sym("pr_v")},
+                      {{3, 7}, {1, 8}, {3, 9}, {3, 10}, {0, 11}, {1, 12}});
+  auto left = std::make_unique<StrictInput>(std::make_unique<ProjectIterator>(
+      std::make_unique<SortIterator>(Strict(l),
+                                     std::vector<Symbol>{Sym("pl_k")}),
+      std::vector<Symbol>{Sym("pl_v"), Sym("pl_k")}));
+  rel::SelectArg positive(g_symbols, Sym("pr_k"), rel::CmpOp::kGreater, 0,
+                          0.5);
+  auto right = std::make_unique<StrictInput>(std::make_unique<FilterIterator>(
+      std::make_unique<SortIterator>(Strict(r),
+                                     std::vector<Symbol>{Sym("pr_k")}),
+      positive));
+  MergeJoinIterator mj(std::move(left), std::move(right), Sym("pl_k"),
+                       Sym("pr_k"));
+  Table projected = MakeTable({Sym("pl_v"), Sym("pl_k")}, {});
+  for (const Row& row : l.rows) projected.rows.push_back({row[1], row[0]});
+  std::vector<Row> want = JoinReference(projected, r, 1, 0);
+  EXPECT_EQ(want.size(), 2u * 2u + 3u * 3u);
+  EXPECT_TRUE(SameMultiset(Drain(mj), want));
+}
+
+TEST(MergeIntersectIterator, StrictInputsWithDuplicates) {
+  Table l = MakeTable({Sym("ps_a"), Sym("ps_b")},
+                      {{1, 1}, {1, 1}, {1, 2}, {2, 0}, {2, 0}, {3, 3}});
+  Table r = MakeTable({Sym("ps_c"), Sym("ps_d")},
+                      {{1, 1}, {1, 1}, {1, 1}, {2, 0}, {2, 0}, {4, 4}});
+  MergeIntersectIterator mi(Strict(l), Strict(r), {Sym("ps_a"), Sym("ps_b")},
+                            {Sym("ps_c"), Sym("ps_d")});
+  EXPECT_EQ(Drain(mi), (std::vector<Row>{{1, 1}, {2, 0}}));
+}
+
+TEST(Iterator, NextCopiesWhatPullReturns) {
+  Table t = MakeTable({Sym("nx_a"), Sym("nx_b")}, {{1, 2}, {3, 4}});
+  ScanIterator scan(t);
+  scan.Open();
+  Row row(7, -1);  // longer than a tuple: Next must resize it
+  ASSERT_TRUE(scan.Next(&row));
+  EXPECT_EQ(row, (Row{1, 2}));
+  const int64_t* p = scan.Pull();
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p, t.rows[1].data());  // a scan hands out the stored tuple
+  EXPECT_FALSE(scan.Next(&row));
+  EXPECT_EQ(scan.Pull(), nullptr);
+  scan.Close();
 }
 
 TEST(Datagen, HonoursCardinalityAndDomain) {
