@@ -1,7 +1,8 @@
 #include "relational/sql.h"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
+#include <charconv>
 #include <memory>
 #include <optional>
 #include <string>
@@ -29,89 +30,99 @@ struct Token {
     kLParen,
     kRParen,
     kEnd,
+    kBad,  // a byte that starts no token
   };
   Kind kind;
-  std::string text;
+  std::string_view text;  // a view into the scanned SQL
   size_t pos = 0;  // byte offset in the source text, for error payloads
 };
 
-StatusOr<std::vector<Token>> Lex(std::string_view sql) {
-  std::vector<Token> out;
-  size_t pos = 0;
-  while (pos < sql.size()) {
-    char c = sql[pos];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++pos;
-      continue;
-    }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t start = pos;
-      while (pos < sql.size() &&
-             (std::isalnum(static_cast<unsigned char>(sql[pos])) ||
-              sql[pos] == '_' || sql[pos] == '.')) {
-        ++pos;
-      }
-      out.push_back(Token{Token::Kind::kIdent,
-                          std::string(sql.substr(start, pos - start)), start});
-      continue;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '-' && pos + 1 < sql.size() &&
-         std::isdigit(static_cast<unsigned char>(sql[pos + 1])))) {
-      size_t start = pos;
-      ++pos;
-      while (pos < sql.size() &&
-             std::isdigit(static_cast<unsigned char>(sql[pos]))) {
-        ++pos;
-      }
-      out.push_back(Token{Token::Kind::kInt,
-                          std::string(sql.substr(start, pos - start)), start});
-      continue;
-    }
-    switch (c) {
-      case ',': out.push_back({Token::Kind::kComma, ",", pos}); ++pos; break;
-      case '*': out.push_back({Token::Kind::kStar, "*", pos}); ++pos; break;
-      case '(': out.push_back({Token::Kind::kLParen, "(", pos}); ++pos; break;
-      case ')': out.push_back({Token::Kind::kRParen, ")", pos}); ++pos; break;
-      case '=': out.push_back({Token::Kind::kEq, "=", pos}); ++pos; break;
-      case '<':
-        if (pos + 1 < sql.size() && sql[pos + 1] == '=') {
-          out.push_back({Token::Kind::kLe, "<=", pos});
-          pos += 2;
-        } else {
-          out.push_back({Token::Kind::kLt, "<", pos});
-          ++pos;
-        }
-        break;
-      case '>':
-        if (pos + 1 < sql.size() && sql[pos + 1] == '=') {
-          out.push_back({Token::Kind::kGe, ">=", pos});
-          pos += 2;
-        } else {
-          out.push_back({Token::Kind::kGt, ">", pos});
-          ++pos;
-        }
-        break;
-      default:
-        return Status::InvalidArgument(std::string("unexpected character '") +
-                                       c + "' in SQL")
-            .WithDetail("character", std::string(1, c))
-            .WithDetail("position", std::to_string(pos));
-    }
+// The scanner's byte classes: <cctype>'s in the "C" locale (the program
+// never sets another), from one table instead of a library call per byte.
+enum : uint8_t { kSpace = 1, kDigit = 2, kIdentStart = 4, kIdentChar = 8 };
+constexpr std::array<uint8_t, 256> kByteClass = [] {
+  std::array<uint8_t, 256> t{};
+  for (char c : {' ', '\t', '\n', '\v', '\f', '\r'}) t[c] = kSpace;
+  for (int c = '0'; c <= '9'; ++c) t[c] = kDigit | kIdentChar;
+  for (int c = 'a'; c <= 'z'; ++c) {
+    t[c] = t[c - 'a' + 'A'] = kIdentStart | kIdentChar;
   }
-  out.push_back({Token::Kind::kEnd, "", sql.size()});
-  return out;
+  t['_'] = kIdentStart | kIdentChar;
+  t['.'] = kIdentChar;
+  return t;
+}();
+bool Is(char c, uint8_t cls) {
+  return kByteClass[static_cast<unsigned char>(c)] & cls;
 }
 
-bool KeywordIs(const Token& t, std::string_view kw) {
-  if (t.kind != Token::Kind::kIdent) return false;
-  if (t.text.size() != kw.size()) return false;
+/// The one SQL scanner: the token at or after `pos` (leading white space
+/// skipped), kEnd at the end of the input, kBad with the offending byte as
+/// its text. The next token starts at `t.pos + t.text.size()`.
+Token ScanToken(std::string_view sql, size_t pos) {
+  while (pos < sql.size() && Is(sql[pos], kSpace)) ++pos;
+  if (pos == sql.size()) return {Token::Kind::kEnd, {}, pos};
+  auto token = [&](Token::Kind kind, size_t end) {
+    return Token{kind, sql.substr(pos, end - pos), pos};
+  };
+  size_t end = pos + 1;
+  char c = sql[pos];
+  if (Is(c, kIdentStart)) {
+    while (end < sql.size() && Is(sql[end], kIdentChar)) ++end;
+    return token(Token::Kind::kIdent, end);
+  }
+  if (Is(c, kDigit) ||
+      (c == '-' && end < sql.size() && Is(sql[end], kDigit))) {
+    while (end < sql.size() && Is(sql[end], kDigit)) ++end;
+    return token(Token::Kind::kInt, end);
+  }
+  bool then_eq = end < sql.size() && sql[end] == '=';
+  switch (c) {
+    case ',': return token(Token::Kind::kComma, end);
+    case '*': return token(Token::Kind::kStar, end);
+    case '(': return token(Token::Kind::kLParen, end);
+    case ')': return token(Token::Kind::kRParen, end);
+    case '=': return token(Token::Kind::kEq, end);
+    case '<':
+      return then_eq ? token(Token::Kind::kLe, end + 1)
+                     : token(Token::Kind::kLt, end);
+    case '>':
+      return then_eq ? token(Token::Kind::kGe, end + 1)
+                     : token(Token::Kind::kGt, end);
+    default: return token(Token::Kind::kBad, end);
+  }
+}
+
+Status BadCharacter(const Token& t) {
+  return Status::InvalidArgument("unexpected character '" +
+                                 std::string(t.text) + "' in SQL")
+      .WithDetail("character", std::string(t.text))
+      .WithDetail("position", std::to_string(t.pos));
+}
+
+StatusOr<std::vector<Token>> Lex(std::string_view sql) {
+  std::vector<Token> out;
+  for (size_t pos = 0;;) {
+    Token t = ScanToken(sql, pos);
+    if (t.kind == Token::Kind::kBad) return BadCharacter(t);
+    out.push_back(t);
+    if (t.kind == Token::Kind::kEnd) return out;
+    pos = t.pos + t.text.size();
+  }
+}
+
+bool EqualsUpper(std::string_view text, std::string_view kw) {
+  if (text.size() != kw.size()) return false;
   for (size_t i = 0; i < kw.size(); ++i) {
-    if (std::toupper(static_cast<unsigned char>(t.text[i])) != kw[i]) {
+    char c = text[i];
+    if ((c >= 'a' && c <= 'z' ? c - 'a' + 'A' : c) != kw[i]) {
       return false;
     }
   }
   return true;
+}
+
+bool KeywordIs(const Token& t, std::string_view kw) {
+  return t.kind == Token::Kind::kIdent && EqualsUpper(t.text, kw);
 }
 
 // ---------------------------------------------------------------------------
@@ -195,42 +206,32 @@ class SqlParser {
     }
     return false;
   }
+  /// "expected <what>, found '<next token>'", with the matching details.
+  Status Expected(std::string_view what) const {
+    std::string found(Peek().text);
+    return Status::InvalidArgument("expected " + std::string(what) +
+                                   ", found '" + found + "'")
+        .WithDetail("expected", std::string(what))
+        .WithDetail("found", std::move(found))
+        .WithDetail("position", std::to_string(Peek().pos));
+  }
   Status Expect(std::string_view kw) {
-    if (!Consume(kw)) {
-      return Status::InvalidArgument("expected " + std::string(kw) +
-                                     ", found '" + Peek().text + "'")
-          .WithDetail("expected", std::string(kw))
-          .WithDetail("found", Peek().text)
-          .WithDetail("position", std::to_string(Peek().pos));
-    }
-    return Status::OK();
+    return Consume(kw) ? Status::OK() : Expected(kw);
   }
   Status ExpectToken(Token::Kind kind, std::string_view what) {
-    if (Peek().kind != kind) {
-      return Status::InvalidArgument("expected " + std::string(what) +
-                                     ", found '" + Peek().text + "'")
-          .WithDetail("expected", std::string(what))
-          .WithDetail("found", Peek().text)
-          .WithDetail("position", std::to_string(Peek().pos));
-    }
+    if (Peek().kind != kind) return Expected(what);
     Advance();
     return Status::OK();
   }
 
   StatusOr<Symbol> ExpectAttribute() {
-    if (Peek().kind != Token::Kind::kIdent) {
-      return Status::InvalidArgument("expected attribute, found '" +
-                                     Peek().text + "'")
-          .WithDetail("expected", "attribute")
-          .WithDetail("found", Peek().text)
-          .WithDetail("position", std::to_string(Peek().pos));
-    }
+    if (Peek().kind != Token::Kind::kIdent) return Expected("attribute");
     size_t at = Peek().pos;
-    std::string name = Advance().text;
+    std::string_view name = Advance().text;
     Symbol sym = model_.symbols().Lookup(name);
     if (!sym.valid() || !model_.catalog().RelationOf(sym).valid()) {
-      return Status::InvalidArgument("unknown attribute " + name)
-          .WithDetail("attribute", name)
+      return Status::InvalidArgument("unknown attribute " + std::string(name))
+          .WithDetail("attribute", std::string(name))
           .WithDetail("position", std::to_string(at));
     }
     return sym;
@@ -244,26 +245,25 @@ class SqlParser {
       case Token::Kind::kLe: op = CmpOp::kLessEq; break;
       case Token::Kind::kGt: op = CmpOp::kGreater; break;
       case Token::Kind::kGe: op = CmpOp::kGreaterEq; break;
-      default:
-        return Status::InvalidArgument("expected comparison, found '" +
-                                       Peek().text + "'")
-            .WithDetail("expected", "comparison")
-            .WithDetail("found", Peek().text)
-            .WithDetail("position", std::to_string(Peek().pos));
+      default: return Expected("comparison");
     }
     Advance();
     return op;
   }
 
   StatusOr<int64_t> ExpectInt() {
-    if (Peek().kind != Token::Kind::kInt) {
-      return Status::InvalidArgument("expected integer, found '" +
-                                     Peek().text + "'")
-          .WithDetail("expected", "integer")
-          .WithDetail("found", Peek().text)
-          .WithDetail("position", std::to_string(Peek().pos));
+    if (Peek().kind != Token::Kind::kInt) return Expected("integer");
+    const Token& t = Advance();
+    int64_t value = 0;
+    auto [end, ec] =
+        std::from_chars(t.text.data(), t.text.data() + t.text.size(), value);
+    if (ec != std::errc()) {
+      return Status::InvalidArgument("integer out of range: " +
+                                     std::string(t.text))
+          .WithDetail("found", std::string(t.text))
+          .WithDetail("position", std::to_string(t.pos));
     }
-    return std::stoll(Advance().text);
+    return value;
   }
 
   StatusOr<std::unique_ptr<QueryBlock>> ParseBlock(int depth);
@@ -353,15 +353,9 @@ Status SqlParser::ParseFrom(QueryBlock* q) {
     return false;
   };
   auto parse_relation = [&]() -> StatusOr<Symbol> {
-    if (Peek().kind != Token::Kind::kIdent) {
-      return Status::InvalidArgument("expected relation name, found '" +
-                                     Peek().text + "'")
-          .WithDetail("expected", "relation name")
-          .WithDetail("found", Peek().text)
-          .WithDetail("position", std::to_string(Peek().pos));
-    }
+    if (Peek().kind != Token::Kind::kIdent) return Expected("relation name");
     size_t at = Peek().pos;
-    std::string name = Advance().text;
+    std::string name(Advance().text);
     Symbol rel = model_.symbols().Lookup(name);
     if (!rel.valid() || model_.catalog().FindRelation(rel) == nullptr) {
       return Status::InvalidArgument("unknown relation " + name)
@@ -388,11 +382,11 @@ Status SqlParser::ParseFrom(QueryBlock* q) {
       continue;
     }
     if (KeywordIs(Peek(), "RIGHT") || KeywordIs(Peek(), "FULL")) {
-      return Status::InvalidArgument("only LEFT [OUTER] JOIN is supported, "
-                                     "found '" +
-                                     Peek().text + "'")
+      std::string found(Peek().text);
+      return Status::InvalidArgument(
+                 "only LEFT [OUTER] JOIN is supported, found '" + found + "'")
           .WithDetail("expected", "LEFT")
-          .WithDetail("found", Peek().text)
+          .WithDetail("found", std::move(found))
           .WithDetail("position", std::to_string(Peek().pos));
     }
     if (!KeywordIs(Peek(), "LEFT")) break;
@@ -468,8 +462,9 @@ Status SqlParser::ParseWhere(QueryBlock* q, int depth) {
         if (!op.ok()) return op.status();
 
         if (Peek().kind == Token::Kind::kInt) {
-          int64_t constant = std::stoll(Advance().text);
-          q->selections.push_back(Selection{*left, *op, constant});
+          StatusOr<int64_t> constant = ExpectInt();
+          if (!constant.ok()) return constant.status();
+          q->selections.push_back(Selection{*left, *op, *constant});
         } else {
           StatusOr<Symbol> right = ExpectAttribute();
           if (!right.ok()) return right.status();
@@ -578,7 +573,7 @@ StatusOr<std::unique_ptr<QueryBlock>> SqlParser::ParseBlock(int depth) {
     return Status::InvalidArgument(
                "GROUP BY, HAVING and ORDER BY are not supported inside "
                "subqueries")
-        .WithDetail("found", Peek().text)
+        .WithDetail("found", std::string(Peek().text))
         .WithDetail("position", std::to_string(Peek().pos));
   }
   return q;
@@ -820,8 +815,9 @@ StatusOr<ParsedQuery> SqlParser::Run() {
   if (!block.ok()) return block.status();
   QueryBlock& q = **block;
   if (Peek().kind != Token::Kind::kEnd) {
-    return Status::InvalidArgument("trailing input: '" + Peek().text + "'")
-        .WithDetail("found", Peek().text)
+    std::string found(Peek().text);
+    return Status::InvalidArgument("trailing input: '" + found + "'")
+        .WithDetail("found", std::move(found))
         .WithDetail("position", std::to_string(Peek().pos));
   }
 
@@ -883,33 +879,37 @@ StatusOr<std::string> NormalizeSql(std::string_view sql,
       "ORDER",  "BY",       "LEFT",   "OUTER", "JOIN", "ON",     "IN",
       "EXISTS", "NOT",      "HAVING",
   };
-  StatusOr<std::vector<Token>> tokens = Lex(sql);
-  if (!tokens.ok()) return tokens.status();
+  auto keyword = [](std::string_view text) -> std::string_view {
+    for (std::string_view kw : kKeywords) {
+      if (EqualsUpper(text, kw)) return kw;
+    }
+    return {};
+  };
   std::string out;
   out.reserve(sql.size());
-  for (const Token& t : *tokens) {
-    if (t.kind == Token::Kind::kEnd) break;
-    std::string text = t.text;
+  for (size_t pos = 0;;) {
+    Token t = ScanToken(sql, pos);
+    if (t.kind == Token::Kind::kEnd) return out;
+    if (t.kind == Token::Kind::kBad) return BadCharacter(t);
+    pos = t.pos + t.text.size();
+    std::string_view text = t.text;
     if (t.kind == Token::Kind::kIdent) {
-      // Fold keyword spellings to upper case — unless the exact spelling
+      // Fold a keyword spelling to upper case, unless the exact spelling
       // names a catalog object (a relation called "from" stays itself).
-      Symbol sym = catalog.symbols().Lookup(text);
-      bool is_catalog_name =
-          sym.valid() && (catalog.FindRelation(sym) != nullptr ||
-                          catalog.RelationOf(sym).valid());
-      if (!is_catalog_name) {
-        for (std::string_view kw : kKeywords) {
-          if (KeywordIs(t, kw)) {
-            text.assign(kw);
-            break;
-          }
-        }
+      // Any other identifier comes out as written either way, so only a
+      // keyword spelled other than in upper case needs the catalog.
+      std::string_view kw = keyword(text);
+      if (!kw.empty() && kw != text) {
+        Symbol sym = catalog.symbols().Lookup(text);
+        bool is_catalog_name =
+            sym.valid() && (catalog.FindRelation(sym) != nullptr ||
+                            catalog.RelationOf(sym).valid());
+        if (!is_catalog_name) text = kw;
       }
     }
     if (!out.empty()) out += ' ';
     out += text;
   }
-  return out;
 }
 
 }  // namespace volcano::rel

@@ -62,8 +62,14 @@ StatusOr<ParsedQuery> ParseSql(std::string_view sql, const RelModel& model,
 /// same algebra expression and required properties, so the serving layer's
 /// cross-query plan cache keys on this string (src/serve/plan_cache.h).
 /// Constants are part of the signature — they feed selectivity estimation,
-/// so parameterizing them could change the winning plan. Returns the lexer's
-/// InvalidArgument for text that cannot be tokenized.
+/// so parameterizing them could change the winning plan.
+///
+/// One pass over the text with ParseSql's own token scanner, appending each
+/// token straight into the result. The catalog is consulted only for an
+/// identifier that spells a keyword in other than upper case: any other
+/// identifier is emitted as written whether or not it names a catalog
+/// object. Text that cannot be tokenized returns the same InvalidArgument
+/// (message, "character" and "position" details) that ParseSql returns.
 StatusOr<std::string> NormalizeSql(std::string_view sql,
                                    const Catalog& catalog);
 

@@ -102,6 +102,7 @@ std::pair<MExpr*, bool> Memo::InsertMExpr(OperatorId op, OpArgPtr arg,
       // equivalent and must be merged (paper, Figure 3 discussion).
       MergeGroups(eg, target);
     }
+    num_deduped_.fetch_add(1, std::memory_order_relaxed);
     return {existing, false};
   }
 
@@ -345,6 +346,7 @@ void Memo::Reset() {
                          // braces for reuse after an abandoned search
   num_live_groups_.store(0, std::memory_order_relaxed);
   num_live_exprs_.store(0, std::memory_order_relaxed);
+  num_deduped_.store(0, std::memory_order_relaxed);
   num_merges_.store(0, std::memory_order_relaxed);
 }
 

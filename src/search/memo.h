@@ -380,6 +380,10 @@ class Memo {
   size_t num_exprs() const {
     return num_live_exprs_.load(std::memory_order_relaxed);
   }
+  /// InsertMExpr calls that found their expression already in the memo.
+  size_t num_deduped() const {
+    return num_deduped_.load(std::memory_order_relaxed);
+  }
   size_t num_merges() const {
     return num_merges_.load(std::memory_order_relaxed);
   }
@@ -433,6 +437,7 @@ class Memo {
   // are monotone counters, not synchronization).
   std::atomic<size_t> num_live_groups_{0};
   std::atomic<size_t> num_live_exprs_{0};
+  std::atomic<size_t> num_deduped_{0};
   std::atomic<size_t> num_merges_{0};
   // Parallel fan-out state; see the concurrency section above.
   mutable std::shared_mutex structure_mu_;

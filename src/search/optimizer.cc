@@ -1395,6 +1395,7 @@ SearchStats Optimizer::stats() const {
   SearchStats s = stats_;
   s.groups_created = memo_.num_groups();
   s.mexprs_created = memo_.num_exprs();
+  s.mexprs_deduped = memo_.num_deduped();
   s.group_merges = memo_.num_merges();
   return s;
 }

@@ -265,7 +265,8 @@ struct SearchStats {
   uint64_t in_progress_hits = 0;    ///< cycles cut by the in-progress mark
   uint64_t groups_created = 0;
   uint64_t mexprs_created = 0;
-  uint64_t mexprs_deduped = 0;      ///< duplicate derivations detected
+  uint64_t mexprs_deduped = 0;      ///< inserts that found the expression
+                                    ///< already in the memo
   uint64_t group_merges = 0;
   uint64_t transformations_matched = 0;
   uint64_t transformations_applied = 0;

@@ -1,52 +1,49 @@
 #include "serve/plan_cache.h"
 
+#include "support/hash.h"
+
 namespace volcano::serve {
 
-std::string PlanCache::MakeKey(const std::string& signature,
-                               uint64_t catalog_version,
-                               const std::string& required) {
-  // \x1f (unit separator) cannot appear in SQL token text or property
-  // renderings, so the concatenation is unambiguous.
-  std::string key;
-  key.reserve(signature.size() + required.size() + 24);
-  key += signature;
-  key += '\x1f';
-  key += std::to_string(catalog_version);
-  key += '\x1f';
-  key += required;
-  return key;
+size_t PlanCache::KeyHash::operator()(const KeyView& k) const {
+  return HashCombine(HashCombine(HashString(k.signature), k.version),
+                     HashString(k.required));
 }
 
-std::optional<CachedPlan> PlanCache::Lookup(const std::string& signature,
-                                            uint64_t catalog_version,
-                                            const std::string& required) {
+std::optional<std::string> PlanCache::Lookup(std::string_view signature,
+                                             uint64_t catalog_version,
+                                             std::string_view required,
+                                             std::string_view prefix) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(MakeKey(signature, catalog_version, required));
+  auto it = index_.find(KeyView{signature, catalog_version, required});
   if (it == index_.end()) {
     ++stats_.misses;
     return std::nullopt;
   }
   ++stats_.hits;
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  return it->second->plan;
+  const std::string& hit = it->second->hit;
+  std::string out;
+  out.reserve(prefix.size() + hit.size());
+  out.append(prefix).append(hit);
+  return out;
 }
 
-void PlanCache::Insert(const std::string& signature, uint64_t catalog_version,
-                       const std::string& required, CachedPlan plan) {
+void PlanCache::Insert(std::string_view signature, uint64_t catalog_version,
+                       std::string_view required, CachedPlan plan) {
   if (capacity_ == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
-  std::string key = MakeKey(signature, catalog_version, required);
-  auto it = index_.find(key);
+  auto it = index_.find(KeyView{signature, catalog_version, required});
   if (it != index_.end()) {
-    it->second->plan = std::move(plan);
+    it->second->hit = std::move(plan.hit);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(Entry{key, catalog_version, std::move(plan)});
-  index_.emplace(std::move(key), lru_.begin());
+  lru_.push_front(Entry{std::string(signature), catalog_version,
+                        std::string(required), std::move(plan.hit)});
+  index_.emplace(lru_.front().key(), lru_.begin());
   ++stats_.insertions;
   while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().key);
+    index_.erase(lru_.back().key());
     lru_.pop_back();
     ++stats_.evictions;
   }
@@ -57,7 +54,7 @@ size_t PlanCache::InvalidateOlderThan(uint64_t version) {
   size_t dropped = 0;
   for (auto it = lru_.begin(); it != lru_.end();) {
     if (it->version < version) {
-      index_.erase(it->key);
+      index_.erase(it->key());
       it = lru_.erase(it);
       ++dropped;
     } else {
@@ -70,8 +67,8 @@ size_t PlanCache::InvalidateOlderThan(uint64_t version) {
 
 void PlanCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
   index_.clear();
+  lru_.clear();
 }
 
 size_t PlanCache::size() const {

@@ -17,12 +17,17 @@
 // probe needs no parse. Callers that key on a parse's required properties
 // pass their rendering.
 //
-// Values are fully-rendered response fields, not live PlanNode pointers: a
-// PlanNode borrows rule-name storage from its model's RuleSet, and sessions
-// rebuild their models on catalog changes — caching strings makes a hit
-// byte-identical to the cold response by construction and leaves no dangling
-// lifetime edge. Only exhaustive (optimal) plans are cached: a degraded plan
-// reflects the budget weather of one request, not the query.
+// Values are rendered bytes, not live PlanNode pointers: a PlanNode borrows
+// rule-name storage from its model's RuleSet, and sessions rebuild their
+// models on catalog changes, so bytes leave no dangling lifetime edge. The
+// server renders a hit response's bytes after its "id" member once, when it
+// inserts the plan: with the catalog version in the key, every one of those
+// bytes is fixed for the entry's life. A hit is then the id plus one copy
+// of the stored bytes, made under the cache lock, with no JSON escaping,
+// and byte-identical to the cold response apart from "cached" by
+// construction (the server renders both through one function). Only
+// exhaustive (optimal) plans are cached: a degraded plan reflects the budget
+// weather of one request, not the query.
 //
 // Thread-safe; all operations take an internal mutex. Capacity-bounded with
 // LRU eviction.
@@ -35,16 +40,22 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 namespace volcano::serve {
 
-/// The cached, fully-rendered result of one cold optimization.
+/// A cache entry. The cache keeps and serves only `hit`, which the server
+/// renders from a cold plan before it inserts. The four renderings describe
+/// the plan for callers that insert without serving hits; the cache drops
+/// them.
 struct CachedPlan {
   std::string algebra;   ///< logical algebra rendering of the parsed query
   std::string required;  ///< required physical properties (goal component)
   std::string plan;      ///< one-line physical plan (PlanToLine)
   std::string cost;      ///< cost-model rendering of the plan cost
+  /// The hit response after its "id" member, through the closing brace.
+  std::string hit = {};
 };
 
 class PlanCache {
@@ -65,15 +76,18 @@ class PlanCache {
   PlanCache& operator=(const PlanCache&) = delete;
 
   /// Looks up (signature, catalog version, required props); counts a hit or
-  /// miss and refreshes LRU recency on hit.
-  std::optional<CachedPlan> Lookup(const std::string& signature,
-                                   uint64_t catalog_version,
-                                   const std::string& required);
+  /// miss and refreshes LRU recency on hit. A hit returns `prefix` followed
+  /// by the entry's `hit` bytes, built in one allocation. A probe builds no
+  /// key.
+  std::optional<std::string> Lookup(std::string_view signature,
+                                    uint64_t catalog_version,
+                                    std::string_view required,
+                                    std::string_view prefix = {});
 
   /// Inserts (or overwrites) an entry, evicting the least-recently-used one
   /// when over capacity.
-  void Insert(const std::string& signature, uint64_t catalog_version,
-              const std::string& required, CachedPlan plan);
+  void Insert(std::string_view signature, uint64_t catalog_version,
+              std::string_view required, CachedPlan plan);
 
   /// Drops every entry whose catalog version is older than `version` and
   /// counts them as invalidations. Stale entries can never hit (the version
@@ -87,21 +101,30 @@ class PlanCache {
   Stats stats() const;
 
  private:
-  struct Entry {
-    std::string key;
+  /// A key by reference: a probe's arguments, or the strings of the entry
+  /// that owns it (list nodes never move, so the views stay valid).
+  struct KeyView {
+    std::string_view signature;
     uint64_t version;
-    CachedPlan plan;
+    std::string_view required;
+    bool operator==(const KeyView&) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const KeyView& k) const;
+  };
+  struct Entry {
+    std::string signature;
+    uint64_t version;
+    std::string required;
+    std::string hit;
+    KeyView key() const { return {signature, version, required}; }
   };
   using LruList = std::list<Entry>;
-
-  static std::string MakeKey(const std::string& signature,
-                             uint64_t catalog_version,
-                             const std::string& required);
 
   mutable std::mutex mu_;
   size_t capacity_;
   LruList lru_;  // front = most recently used
-  std::unordered_map<std::string, LruList::iterator> index_;
+  std::unordered_map<KeyView, LruList::iterator, KeyHash> index_;
   Stats stats_;
 };
 

@@ -58,6 +58,10 @@ std::string PlanResponse(uint64_t id, bool cached, bool degraded,
   return w.Take();
 }
 
+/// `{"id": N`: the bytes of a plan response before its "ok" member. All
+/// that follows them is fixed once a plan is cached (PlanCache's `hit`).
+std::string IdHead(uint64_t id) { return "{\"id\": " + std::to_string(id); }
+
 std::string ErrorResponse(uint64_t id, const Status& status,
                           bool shed = false) {
   JsonWriter w;
@@ -332,9 +336,9 @@ std::optional<std::string> Server::Front(uint64_t id, std::string& line,
   miss->version = catalog_->version();
   StatusOr<std::string> signature = rel::NormalizeSql(line, *catalog_);
   if (signature.ok()) {
-    if (std::optional<CachedPlan> hit =
-            cache_.Lookup(*signature, miss->version, /*required=*/{})) {
-      return HitResponse(id, miss->version, *hit);
+    if (std::optional<std::string> hit =
+            ProbeCache(id, *signature, miss->version)) {
+      return hit;
     }
   }
   lock.unlock();
@@ -347,15 +351,17 @@ std::optional<std::string> Server::Front(uint64_t id, std::string& line,
   return std::nullopt;
 }
 
-std::string Server::HitResponse(uint64_t id, uint64_t version,
-                                const CachedPlan& hit) {
-  {
+std::optional<std::string> Server::ProbeCache(uint64_t id,
+                                              const std::string& signature,
+                                              uint64_t version) {
+  std::optional<std::string> hit =
+      cache_.Lookup(signature, version, /*required=*/{}, IdHead(id));
+  if (hit.has_value()) {
     std::lock_guard<std::mutex> slock(stats_mu_);
     ++stats_.ok;
     ++stats_.cached;
   }
-  return PlanResponse(id, /*cached=*/true, /*degraded=*/false, "exhaustive",
-                      version, hit.algebra, hit.required, hit.plan, hit.cost);
+  return hit;
 }
 
 std::string Server::ProcessAdmin(uint64_t id, const std::string& line) {
@@ -429,9 +435,9 @@ std::string Server::ProcessSql(Session& session, uint64_t id,
   // new version before paying for a search. The signature still holds — the
   // request protocol changes statistics, never the names it folds around.
   if (version != miss.version) {
-    if (std::optional<CachedPlan> hit =
-            cache_.Lookup(miss.signature, version, /*required=*/{})) {
-      return HitResponse(id, version, *hit);
+    if (std::optional<std::string> hit =
+            ProbeCache(id, miss.signature, version)) {
+      return std::move(*hit);
     }
   }
   if (session.SyncCatalog()) {
@@ -454,10 +460,16 @@ std::string Server::ProcessSql(Session& session, uint64_t id,
     return ErrorResponse(id, r.status);
   }
   // Only optimal plans enter the cache: a degraded plan reflects one
-  // request's budget weather, not the query.
+  // request's budget weather, not the query. A hit replays the cold
+  // response with "cached" set and without the stats tail; its bytes after
+  // the id are rendered here, once.
   if (!r.degraded) {
-    cache_.Insert(miss.signature, version, /*required=*/{},
-                  CachedPlan{r.algebra, r.required, r.plan, r.cost});
+    CachedPlan entry;
+    entry.hit =
+        PlanResponse(0, /*cached=*/true, r.degraded, PlanSourceName(r.source),
+                     version, r.algebra, r.required, r.plan, r.cost);
+    entry.hit.erase(0, IdHead(0).size());
+    cache_.Insert(miss.signature, version, /*required=*/{}, std::move(entry));
   }
   {
     std::lock_guard<std::mutex> slock(stats_mu_);

@@ -16,8 +16,9 @@
 //    relation, budget exhaustion, impossible goal) becomes a structured
 //    error response; no request input tears down the process;
 //  * a cross-query plan cache — (normalized SQL signature, catalog version)
-//    -> rendered plan, hit responses byte-identical to cold optimization
-//    (see plan_cache.h);
+//    -> the hit response's bytes after its id, rendered once at insert and
+//    byte-identical to the cold response apart from "cached" (see
+//    plan_cache.h);
 //  * memory robustness — each worker recycles one Optimizer's memo arena
 //    across requests (session.h), keeping steady-state footprint flat.
 //
@@ -203,8 +204,11 @@ class Server {
   /// May rewrite `line` (fault-injected malformation).
   std::optional<std::string> Front(uint64_t id, std::string& line,
                                    Miss* miss);
-  std::string HitResponse(uint64_t id, uint64_t version,
-                          const CachedPlan& hit);
+  /// Probes the plan cache at `version`; a hit is request `id`'s complete
+  /// response, counted as served from the cache.
+  std::optional<std::string> ProbeCache(uint64_t id,
+                                        const std::string& signature,
+                                        uint64_t version);
   std::string ProcessAdmin(uint64_t id, const std::string& line);
   /// The session half: parse, optimize and cache one missed request.
   std::string ProcessSql(Session& session, uint64_t id,

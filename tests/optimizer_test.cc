@@ -293,6 +293,20 @@ TEST(Failures, WinnerIsReusedAcrossCalls) {
   EXPECT_EQ(after.mexprs_created, before.mexprs_created);
 }
 
+TEST(Exploration, DuplicateDerivationsAreCounted) {
+  // Join commutativity and associativity re-derive expressions the memo
+  // already holds; each such insert is counted once. The chain's relations
+  // are distinct, so copy-in finds no duplicate and every one comes from a
+  // fired transformation.
+  Chain c(4);
+  Optimizer opt(*c.model);
+  GroupId g = opt.AddQuery(*c.expr);
+  ASSERT_TRUE(opt.OptimizeGroup(g, nullptr).ok());
+  SearchStats s = opt.stats();
+  EXPECT_GT(s.mexprs_deduped, 0u);
+  EXPECT_LE(s.mexprs_deduped, s.transformations_applied);
+}
+
 TEST(Budget, MemoCapAborts) {
   // In strict mode the memo cap is a hard error; by default (anytime
   // degradation) the same trip yields an approximate plan. The full budget

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "relational/catalog.h"
+#include "relational/query_gen.h"
 #include "relational/sql.h"
 #include "search/search_config.h"
 #include "serve/server.h"
@@ -93,6 +94,40 @@ TEST(Serve, CacheHitsAreByteIdentical) {
   ServeStats stats = server.stats();
   EXPECT_EQ(stats.cache_hits, std::size(kQueries));
   EXPECT_EQ(stats.cached, std::size(kQueries));
+}
+
+// A hit's bytes after the id are rendered once, when the plan is inserted.
+// For every TPC-H query the hit must be the cold response with only the id
+// and the "cached" flag changed, also after a !bump re-optimizes the query
+// at the new version (the stored bytes carry that version).
+TEST(Serve, HitBytesAreTheColdResponse) {
+  rel::TpchWorkload tpch = rel::MakeTpchWorkload();
+  Server server(tpch.catalog.get());
+  uint64_t id = 0;
+  for (int round = 0; round < 2; ++round) {
+    if (round == 1) {
+      ASSERT_TRUE(Contains(server.HandleLine("!bump"), "\"admin\": \"bump\""));
+      ++id;
+    }
+    std::string version =
+        "\"catalog_version\": " + std::to_string(server.catalog_version());
+    for (const rel::TpchQuery& q : tpch.queries) {
+      std::string cold = server.HandleLine(q.sql);
+      std::string hit = server.HandleLine(q.sql);
+      std::string head = "{\"id\": " + std::to_string(++id) + ", ";
+      ASSERT_EQ(cold.rfind(head, 0), 0u) << cold;
+      ASSERT_TRUE(Contains(cold, version)) << cold;
+      std::string want = "{\"id\": " + std::to_string(++id) + ", " +
+                         cold.substr(head.size());
+      size_t flag = want.find("\"cached\": false");
+      ASSERT_NE(flag, std::string::npos) << cold;
+      want.replace(flag, 15, "\"cached\": true");
+      EXPECT_EQ(hit, want) << q.name;
+    }
+  }
+  ServeStats stats = server.stats();
+  EXPECT_EQ(stats.cache_hits, 2 * tpch.queries.size());
+  EXPECT_EQ(stats.cache_insertions, 2 * tpch.queries.size());
 }
 
 // An idle server answers a hit on the submitting thread, before Submit

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstring>
 #include <map>
 
 #include "exec/datagen.h"
@@ -354,6 +355,27 @@ TEST(SqlErrors, HavingRequiresGroupBy) {
                    .ok());
 }
 
+TEST(SqlErrors, IntegerOutOfRange) {
+  // A constant that does not fit in 64 bits is a structured error, not an
+  // exception out of the parser.
+  Fixture f;
+  for (const char* sql :
+       {"SELECT * FROM emp WHERE emp.a1 < 99999999999999999999",
+        "SELECT emp.a1, COUNT(*) FROM emp GROUP BY emp.a1 "
+        "HAVING COUNT(*) > -99999999999999999999"}) {
+    StatusOr<ParsedQuery> q = f.Parse(sql);
+    ASSERT_FALSE(q.ok()) << sql;
+    EXPECT_EQ(q.status().code(), Status::Code::kInvalidArgument);
+    ASSERT_NE(q.status().FindDetail("found"), nullptr);
+    EXPECT_NE(q.status().FindDetail("found")->find("99999999999999999999"),
+              std::string::npos);
+    EXPECT_NE(q.status().FindDetail("position"), nullptr);
+  }
+  StatusOr<ParsedQuery> edge =
+      f.Parse("SELECT * FROM emp WHERE emp.a1 > -9223372036854775808");
+  EXPECT_TRUE(edge.ok()) << edge.status().ToString();
+}
+
 // Catalog mutators report the offending object the same way.
 TEST(SqlErrors, CatalogDetailPayloads) {
   Fixture f;
@@ -445,8 +467,119 @@ TEST(SqlNormalize, DistinctTwinsNeverCollide) {
 }
 
 TEST(SqlNormalize, LexErrorsPropagate) {
+  // NormalizeSql and ParseSql share one scanner, so a byte that starts no
+  // token gives the same status from both, wherever it sits.
   Fixture f;
-  EXPECT_FALSE(NormalizeSql("SELECT \x01 FROM emp", f.catalog).ok());
+  const struct {
+    std::string sql;
+    std::string character;
+    std::string position;
+  } cases[] = {
+      {"\x01SELECT * FROM emp", "\x01", "0"},
+      {"SELECT * FROM emp WHERE emp.a1 # 5", "#", "31"},
+      {"SELECT * FROM emp;", ";", "17"},
+      {std::string("SELECT * FROM emp\0", 18), std::string(1, '\0'), "17"},
+  };
+  for (const auto& c : cases) {
+    StatusOr<std::string> normalized = NormalizeSql(c.sql, f.catalog);
+    StatusOr<ParsedQuery> parsed = f.Parse(c.sql);
+    ASSERT_FALSE(normalized.ok()) << c.sql;
+    ASSERT_FALSE(parsed.ok()) << c.sql;
+    const Status& n = normalized.status();
+    const Status& p = parsed.status();
+    EXPECT_EQ(n.code(), Status::Code::kInvalidArgument);
+    EXPECT_EQ(n.message(),
+              "unexpected character '" + c.character + "' in SQL");
+    EXPECT_EQ(n.details(), p.details()) << c.sql;
+    EXPECT_EQ(n.message(), p.message()) << c.sql;
+    EXPECT_EQ(n.code(), p.code());
+    ASSERT_NE(n.FindDetail("character"), nullptr);
+    EXPECT_EQ(*n.FindDetail("character"), c.character);
+    ASSERT_NE(n.FindDetail("position"), nullptr);
+    EXPECT_EQ(*n.FindDetail("position"), c.position) << c.sql;
+  }
+}
+
+TEST(SqlNormalize, ScannerEdgeSpellings) {
+  // Token boundaries the scanner must find with no space between tokens:
+  // two-byte comparisons, a minus sign that belongs to a number, digits
+  // running into letters, qualified names, and every white-space byte.
+  Fixture f;
+  const std::pair<const char*, const char*> cases[] = {
+      {"a<=b", "a <= b"},
+      {"x>=-5", "x >= -5"},
+      {"a<b>c=d", "a < b > c = d"},
+      {"a<", "a <"},
+      {"5-3", "5 -3"},
+      {"12abc", "12 abc"},
+      {"emp.a1", "emp.a1"},
+      {"_t.a_1x", "_t.a_1x"},
+      {"select\tfrom\r\nwhere\v\fand", "SELECT FROM WHERE AND"},
+      {"count(*),(emp.a1)", "COUNT ( * ) , ( emp.a1 )"},
+      {"  ", ""},
+  };
+  for (const auto& [sql, want] : cases) {
+    StatusOr<std::string> got = NormalizeSql(sql, f.catalog);
+    ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+    EXPECT_EQ(*got, want) << sql;
+  }
+  // A minus sign not followed by a digit starts no token.
+  StatusOr<std::string> minus = NormalizeSql("a - 5", f.catalog);
+  ASSERT_FALSE(minus.ok());
+  EXPECT_EQ(*minus.status().FindDetail("position"), "2");
+}
+
+TEST(SqlNormalize, ByteClassesMatchCType) {
+  // The scanner classifies bytes from its own table; every byte must fall
+  // where <cctype> puts it in the "C" locale, alone and after a letter.
+  Fixture f;
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const unsigned char u = static_cast<unsigned char>(b);
+    const bool space = std::isspace(u);
+    const bool ident = std::isalnum(u) || c == '_';
+    const bool punct = c != '\0' && std::strchr(",*()=<>", c) != nullptr;
+    StatusOr<std::string> alone = NormalizeSql(std::string(1, c), f.catalog);
+    StatusOr<std::string> after = NormalizeSql(std::string("a") + c, f.catalog);
+    if (space) {
+      EXPECT_EQ(alone.value(), "") << b;
+      EXPECT_EQ(after.value(), "a") << b;
+    } else if (ident || punct) {
+      EXPECT_EQ(alone.value(), std::string(1, c)) << b;
+      EXPECT_EQ(after.value(), ident ? "a" + std::string(1, c)
+                                     : "a " + std::string(1, c))
+          << b;
+    } else if (c == '.') {
+      EXPECT_FALSE(alone.ok());
+      EXPECT_EQ(after.value(), "a.");
+    } else {
+      EXPECT_FALSE(alone.ok()) << b;
+      EXPECT_FALSE(after.ok()) << b;
+    }
+  }
+}
+
+TEST(SqlNormalize, KeywordSpelledAttributeKeepsItsCase) {
+  // An attribute may be named like a keyword. Its lower-case spelling is
+  // the catalog name and stays; any other spelling is the keyword.
+  Fixture f;
+  RelationInfo t;
+  t.name = f.catalog.symbols().Intern("t");
+  t.cardinality = 10;
+  t.attributes.push_back({f.catalog.symbols().Intern("order"), 10});
+  ASSERT_TRUE(f.catalog.AddRelation(std::move(t)).ok());
+  f.model = std::make_unique<RelModel>(f.catalog);
+
+  const char* sql = "select order from t Order By order";
+  StatusOr<std::string> got = NormalizeSql(sql, f.catalog);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, "SELECT order FROM t ORDER BY order");
+  StatusOr<ParsedQuery> a = f.Parse(sql);
+  StatusOr<ParsedQuery> b = f.Parse(*got);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(f.Render(*a), f.Render(*b));
+  EXPECT_EQ(a->required->ToString(), b->required->ToString());
 }
 
 // --- signature soundness: equal signatures parse identically -------------
