@@ -126,25 +126,6 @@ void BM_OptimizeEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimizeEngine)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
-void BM_OptimizeParallel(benchmark::State& state) {
-  // Scaling curve for the worker-pool fan-out (arg = SearchOptions::workers;
-  // 0 = no pool). Wall clock, not main-thread CPU: the work happens on the
-  // pool threads, so cpu_time would under-report by exactly the offloaded
-  // share. The v1 fan-out serializes move evaluation under one engine mutex
-  // plus a determinism turnstile, so this curve is flat by design — it pins
-  // the thread-pool and synchronization overhead that finer-grained memo
-  // sharding must beat before parallelism can pay off.
-  rel::Workload w = MakeChain(8, 6);
-  SearchOptions options;
-  options.workers = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Optimizer opt(*w.model, SearchConfig::FromOptions(options).value());
-    benchmark::DoNotOptimize(opt.Optimize(*w.query, w.required).ok());
-  }
-}
-BENCHMARK(BM_OptimizeParallel)->Arg(0)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime()->Unit(benchmark::kMicrosecond);
-
 void BM_OptimizeTraced(benchmark::State& state) {
   // Tracing overhead: the same end-to-end optimization as BM_Exploration's
   // shape with (arg=1) and without (arg=0) a minimal sink attached. The

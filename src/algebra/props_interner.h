@@ -14,9 +14,7 @@
 #ifndef VOLCANO_ALGEBRA_PROPS_INTERNER_H_
 #define VOLCANO_ALGEBRA_PROPS_INTERNER_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 
 #include "algebra/properties.h"
 #include "support/flat_hash.h"
@@ -25,32 +23,10 @@ namespace volcano {
 
 class PropsInterner {
  public:
-  /// Concurrency gate. While true, Intern/InternRaw serialize on an internal
-  /// mutex and the one-entry canonicalization cache is bypassed (a raw-pointer
-  /// cache shared by racing workers would itself be a data race). Serial
-  /// callers pay one relaxed atomic load and keep the lock-free fast path.
-  /// Flipped only from quiescent points (no concurrent interning in flight) —
-  /// the parallel fan-out sets it before spawning workers and clears it after
-  /// joining them.
-  void set_concurrent(bool on) {
-    concurrent_.store(on, std::memory_order_relaxed);
-    if (on) last_canonical_ = nullptr;
-  }
   /// Returns the canonical pointer for `props`' value class: two vectors with
   /// Equals(a, b) intern to the same pointer. Null interns to null. The
   /// first vector of a value class becomes its canonical representative.
   PhysPropsPtr Intern(const PhysPropsPtr& props) {
-    if (concurrent_.load(std::memory_order_relaxed)) {
-      std::lock_guard<std::mutex> lock(mu_);
-      const PhysProps* raw =
-          props == nullptr ? nullptr : InternRawLocked(props, props.get());
-      if (raw == props.get()) return props;
-      const PhysPropsPtr* found = set_.FindHashed(
-          raw->CachedHash(),
-          [&](const PhysPropsPtr& p) { return p.get() == raw; });
-      VOLCANO_DCHECK(found != nullptr);
-      return *found;
-    }
     const PhysProps* raw = InternRaw(props);
     if (raw == props.get()) return props;
     // `raw` is some earlier vector's canonical pointer; recover its owning
@@ -70,10 +46,6 @@ class PropsInterner {
   const PhysProps* InternRaw(const PhysPropsPtr& props) {
     if (props == nullptr) return nullptr;
     const PhysProps* raw = props.get();
-    if (concurrent_.load(std::memory_order_relaxed)) {
-      std::lock_guard<std::mutex> lock(mu_);
-      return InternRawLocked(props, raw);
-    }
     if (raw == last_canonical_) return raw;
     uint64_t h = props->CachedHash();
     if (const PhysPropsPtr* found =
@@ -103,22 +75,6 @@ class PropsInterner {
   size_t size() const { return set_.size(); }
 
  private:
-  /// Table probe/insert with mu_ held; skips the one-entry cache entirely
-  /// (see set_concurrent). `raw` is props.get(), hoisted by the callers.
-  const PhysProps* InternRawLocked(const PhysPropsPtr& props,
-                                   const PhysProps* raw) {
-    uint64_t h = props->CachedHash();
-    if (const PhysPropsPtr* found =
-            set_.FindHashed(h, [&](const PhysPropsPtr& p) {
-              return p.get() == raw ||
-                     (p->CachedHash() == h && p->Equals(*raw));
-            })) {
-      return found->get();
-    }
-    set_.InsertHashed(h, props);
-    return raw;
-  }
-
   struct PtrValueHash {
     uint64_t operator()(const PhysPropsPtr& p) const {
       return p == nullptr ? 0 : p->CachedHash();
@@ -126,8 +82,6 @@ class PropsInterner {
   };
   FlatHashSet<PhysPropsPtr, PtrValueHash> set_;
   const PhysProps* last_canonical_ = nullptr;
-  std::atomic<bool> concurrent_{false};
-  std::mutex mu_;
 };
 
 }  // namespace volcano

@@ -334,7 +334,6 @@ LogicalPropsPtr RelModel::DeriveLogicalProps(
 }
 
 PhysPropsPtr RelModel::SortedOn(Symbol attr) const {
-  std::lock_guard<std::mutex> lock(props_cache_mu_);
   auto it = sorted_on_cache_.find(attr);
   if (it != sorted_on_cache_.end()) return it->second;
   PhysPropsPtr props = RelPhysProps::MakeSorted(symbols(), {attr});
@@ -343,7 +342,6 @@ PhysPropsPtr RelModel::SortedOn(Symbol attr) const {
 }
 
 PhysPropsPtr RelModel::StoredOrderOf(Symbol relation) const {
-  std::lock_guard<std::mutex> lock(props_cache_mu_);
   auto it = stored_order_cache_.find(relation);
   if (it != stored_order_cache_.end()) return it->second;
   const RelationInfo* rel = catalog_.FindRelation(relation);
@@ -354,7 +352,6 @@ PhysPropsPtr RelModel::StoredOrderOf(Symbol relation) const {
 }
 
 PhysPropsPtr RelModel::Partitioned(Symbol attr) const {
-  std::lock_guard<std::mutex> lock(props_cache_mu_);
   auto it = partitioned_cache_.find(attr);
   if (it != partitioned_cache_.end()) return it->second;
   PhysPropsPtr props = RelPhysProps::MakePartitioned(

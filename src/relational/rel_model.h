@@ -15,7 +15,7 @@
 #define VOLCANO_RELATIONAL_REL_MODEL_H_
 
 #include <memory>
-#include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "algebra/data_model.h"
@@ -218,11 +218,7 @@ class RelModel : public DataModel {
   PhysPropsPtr any_;
   PhysPropsPtr serial_;
   PhysPropsPtr unique_any_;
-  // Lazily-populated property memos. Rules call the accessors from search
-  // workers running concurrently (SearchOptions::workers), so the caches
-  // share one mutex; entries are tiny and insert-once, and the lock is
-  // uncontended after warm-up.
-  mutable std::mutex props_cache_mu_;
+  // Lazily-populated property memos; entries are tiny and insert-once.
   mutable std::unordered_map<Symbol, PhysPropsPtr> sorted_on_cache_;
   mutable std::unordered_map<Symbol, PhysPropsPtr> partitioned_cache_;
   mutable std::unordered_map<Symbol, PhysPropsPtr> stored_order_cache_;

@@ -1,7 +1,6 @@
 #include "search/memo.h"
 
 #include <algorithm>
-#include <atomic>
 #include <sstream>
 
 namespace volcano {
@@ -40,21 +39,12 @@ Memo::~Memo() {
 
 GroupId Memo::Find(GroupId g) const {
   VOLCANO_DCHECK(g < parent_.size());
-  // Path-halving reads through atomic_ref: parallel workers call Find while
-  // holding the structure lock shared, so several threads may halve the same
-  // chain at once. Every halving write rewrites a slot to an ancestor that is
-  // equally valid (the forest's meaning is unchanged), so relaxed ordering
-  // suffices; writes that change the forest — merges — happen only under the
-  // exclusive structure lock, which also excludes parent_ reallocation.
-  // Compiles to the same loads/stores as the plain version in serial builds.
   for (;;) {
-    std::atomic_ref<GroupId> slot(parent_[g]);
-    GroupId p = slot.load(std::memory_order_relaxed);
+    GroupId p = parent_[g];
     if (p == g) return g;
-    GroupId gp = std::atomic_ref<GroupId>(parent_[p])
-                     .load(std::memory_order_relaxed);
+    GroupId gp = parent_[p];
     if (gp != p) {
-      slot.store(gp, std::memory_order_relaxed);  // path halving
+      parent_[g] = gp;  // path halving
       g = gp;
     } else {
       g = p;
@@ -74,7 +64,7 @@ GroupId Memo::NewGroup(OperatorId op, const OpArg* arg,
   grp->logical_ = std::move(lp);
   groups_.push_back(grp);
   parent_.push_back(id);
-  num_live_groups_.fetch_add(1, std::memory_order_relaxed);
+  ++num_live_groups_;
   VOLCANO_TRACE(trace_, {.kind = TraceEventKind::kGroupCreated, .group = id});
   return id;
 }
@@ -102,7 +92,7 @@ std::pair<MExpr*, bool> Memo::InsertMExpr(OperatorId op, OpArgPtr arg,
       // equivalent and must be merged (paper, Figure 3 discussion).
       MergeGroups(eg, target);
     }
-    num_deduped_.fetch_add(1, std::memory_order_relaxed);
+    ++num_deduped_;
     return {existing, false};
   }
 
@@ -117,7 +107,7 @@ std::pair<MExpr*, bool> Memo::InsertMExpr(OperatorId op, OpArgPtr arg,
   m->provenance_ = provenance_;
   exprs_.push_back(m);
   groups_[g]->exprs_.push_back(m);
-  num_live_exprs_.fetch_add(1, std::memory_order_relaxed);
+  ++num_live_exprs_;
   VOLCANO_TRACE(trace_, {.kind = TraceEventKind::kMExprCreated,
                          .group = g,
                          .other = m->id_,
@@ -191,9 +181,9 @@ void Memo::RunMergeWorklist() {
     GroupId b = Find(rb);
     if (a == b) continue;
     if (b < a) std::swap(a, b);  // keep the smaller id as representative
-    std::atomic_ref<GroupId>(parent_[b]).store(a, std::memory_order_relaxed);
-    num_merges_.fetch_add(1, std::memory_order_relaxed);
-    num_live_groups_.fetch_sub(1, std::memory_order_relaxed);
+    parent_[b] = a;
+    ++num_merges_;
+    --num_live_groups_;
     VOLCANO_TRACE(trace_, {.kind = TraceEventKind::kGroupsMerged,
                            .group = a,
                            .other = b});
@@ -261,7 +251,7 @@ void Memo::RunMergeWorklist() {
         // duplicate; its class and the existing one are equivalent.
         MExpr* canonical = *found;
         m->dead_ = true;
-        num_live_exprs_.fetch_sub(1, std::memory_order_relaxed);
+        --num_live_exprs_;
         GroupId mg = Find(m->group_);
         GroupId cg = Find(canonical->group_);
         // Carry over fired-rule knowledge so work is not repeated.
@@ -285,18 +275,7 @@ void Memo::RunMergeWorklist() {
 }
 
 void Memo::StoreWinner(GroupId g, Goal goal, Winner w) {
-  GroupId rep = Find(g);
-  if (concurrent_.load(std::memory_order_relaxed)) {
-    // Stripe index is the representative id, which is stable while workers
-    // hold the structure lock shared (merges require it exclusive).
-    std::lock_guard<std::mutex> lock(winner_mu_[rep % kWinnerStripes]);
-    StoreWinnerInto(*groups_[rep], goal, std::move(w));
-    return;
-  }
-  StoreWinnerInto(*groups_[rep], goal, std::move(w));
-}
-
-void Memo::StoreWinnerInto(Group& grp, Goal goal, Winner w) {
+  Group& grp = *groups_[Find(g)];
   Winner* cur = grp.winners_.Find(goal);
   if (cur == nullptr) {
     grp.winners_.TryEmplace(goal, std::move(w));
@@ -308,21 +287,6 @@ void Memo::StoreWinnerInto(Group& grp, Goal goal, Winner w) {
   } else if (!w.failed() && cm.Less(w.cost, cur->cost)) {
     *cur = std::move(w);
   }
-}
-
-bool Memo::ProbeWinner(GroupId g, Goal goal, Winner* out) const {
-  GroupId rep = Find(g);
-  if (concurrent_.load(std::memory_order_relaxed)) {
-    std::lock_guard<std::mutex> lock(winner_mu_[rep % kWinnerStripes]);
-    const Winner* w = groups_[rep]->FindWinner(goal);
-    if (w == nullptr) return false;
-    *out = *w;  // copied out: the table may rehash once the lock drops
-    return true;
-  }
-  const Winner* w = groups_[rep]->FindWinner(goal);
-  if (w == nullptr) return false;
-  *out = *w;
-  return true;
 }
 
 void Memo::Reset() {
@@ -342,12 +306,10 @@ void Memo::Reset() {
   arena_.Reset();
   merging_ = false;
   provenance_ = nullptr;
-  SetConcurrent(false);  // fan-out always clears this after joining; belt and
-                         // braces for reuse after an abandoned search
-  num_live_groups_.store(0, std::memory_order_relaxed);
-  num_live_exprs_.store(0, std::memory_order_relaxed);
-  num_deduped_.store(0, std::memory_order_relaxed);
-  num_merges_.store(0, std::memory_order_relaxed);
+  num_live_groups_ = 0;
+  num_live_exprs_ = 0;
+  num_deduped_ = 0;
+  num_merges_ = 0;
 }
 
 std::vector<GroupId> Memo::LiveGroups() const {

@@ -25,12 +25,8 @@
 #ifndef VOLCANO_SEARCH_MEMO_H_
 #define VOLCANO_SEARCH_MEMO_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <span>
 #include <string>
 #include <utility>
@@ -290,13 +286,6 @@ class Memo {
     StoreWinner(g, CanonicalGoal(key.required, key.excluded), std::move(w));
   }
 
-  /// Copy-out winner probe for parallel workers. FindWinner's pointer can
-  /// dangle across a concurrent StoreWinner (the winner table may rehash), so
-  /// workers copy the record (one shared_ptr retain + a Cost) out under the
-  /// class's stripe lock. In serial mode this is a plain read with no lock.
-  /// Returns false when the goal has no record.
-  bool ProbeWinner(GroupId g, Goal goal, Winner* out) const;
-
   bool IsInProgress(GroupId g, Goal goal) const {
     return group(g).in_progress_.Contains(goal);
   }
@@ -321,36 +310,6 @@ class Memo {
   void SetExploring(GroupId g, bool v) { group(g).exploring_ = v; }
   void SetExplored(GroupId g, bool v) { group(g).explored_ = v; }
 
-  // --- concurrency (parallel fan-out; DESIGN.md §11) ----------------------
-  //
-  // Lock protocol. The memo has two protection domains:
-  //
-  //  * Structure — the tables and vectors that grow or rewire: groups_,
-  //    parent_ (merges), sig_table_, referencing_, Group::exprs_, the
-  //    explored/exploring bits, and the arena. Guarded by structure_mutex():
-  //    parallel workers hold it SHARED while costing (reads plus the benign
-  //    atomic path-halving writes in Find) and EXCLUSIVE for anything that
-  //    inserts, merges, or explores. The serial engine never touches it.
-  //
-  //  * Winners — per-class winner tables, which workers update concurrently
-  //    while holding the structure lock shared. Guarded by an array of stripe
-  //    mutexes indexed by the class's representative id; the stripe index is
-  //    stable under a shared structure lock because representatives only
-  //    change during merges (exclusive). Engaged only when SetConcurrent(true)
-  //    is in effect, so serial search pays one relaxed load per store/probe.
-  //
-  // In-progress marks are NOT locked: during fan-out the memo's marks are
-  // frozen (read-only); workers layer their own engine-local marks on top
-  // (task_engine.cc). Mark/Unmark stay single-threaded-only entry points.
-  void SetConcurrent(bool on) {
-    concurrent_.store(on, std::memory_order_relaxed);
-    interner_.set_concurrent(on);
-  }
-  bool concurrent() const {
-    return concurrent_.load(std::memory_order_relaxed);
-  }
-  std::shared_mutex& structure_mutex() const { return structure_mu_; }
-
   // --- observability ------------------------------------------------------
 
   /// Installs (or clears, with null) the trace sink receiving structural
@@ -374,19 +333,11 @@ class Memo {
 
   // --- statistics ---------------------------------------------------------
 
-  size_t num_groups() const {
-    return num_live_groups_.load(std::memory_order_relaxed);
-  }
-  size_t num_exprs() const {
-    return num_live_exprs_.load(std::memory_order_relaxed);
-  }
+  size_t num_groups() const { return num_live_groups_; }
+  size_t num_exprs() const { return num_live_exprs_; }
   /// InsertMExpr calls that found their expression already in the memo.
-  size_t num_deduped() const {
-    return num_deduped_.load(std::memory_order_relaxed);
-  }
-  size_t num_merges() const {
-    return num_merges_.load(std::memory_order_relaxed);
-  }
+  size_t num_deduped() const { return num_deduped_; }
+  size_t num_merges() const { return num_merges_; }
 
   /// Arena bytes backing the node stores (memory-consumption telemetry).
   size_t arena_bytes() const { return arena_.bytes_reserved(); }
@@ -402,12 +353,6 @@ class Memo {
                    const std::vector<GroupId>& inputs);
   void MergeGroups(GroupId a, GroupId b);
   void RunMergeWorklist();
-  void StoreWinnerInto(Group& grp, Goal goal, Winner w);
-
-  /// Winner-stripe count; power of two so the index is a mask. 32 stripes
-  /// keep false contention negligible for ≤8 workers while the mutex array
-  /// stays small enough to live inline in the memo.
-  static constexpr size_t kWinnerStripes = 32;
 
   const DataModel& model_;
   Arena arena_;
@@ -432,17 +377,10 @@ class Memo {
   std::vector<GroupId> scratch_distinct_;
   std::vector<LogicalPropsPtr> scratch_in_props_;
   bool merging_ = false;
-  // Atomic so CheckBudget can read them from parallel workers while inserts
-  // proceed under the exclusive structure lock; all accesses relaxed (they
-  // are monotone counters, not synchronization).
-  std::atomic<size_t> num_live_groups_{0};
-  std::atomic<size_t> num_live_exprs_{0};
-  std::atomic<size_t> num_deduped_{0};
-  std::atomic<size_t> num_merges_{0};
-  // Parallel fan-out state; see the concurrency section above.
-  mutable std::shared_mutex structure_mu_;
-  mutable std::array<std::mutex, kWinnerStripes> winner_mu_;
-  std::atomic<bool> concurrent_{false};
+  size_t num_live_groups_ = 0;
+  size_t num_live_exprs_ = 0;
+  size_t num_deduped_ = 0;
+  size_t num_merges_ = 0;
   TraceSink* trace_ = nullptr;        // borrowed; see set_trace
   const char* provenance_ = nullptr;  // current rule-application bracket
 };

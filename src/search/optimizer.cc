@@ -35,81 +35,6 @@ constexpr double kBigJoinExploreFloor = 4.0;
 
 }  // namespace
 
-// Worker threads route their counter mutations here for the duration of a
-// fan-out stint; null on the main thread and outside fan-outs.
-thread_local Optimizer::WorkerContext* Optimizer::tls_worker_ctx_ = nullptr;
-
-Optimizer::ScopedWorkerContext::ScopedWorkerContext(WorkerContext* ctx)
-    : prev_(tls_worker_ctx_) {
-  tls_worker_ctx_ = ctx;
-}
-
-Optimizer::ScopedWorkerContext::~ScopedWorkerContext() {
-  tls_worker_ctx_ = prev_;
-}
-
-SearchStats& Optimizer::stats_sink() {
-  WorkerContext* ctx = tls_worker_ctx_;
-  return ctx != nullptr ? ctx->stats : stats_;
-}
-
-SearchMetrics& Optimizer::metrics_sink() {
-  WorkerContext* ctx = tls_worker_ctx_;
-  return ctx != nullptr ? ctx->metrics : metrics_;
-}
-
-void Optimizer::InitWorkerContext(WorkerContext* ctx) const {
-  auto mirror = [](std::vector<RuleCounters>* into,
-                   const std::vector<RuleCounters>& from) {
-    into->resize(from.size());
-    for (size_t i = 0; i < from.size(); ++i) (*into)[i].name = from[i].name;
-  };
-  mirror(&ctx->metrics.transformations, metrics_.transformations);
-  mirror(&ctx->metrics.implementations, metrics_.implementations);
-  mirror(&ctx->metrics.enforcers, metrics_.enforcers);
-  // Phase timers stay main-thread-only; worker wall-clock is reported
-  // separately as SearchStats::worker_busy_seconds.
-  ctx->metrics.phases.enabled = false;
-}
-
-void Optimizer::MergeWorkerContext(const WorkerContext& ctx) {
-  const SearchStats& s = ctx.stats;
-  stats_.find_best_plan_calls += s.find_best_plan_calls;
-  stats_.memo_winner_hits += s.memo_winner_hits;
-  stats_.memo_failure_hits += s.memo_failure_hits;
-  stats_.in_progress_hits += s.in_progress_hits;
-  stats_.transformations_matched += s.transformations_matched;
-  stats_.transformations_applied += s.transformations_applied;
-  stats_.algorithm_moves += s.algorithm_moves;
-  stats_.enforcer_moves += s.enforcer_moves;
-  stats_.cost_estimates += s.cost_estimates;
-  stats_.moves_pruned += s.moves_pruned;
-  stats_.moves_skipped += s.moves_skipped;
-  stats_.goals_completed += s.goals_completed;
-  stats_.goals_started += s.goals_started;
-  stats_.goals_finished += s.goals_finished;
-  stats_.budget_checkpoints += s.budget_checkpoints;
-  stats_.invalid_costs += s.invalid_costs;
-  stats_.tasks_executed += s.tasks_executed;
-  stats_.suspensions += s.suspensions;
-  stats_.moves_stolen += s.moves_stolen;
-  stats_.task_stack_high_water =
-      std::max(stats_.task_stack_high_water, s.task_stack_high_water);
-  stats_.native_stack_high_water =
-      std::max(stats_.native_stack_high_water, s.native_stack_high_water);
-  auto fold = [](std::vector<RuleCounters>* into,
-                 const std::vector<RuleCounters>& from) {
-    for (size_t i = 0; i < into->size() && i < from.size(); ++i) {
-      (*into)[i].fired += from[i].fired;
-      (*into)[i].succeeded += from[i].succeeded;
-      (*into)[i].winners += from[i].winners;
-    }
-  };
-  fold(&metrics_.transformations, ctx.metrics.transformations);
-  fold(&metrics_.implementations, ctx.metrics.implementations);
-  fold(&metrics_.enforcers, ctx.metrics.enforcers);
-}
-
 Optimizer::Optimizer(const DataModel& model)
     : Optimizer(model, SearchOptions{}, CtorTag{}) {}
 
@@ -122,8 +47,8 @@ Optimizer::Optimizer(const DataModel& model, SearchOptions options, CtorTag)
   any_props_ = memo_.InternProps(model_.AnyProps());
   if (options_.trace != nullptr) {
     // Interpose the stamper so every event — from the memo and from either
-    // engine, on any worker thread — carries a monotonic sequence number and
-    // the emitting worker's id before the user's sink sees it.
+    // engine — carries a monotonic sequence number before the user's sink
+    // sees it.
     trace_stamper_.set_inner(options_.trace);
     options_.trace = &trace_stamper_;
   }
@@ -189,8 +114,7 @@ bool Optimizer::CheckBudget() {
   // The greedy fallback runs *after* budget exhaustion; it is bounded by
   // construction (frozen memo, in-progress marks) and must not re-trip.
   if (greedy_mode_) return true;
-  SearchStats& ss = stats_sink();
-  ++ss.budget_checkpoints;
+  ++stats_.budget_checkpoints;
   const OptimizationBudget& b = options_.budget;
   BudgetTrip t = BudgetTrip::kNone;
   if (options_.fault != nullptr && options_.fault->ExpireBudget()) {
@@ -198,12 +122,8 @@ bool Optimizer::CheckBudget() {
   } else if (memo_.num_exprs() > mexpr_cap_) {
     t = BudgetTrip::kMemoLimit;
   } else if (b.max_find_best_plan_calls > 0 &&
-             ss.find_best_plan_calls -
-                     (tls_worker_ctx_ != nullptr ? 0 : call_budget_base_) >
+             stats_.find_best_plan_calls - call_budget_base_ >
                  b.max_find_best_plan_calls) {
-    // Worker threads count against a per-worker allowance (their private
-    // stats start at zero); the latch below still stops every worker as
-    // soon as any of them trips.
     t = BudgetTrip::kCallLimit;
   } else if (b.cancel != nullptr && b.cancel->cancelled()) {
     t = BudgetTrip::kCancelled;
@@ -212,21 +132,16 @@ bool Optimizer::CheckBudget() {
     t = BudgetTrip::kDeadline;
   }
   if (t != BudgetTrip::kNone) {
-    BudgetTrip expected = BudgetTrip::kNone;
-    // First trip wins; concurrent checkpoints observe the latch and emit no
-    // duplicate trace event.
-    if (trip_.compare_exchange_strong(expected, t,
-                                      std::memory_order_relaxed)) {
-      VOLCANO_TRACE(options_.trace, {.kind = TraceEventKind::kBudgetTrip,
-                                     .detail = BudgetTripName(t)});
-    }
+    trip_ = t;
+    VOLCANO_TRACE(options_.trace, {.kind = TraceEventKind::kBudgetTrip,
+                                   .detail = BudgetTripName(t)});
     return false;
   }
-  return !aborted();
+  return true;
 }
 
 void Optimizer::ArmBudget() {
-  trip_.store(BudgetTrip::kNone, std::memory_order_relaxed);
+  trip_ = BudgetTrip::kNone;
   outcome_ = OptimizeOutcome{};
   // Re-base the FindBestPlan-call allowance so the budget really is "per top
   // level call" (as documented) and a resumed run gets a fresh allowance.
@@ -243,11 +158,10 @@ void Optimizer::ArmBudget() {
 
 Status Optimizer::ExhaustedStatus() const {
   SearchStats s = stats();
-  const BudgetTrip trip = trip_.load(std::memory_order_relaxed);
   return Status::ResourceExhausted(
              std::string("optimization budget exhausted (") +
-             BudgetTripName(trip) + ")")
-      .WithDetail("budget", BudgetTripName(trip))
+             BudgetTripName(trip_) + ")")
+      .WithDetail("budget", BudgetTripName(trip_))
       .WithDetail("mexprs", std::to_string(memo_.num_exprs()))
       .WithDetail("mexpr_cap", std::to_string(mexpr_cap_))
       .WithDetail("find_best_plan_calls",
@@ -261,7 +175,7 @@ bool Optimizer::AdmitLocalCost(Cost* cost) {
     options_.fault->CorruptCost(&cost->at(0));
   }
   if (!cost->IsValid()) {
-    ++stats_sink().invalid_costs;
+    ++stats_.invalid_costs;
     return false;
   }
   return true;
@@ -279,7 +193,7 @@ void Optimizer::ResetForReuse() {
   any_props_ = memo_.InternProps(model_.AnyProps());
   stats_ = SearchStats{};
   outcome_ = OptimizeOutcome{};
-  trip_.store(BudgetTrip::kNone, std::memory_order_relaxed);
+  trip_ = BudgetTrip::kNone;
   greedy_mode_ = false;
   // The seed plan references logical properties and groups of the memo era
   // being discarded; a reused optimizer must re-seed per query.
@@ -290,7 +204,7 @@ void Optimizer::ResetForReuse() {
   seed_required_ = nullptr;
   big_join_mode_ = false;
   join_complexity_ = 0;
-  transforms_fired_.store(0, std::memory_order_relaxed);
+  transforms_fired_ = 0;
   resume_group_ = kInvalidGroup;
   resume_required_ = nullptr;
   stack_base_ = nullptr;
@@ -382,7 +296,7 @@ StatusOr<PlanPtr> Optimizer::OptimizeGroup(GroupId group,
   const PhysPropsPtr& required = required_in != nullptr ? required_in
                                                         : fallback;
   ArmBudget();
-  transforms_fired_.store(0, std::memory_order_relaxed);
+  transforms_fired_ = 0;
   // A suspended run the caller chose not to resume must not leak its frozen
   // frames (or the in-progress marks they hold) into this fresh search —
   // nor its escalation overrides (Optimize()'s own big-join path abandons
@@ -444,7 +358,7 @@ StatusOr<PlanPtr> Optimizer::OptimizeGroup(GroupId group,
 }
 
 Status Optimizer::SuspendedStatus() {
-  outcome_.trip = trip_.load(std::memory_order_relaxed);
+  outcome_.trip = trip_;
   outcome_.suspended = true;
   outcome_.search_completed = SearchCompletedFraction();
   return ExhaustedStatus().WithDetail("suspended", "true");
@@ -523,7 +437,7 @@ StatusOr<PlanPtr> Optimizer::FinalizeTopLevel(Result r, GroupId group,
   if (aborted()) {
     // Budget exhausted: degrade down the ladder instead of discarding the
     // partial work (kAnytime), or abort with a structured error (kStrict).
-    outcome_.trip = trip_.load(std::memory_order_relaxed);
+    outcome_.trip = trip_;
     outcome_.search_completed = SearchCompletedFraction();
     if (options_.degradation == SearchOptions::Degradation::kStrict) {
       return ExhaustedStatus();
@@ -742,7 +656,7 @@ void Optimizer::ExploreGroup(GroupId group) {
           RexPtr rex = rule.Apply(b, memo_);
           if (rex == nullptr) continue;
           ++stats_.transformations_applied;
-          transforms_fired_.fetch_add(1, std::memory_order_relaxed);
+          ++transforms_fired_;
           ++metrics_.transformations[rid].succeeded;
           ++applied;
           memo_.InsertRex(*rex, memo_.Find(m->group()));
@@ -1026,9 +940,8 @@ void Optimizer::CreditWinner(const PlanNode& plan) {
   if (rule == nullptr) return;
   // Rule names on plan nodes are borrowed from the RuleSet's std::strings,
   // so pointer equality identifies the rule.
-  SearchMetrics& metrics = metrics_sink();
   std::vector<RuleCounters>& table =
-      plan.from_enforcer() ? metrics.enforcers : metrics.implementations;
+      plan.from_enforcer() ? metrics_.enforcers : metrics_.implementations;
   for (RuleCounters& rc : table) {
     if (rc.name == rule) {
       ++rc.winners;
@@ -1246,7 +1159,7 @@ void Optimizer::RunInterleaved(GroupId* group, const PhysPropsPtr& required,
         RexPtr rex = tm.rule->Apply(b, memo_);
         if (rex == nullptr) continue;
         ++stats_.transformations_applied;
-        transforms_fired_.fetch_add(1, std::memory_order_relaxed);
+        ++transforms_fired_;
         ++metrics_.transformations[tm.rule->id()].succeeded;
         ++applied;
         memo_.InsertRex(*rex, memo_.Find(tm.expr->group()));

@@ -14,7 +14,6 @@
 #define VOLCANO_SEARCH_OPTIMIZER_H_
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -224,76 +223,23 @@ class Optimizer {
 
   /// Cooperative budget checkpoint: returns false once any budget (deadline,
   /// memo cap, call cap, cancellation, injected fault) has tripped. The
-  /// first trip is latched in trip_ until the next top-level call re-arms;
-  /// with parallel workers the latch is a compare-and-swap from kNone, so
-  /// exactly one trip wins and every worker observes it.
+  /// first trip is latched in trip_ until the next top-level call re-arms.
   bool CheckBudget();
 
   /// Stamps the deadline and clears the trip latch at the start of a
   /// top-level optimization.
   void ArmBudget();
 
-  bool aborted() const {
-    return trip_.load(std::memory_order_relaxed) != BudgetTrip::kNone;
-  }
+  bool aborted() const { return trip_ != BudgetTrip::kNone; }
 
   /// True once the explore_limit transformation cap for the current
   /// top-level call is exhausted: exploration stops firing rules (derived
   /// expressions are still costed), and a group whose closure was cut short
-  /// is not marked explored. Shared atomic so parallel workers observe the
-  /// cap without racing the sharded stats counters.
+  /// is not marked explored.
   bool ExploreCapReached() const {
     return options_.explore_limit > 0 &&
-           transforms_fired_.load(std::memory_order_relaxed) >=
-               options_.explore_limit;
+           transforms_fired_ >= options_.explore_limit;
   }
-
-  // ---- Parallel-worker stats routing ----------------------------------
-  //
-  // Parallel workers must not bump stats_/metrics_ directly (word-sized
-  // counter races). Instead each worker thread installs a WorkerContext in
-  // thread-local storage for the duration of its fan-out stint; every
-  // counter mutation on a worker-reachable path goes through stats_sink() /
-  // metrics_sink(), which resolve to the thread's WorkerContext when one is
-  // installed and to the optimizer's own tables otherwise (the serial path
-  // pays one thread-local load). After the fan-out joins, the main thread
-  // folds each context back with MergeWorkerContext.
-
-  /// Private scratch tables for one worker thread's stint.
-  struct WorkerContext {
-    SearchStats stats;
-    SearchMetrics metrics;
-  };
-
-  /// Installs/uninstalls a WorkerContext in thread-local storage (RAII).
-  class ScopedWorkerContext {
-   public:
-    explicit ScopedWorkerContext(WorkerContext* ctx);
-    ~ScopedWorkerContext();
-    ScopedWorkerContext(const ScopedWorkerContext&) = delete;
-    ScopedWorkerContext& operator=(const ScopedWorkerContext&) = delete;
-
-   private:
-    WorkerContext* prev_;
-  };
-
-  /// Sizes a WorkerContext's per-rule metric tables to mirror metrics_
-  /// (CreditWinner matches rules by name pointer, so the names must be
-  /// present even in worker-private tables).
-  void InitWorkerContext(WorkerContext* ctx) const;
-
-  /// Folds a joined worker's counters into the optimizer's tables: counters
-  /// sum, high-water marks take the max. Main thread only, after join.
-  void MergeWorkerContext(const WorkerContext& ctx);
-
-  /// The stats table the current thread should mutate.
-  SearchStats& stats_sink();
-  /// The metrics table the current thread should mutate.
-  SearchMetrics& metrics_sink();
-
-  /// The current thread's installed WorkerContext (null on the main thread
-  /// and outside fan-out stints).
-  static thread_local WorkerContext* tls_worker_ctx_;
 
   /// Builds ResourceExhausted with the structured detail payload (tripped
   /// budget, effort counters, partial stats).
@@ -395,9 +341,8 @@ class Optimizer {
   SearchMetrics metrics_;
   mutable bool has_move_stats_ = false;  ///< HasMoveStats latch
   OptimizeOutcome outcome_;
-  // Budget-trip latch. Atomic because parallel workers hit budget
-  // checkpoints concurrently; the first CAS from kNone wins.
-  std::atomic<BudgetTrip> trip_{BudgetTrip::kNone};
+  // Budget-trip latch: the first trip of a top-level call.
+  BudgetTrip trip_ = BudgetTrip::kNone;
   bool greedy_mode_ = false;
   // Join-order seeding state for the current top-level call (set by
   // Optimize(Expr) via PrepareJoinSeed, consumed by OptimizeGroup and
@@ -431,9 +376,8 @@ class Optimizer {
   // the escalation's default exploration cap.
   int join_complexity_ = 0;
   // Transformation applications this top-level call, against
-  // options_.explore_limit. Atomic: parallel workers fire rules
-  // concurrently.
-  std::atomic<uint64_t> transforms_fired_{0};
+  // options_.explore_limit.
+  uint64_t transforms_fired_ = 0;
   // Phase-timer nesting depths: only the outermost activation of each phase
   // accumulates (the search is mutually recursive), and exploration nested
   // under a pursued move counts as pursue time, not explore time.

@@ -11,26 +11,6 @@ Status Invalid(const char* knob, const char* why) {
 }  // namespace
 
 Status ValidateSearchOptions(const SearchOptions& options) {
-  if (options.workers < 0) {
-    return Invalid("workers", "workers must be >= 0");
-  }
-  if (options.workers > 1 &&
-      options.engine != SearchOptions::Engine::kTask) {
-    return Invalid("workers",
-                   "workers > 1 requires the task engine; the recursive and "
-                   "best-first engines cannot fan out");
-  }
-  if (options.workers > 1 && options.suspend_on_trip) {
-    return Invalid("suspend_on_trip",
-                   "suspend_on_trip is incompatible with workers > 1: a "
-                   "multi-worker task stack has no single resume point");
-  }
-  if (options.parallel_mode == SearchOptions::ParallelMode::kFast &&
-      options.workers <= 1) {
-    return Invalid("parallel_mode",
-                   "ParallelMode::kFast requires workers > 1; serial search "
-                   "is already deterministic");
-  }
   if (options.move_limit < 0) {
     return Invalid("move_limit", "move_limit must be >= 0 (0 = unlimited)");
   }

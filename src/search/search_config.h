@@ -1,19 +1,16 @@
 // Validated search configuration.
 //
-// SearchOptions grew one knob per PR — engine, workers, parallel mode,
-// suspend-on-trip, budgets, degradation — and with them grew cross-knob
-// invariants that lived in comments ("suspend_on_trip is documented
-// unsupported with workers > 1") and silently-ignored combinations. The
-// SearchConfig builder makes those invariants construction-time Status
-// errors: a SearchConfig that exists is valid by construction, and the
-// Optimizer constructor taking one cannot be misconfigured.
+// SearchOptions has one knob per search choice — engine, strategy,
+// suspend-on-trip, budgets, degradation — and with them come cross-knob
+// invariants ("memoize_failures requires memoize_winners") that would
+// otherwise live in comments or be silently ignored. The SearchConfig
+// builder makes those invariants construction-time Status errors: a
+// SearchConfig that exists is valid by construction, and the Optimizer
+// constructor taking one cannot be misconfigured.
 //
-// Migration: SearchConfig wraps the plain SearchOptions struct rather than
-// replacing it — `options()` hands the validated struct to the engine
-// unchanged, and `SearchConfig::FromOptions` validates a legacy struct in
-// one call. The Optimizer constructor that accepts a raw SearchOptions is
-// deprecated for one PR (it clamps invalid combinations with the historical
-// behavior); see README "SearchConfig migration".
+// SearchConfig wraps the plain SearchOptions struct rather than replacing
+// it: `options()` hands the validated struct to the engine unchanged, and
+// `SearchConfig::FromOptions` validates a plain struct in one call.
 
 #ifndef VOLCANO_SEARCH_SEARCH_CONFIG_H_
 #define VOLCANO_SEARCH_SEARCH_CONFIG_H_
@@ -29,11 +26,6 @@ namespace volcano {
 
 /// Checks the cross-knob invariants a raw SearchOptions can violate. OK iff
 /// the combination is one the engine actually implements:
-///  * workers must be >= 0;
-///  * workers > 1 requires the task engine (the recursive engine cannot fan
-///    out) and is incompatible with suspend_on_trip (a frozen multi-worker
-///    stack has no single resume point);
-///  * ParallelMode::kFast requires workers > 1 (there is no fast/serial);
 ///  * move_limit must be >= 0;
 ///  * memoize_failures requires memoize_winners (failure records live in the
 ///    winner table);
@@ -41,8 +33,8 @@ namespace volcano {
 ///    engine reads them), frontier_limit must leave room for real fan-out
 ///    (>= 8 when set), and memo_byte_limit must be >= 128 KiB (the arena's
 ///    first block plus expansion slack);
-///  * Engine::kBestFirst is single-threaded (workers <= 1), runs the
-///    kExploreFirst strategy only, and does not implement glue_properties.
+///  * Engine::kBestFirst runs the kExploreFirst strategy only and does not
+///    implement glue_properties.
 Status ValidateSearchOptions(const SearchOptions& options);
 
 /// An immutable, validated search configuration. Only obtainable through
@@ -69,14 +61,6 @@ class SearchConfig {
     }
     Builder& memo_byte_limit(size_t v) {
       options_.memo_byte_limit = v;
-      return *this;
-    }
-    Builder& workers(int v) {
-      options_.workers = v;
-      return *this;
-    }
-    Builder& parallel_mode(SearchOptions::ParallelMode v) {
-      options_.parallel_mode = v;
       return *this;
     }
     Builder& suspend_on_trip(bool v) {

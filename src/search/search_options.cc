@@ -31,18 +31,6 @@ std::string SearchStats::ToString() const {
      << ", task stack high-water: " << task_stack_high_water
      << ", suspensions: " << suspensions
      << ", native stack high-water: " << native_stack_high_water << " bytes";
-  if (effective_workers > 0) {
-    os << "\nparallel workers: " << effective_workers
-       << ", moves stolen: " << moves_stolen;
-  }
-  if (!worker_busy_seconds.empty()) {
-    os << "\nworker busy seconds:";
-    for (size_t i = 0; i < worker_busy_seconds.size(); ++i) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), " %.3f", worker_busy_seconds[i]);
-      os << buf;
-    }
-  }
   return os.str();
 }
 
@@ -74,11 +62,6 @@ std::string SearchStats::ToJson() const {
   w.Key("task_stack_high_water").Value(task_stack_high_water);
   w.Key("suspensions").Value(suspensions);
   w.Key("native_stack_high_water").Value(native_stack_high_water);
-  w.Key("effective_workers").Value(effective_workers);
-  w.Key("moves_stolen").Value(moves_stolen);
-  w.Key("worker_busy_seconds").BeginArray();
-  for (double s : worker_busy_seconds) w.Fixed(s, 6);
-  w.EndArray();
   w.EndObject();
   return w.Take();
 }

@@ -14,7 +14,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "support/budget.h"
 
@@ -45,14 +44,13 @@ struct SearchOptions {
   enum class Engine {
     /// Explicit task engine: the Figure-2 recursion is run as a stack of
     /// small state-machine tasks whose pending state lives on the heap, so
-    /// search depth is independent of the native call stack, a tripped
-    /// budget can freeze the stack for Resume(), and independent subgoals
-    /// can fan out across workers. Default; plan-for-plan identical to
-    /// kRecursive in single-threaded mode.
+    /// search depth is independent of the native call stack and a tripped
+    /// budget can freeze the stack for Resume(). Default; plan-for-plan
+    /// identical to kRecursive.
     kTask,
     /// The literal recursive descent of Figure 2 (the pre-task-engine
     /// implementation). Kept as a compatibility path for differential
-    /// testing; cannot suspend or parallelize.
+    /// testing; cannot suspend.
     kRecursive,
     /// Memory-bounded global best-first search (DESIGN.md §13): goals wait
     /// in one frontier ordered by adaptive promise (rule promise × observed
@@ -63,8 +61,7 @@ struct SearchOptions {
     /// identical to kTask. frontier_limit / memo_byte_limit bound the live
     /// frontier and the memo arena; capped runs stay anytime (greedy
     /// completion under the memo gate, eviction of the least promising
-    /// goals) and are flagged approximate. Single-threaded; supports
-    /// suspend_on_trip.
+    /// goals) and are flagged approximate. Supports suspend_on_trip.
     kBestFirst,
   };
   Engine engine = Engine::kTask;
@@ -80,31 +77,6 @@ struct SearchOptions {
   /// new expressions, so the memo cannot grow past the cap; the result is
   /// flagged approximate. 0 = unbounded. Ignored by other engines.
   size_t memo_byte_limit = 0;
-
-  /// Parallel search width (task engine only). 0 or 1 runs single-threaded
-  /// with strict Figure-2 move ordering; N > 1 evaluates the independent
-  /// moves of each goal concurrently on a pool of N workers over the shared
-  /// memo (shared/exclusive structure lock + striped winner tables, see
-  /// DESIGN.md §11), with idle workers stealing queued moves from busy peers.
-  /// Per-move branch-and-bound limit tightening is disabled in parallel mode
-  /// (each subgoal's winner must be its schedule-independent optimum), so
-  /// parallel runs do strictly more work per goal but — in the default
-  /// deterministic mode — return bit-identical plans.
-  int workers = 0;
-
-  /// Result contract for workers > 1.
-  enum class ParallelMode {
-    /// Move results are reduced in move-index order with strict-less winner
-    /// installs, so the chosen plan (and the 54-workload digest) is
-    /// bit-identical to the single-threaded search regardless of schedule.
-    kDeterministic,
-    /// Workers share a cross-move incumbent bound and abandon moves that
-    /// exceed it mid-flight. The winning plan may differ plan-shape-wise
-    /// run to run, but always re-costs equal to the deterministic optimum
-    /// (verified by the differential grid test).
-    kFast,
-  };
-  ParallelMode parallel_mode = ParallelMode::kDeterministic;
 
   /// When true (task engine only), a tripped OptimizationBudget freezes the
   /// task stack instead of unwinding it: Optimize returns ResourceExhausted
@@ -290,17 +262,6 @@ struct SearchStats {
   /// below the top-level entry point). The task engine keeps this flat in
   /// plan depth; the recursive engine grows it linearly.
   uint64_t native_stack_high_water = 0;
-  /// Worker threads that actually ran in the parallel fan-out (0 for
-  /// single-threaded runs). Distinct from SearchOptions::workers: tests
-  /// assert on this so a requested width silently degrading to serial — as
-  /// on a 1-core runner — cannot pass as a parallel run.
-  uint32_t effective_workers = 0;
-  /// Queued moves executed by a worker other than the one that enqueued them
-  /// (work-stealing transfers).
-  uint64_t moves_stolen = 0;
-  /// Wall-clock seconds each parallel worker spent stepping tasks (indexed
-  /// by worker id; empty for single-threaded runs).
-  std::vector<double> worker_busy_seconds;
 
   std::string ToString() const;
   std::string ToJson() const;

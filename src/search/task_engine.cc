@@ -1,12 +1,8 @@
 #include "search/task_engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <limits>
-#include <shared_mutex>
-#include <thread>
 #include <utility>
 
 #include "search/move_order.h"
@@ -170,7 +166,6 @@ void TaskEngine::GoalFrame::Reuse() {
   out = nullptr;
   goal = Goal{};
   marked = false;
-  fan_out = false;
   collect_only = false;
   best = Optimizer::Result{};
   logical = nullptr;
@@ -219,125 +214,28 @@ void TaskEngine::ExploreFrame::Reuse() {
 // Engine lifecycle
 // ---------------------------------------------------------------------------
 
-TaskEngine::TaskEngine(Optimizer& opt, bool worker_mode)
+TaskEngine::TaskEngine(Optimizer& opt)
     : opt_(opt),
       goal_pool_(&arena_),
       move_pool_(&arena_),
-      explore_pool_(&arena_),
-      worker_mode_(worker_mode) {}
+      explore_pool_(&arena_) {}
 
 TaskEngine::~TaskEngine() = default;
 
 bool TaskEngine::Parking() const {
-  // Workers never park: suspension freezes exactly one stack — the main
-  // engine's — and suspend_on_trip + workers > 1 is rejected outright by
-  // SearchConfig validation (a frozen multi-worker stack has no single
-  // resume point).
-  return !worker_mode_ && opt_.options_.suspend_on_trip && !abandoning_;
-}
-
-// ---------------------------------------------------------------------------
-// Worker-mode concurrency support
-// ---------------------------------------------------------------------------
-
-void TaskEngine::WorkerLock(LockMode want) {
-  if (lock_mode_ == want) return;
-  std::shared_mutex& mu = opt_.memo_.structure_mutex();
-  // Release-then-acquire: an in-place shared->exclusive upgrade deadlocks
-  // when two workers attempt it simultaneously. Any structure read cached
-  // across the gap is re-resolved after re-acquisition (Find is repeated,
-  // kExpAcquire re-checks exploration state).
-  switch (lock_mode_) {
-    case LockMode::kShared:
-      mu.unlock_shared();
-      break;
-    case LockMode::kExclusive:
-      mu.unlock();
-      break;
-    case LockMode::kNone:
-      break;
-  }
-  switch (want) {
-    case LockMode::kShared:
-      mu.lock_shared();
-      break;
-    case LockMode::kExclusive:
-      mu.lock();
-      break;
-    case LockMode::kNone:
-      break;
-  }
-  lock_mode_ = want;
-}
-
-bool TaskEngine::GoalInProgress(GroupId group, const Goal& goal) {
-  if (worker_mode_) {
-    // `group` is already Find-resolved; stored marks may predate a merge, so
-    // resolve each before comparing.
-    for (const auto& [mg, mgoal] : local_marks_) {
-      if (mgoal == goal && opt_.memo_.Find(mg) == group) return true;
-    }
-  }
-  return opt_.memo_.IsInProgress(group, goal);
-}
-
-void TaskEngine::MarkGoal(GroupId group, const Goal& goal) {
-  if (worker_mode_) {
-    local_marks_.emplace_back(group, goal);
-    return;
-  }
-  opt_.memo_.MarkInProgress(group, goal);
-}
-
-void TaskEngine::UnmarkGoal(GroupId group, const Goal& goal) {
-  if (worker_mode_) {
-    for (size_t i = local_marks_.size(); i > 0; --i) {
-      auto& [mg, mgoal] = local_marks_[i - 1];
-      if (mgoal == goal && opt_.memo_.Find(mg) == group) {
-        local_marks_.erase(local_marks_.begin() +
-                           static_cast<ptrdiff_t>(i - 1));
-        return;
-      }
-    }
-    return;
-  }
-  opt_.memo_.UnmarkInProgress(group, goal);
-}
-
-const Winner* TaskEngine::ProbeWinner(GroupId group, const Goal& goal,
-                                      Winner* storage) {
-  if (worker_mode_) {
-    return opt_.memo_.ProbeWinner(group, goal, storage) ? storage : nullptr;
-  }
-  return opt_.memo_.FindWinner(group, goal);
+  return opt_.options_.suspend_on_trip && !abandoning_;
 }
 
 Optimizer::Result TaskEngine::Run(GroupId group, const PhysPropsPtr& required,
                                   Cost limit, const PhysPropsPtr& excluded) {
   // The best-first engine replaces the depth-first scheduler wholesale.
-  // Workers never run it: their per-move subgoal searches are depth-first by
-  // construction (EvaluateMoveParallel), and validation rejects workers > 1
-  // with Engine::kBestFirst anyway.
-  if (!worker_mode_ &&
-      opt_.options_.engine == SearchOptions::Engine::kBestFirst) {
+  if (opt_.options_.engine == SearchOptions::Engine::kBestFirst) {
     return RunBestFirst(group, required, limit, excluded);
   }
   VOLCANO_CHECK(stack_.Empty());
   suspended_ = false;
   root_result_ = Optimizer::Result{nullptr, limit};
-  if (worker_mode_) WorkerLock(LockMode::kShared);
   if (EnterGoal(group, required, limit, excluded, &root_result_, nullptr)) {
-    // Parallel mode fans the root goal's moves across the worker pool. Only
-    // the kExploreFirst pursue loop fans out (the interleaved strategy and
-    // the glue ablation pursue serially), and suspension is incompatible
-    // with fan-out, so the flag stays off when suspend_on_trip is set.
-    // Fault injection also suppresses fan-out: an injector's trigger
-    // countdowns are consumed in worker-schedule order, which would break
-    // the bit-identical-replay contract (tests/fault_test.cc).
-    if (!worker_mode_ && opt_.options_.workers > 1 &&
-        !opt_.options_.suspend_on_trip && opt_.options_.fault == nullptr) {
-      static_cast<GoalFrame*>(stack_.Top())->fan_out = true;
-    }
     return Loop();
   }
   return std::move(root_result_);
@@ -399,7 +297,7 @@ Optimizer::Result TaskEngine::Loop() {
   // Both predicates are loop-invariant (Abandon never runs inside Loop), so
   // hoist them off the per-task dispatch path.
   const bool may_park = Parking();
-  // Task count accumulates in a register and lands in the stats sink at
+  // Task count accumulates in a register and lands in the stats at
   // every exit (nothing reads it mid-run; budgets count goals and cost
   // estimates).
   uint64_t tasks = 0;
@@ -408,7 +306,7 @@ Optimizer::Result TaskEngine::Loop() {
       // A budget trip with suspension enabled freezes the stack in place;
       // Optimizer::Resume re-arms the budget and calls Continue().
       suspended_ = true;
-      SearchStats& st = opt_.stats_sink();
+      SearchStats& st = opt_.stats_;
       ++st.suspensions;
       st.tasks_executed += tasks;
       if (stack_.high_water() > st.task_stack_high_water) {
@@ -419,19 +317,8 @@ Optimizer::Result TaskEngine::Loop() {
     ++tasks;
     // The engine's native depth is flat — every task steps from this very
     // loop — so a sampled probe sees the same high water as a per-task one.
-    // Workers run on foreign thread stacks; the probe base is the main
-    // thread's, so only the main engine measures.
-    if (!worker_mode_ && (tasks & 63) == 0) opt_.ProbeNativeStack();
+    if ((tasks & 63) == 0) opt_.ProbeNativeStack();
     Frame* f = stack_.Top();
-    // Workers derive their memo-lock mode from the task about to run:
-    // explore steps grow the structure (exclusive), everything else reads
-    // it (shared). Holding the mode across steps of the same kind keeps an
-    // exploration fixpoint atomic — no other worker observes a
-    // half-explored class.
-    if (worker_mode_) {
-      WorkerLock(f->kind == Frame::Kind::kExplore ? LockMode::kExclusive
-                                                  : LockMode::kShared);
-    }
     switch (f->kind) {
       case Frame::Kind::kGoal:
         StepGoal(static_cast<GoalFrame*>(f));
@@ -444,7 +331,7 @@ Optimizer::Result TaskEngine::Loop() {
         break;
     }
   }
-  SearchStats& st = opt_.stats_sink();
+  SearchStats& st = opt_.stats_;
   st.tasks_executed += tasks;
   if (stack_.high_water() > st.task_stack_high_water) {
     st.task_stack_high_water = stack_.high_water();
@@ -459,7 +346,7 @@ Optimizer::Result TaskEngine::Loop() {
 bool TaskEngine::EnterGoal(GroupId group, const PhysPropsPtr& required,
                            Cost limit, const PhysPropsPtr& excluded,
                            Optimizer::Result* out, Frame* parent) {
-  SearchStats& st = opt_.stats_sink();
+  SearchStats& st = opt_.stats_;
   ++st.find_best_plan_calls;
   const CostModel& cm = opt_.model_.cost_model();
   if (!opt_.CheckBudget()) {
@@ -487,8 +374,7 @@ bool TaskEngine::EnterGoal(GroupId group, const PhysPropsPtr& required,
 
   // --- the look-up table part of Figure 2 ---------------------------------
   if (opt_.options_.memoize_winners) {
-    Winner probe_storage;
-    if (const Winner* w = ProbeWinner(group, goal, &probe_storage)) {
+    if (const Winner* w = opt_.memo_.FindWinner(group, goal)) {
       if (!w->failed()) {
         if (cm.LessEq(w->cost, limit)) {
           ++st.memo_winner_hits;
@@ -512,13 +398,13 @@ bool TaskEngine::EnterGoal(GroupId group, const PhysPropsPtr& required,
 
   // Rule inverses re-derive this very goal; "if a newly formed expression
   // already exists ... and is marked as 'in progress,' it is ignored".
-  if (GoalInProgress(group, goal)) {
+  if (opt_.memo_.IsInProgress(group, goal)) {
     ++st.in_progress_hits;
     ++st.goals_completed;
     *out = Optimizer::Result{nullptr, limit};
     return false;
   }
-  MarkGoal(group, goal);
+  opt_.memo_.MarkInProgress(group, goal);
   ++st.goals_started;
 
   GoalFrame* f = goal_pool_.Acquire();
@@ -540,13 +426,12 @@ bool TaskEngine::EnterGoal(GroupId group, const PhysPropsPtr& required,
 
 void TaskEngine::FinishGoal(GoalFrame* f) {
   GroupId group = opt_.memo_.Find(f->group);
-  UnmarkGoal(group, f->goal);
+  opt_.memo_.UnmarkInProgress(group, f->goal);
   f->marked = false;
 
   // --- maintain the look-up table of explored facts ------------------------
   // Nothing is recorded once the budget has tripped: a truncated search
-  // proves neither optimality nor infeasibility. (StoreWinner itself takes
-  // the goal's stripe lock in concurrent mode.)
+  // proves neither optimality nor infeasibility.
   if (opt_.options_.memoize_winners && !opt_.aborted()) {
     if (f->best.plan != nullptr) {
       opt_.memo_.StoreWinner(group, f->goal,
@@ -556,7 +441,7 @@ void TaskEngine::FinishGoal(GoalFrame* f) {
     }
   }
   if (!opt_.aborted()) {
-    SearchStats& st = opt_.stats_sink();
+    SearchStats& st = opt_.stats_;
     ++st.goals_completed;
     ++st.goals_finished;
     if (f->best.plan != nullptr) opt_.CreditWinner(*f->best.plan);
@@ -593,16 +478,8 @@ bool TaskEngine::EnterExplore(GroupId group, Frame* parent) {
   f->kind = Frame::Kind::kExplore;
   f->parent = parent;
   f->group = group;
-  if (worker_mode_) {
-    // This call site runs under the shared structure lock; the exploring
-    // mark is a structure write. Defer the claim to the frame's first step,
-    // which Loop runs under the exclusive lock — kExpAcquire re-checks the
-    // exploration state there and pops if another worker got in first.
-    f->state = kExpAcquire;
-  } else {
-    opt_.memo_.SetExploring(group, true);
-    f->state = kExpRoundStart;
-  }
+  opt_.memo_.SetExploring(group, true);
+  f->state = kExpRoundStart;
   stack_.Push(f);
   return true;
 }
@@ -679,12 +556,11 @@ void TaskEngine::StepGoal(GoalFrame* f) {
         goal_pool_.Release(f);
         return;
       }
-      SearchStats& st = opt_.stats_sink();
+      SearchStats& st = opt_.stats_;
       GroupId group = opt_.memo_.Find(f->group);
       Goal goal = opt_.memo_.CanonicalGoal(f->required, f->excluded);
       if (opt_.options_.memoize_winners) {
-        Winner probe_storage;
-        if (const Winner* w = ProbeWinner(group, goal, &probe_storage)) {
+        if (const Winner* w = opt_.memo_.FindWinner(group, goal)) {
           if (!w->failed()) {
             if (cm.LessEq(w->cost, f->limit)) {
               ++st.memo_winner_hits;
@@ -712,7 +588,7 @@ void TaskEngine::StepGoal(GoalFrame* f) {
           }
         }
       }
-      if (GoalInProgress(group, goal)) {
+      if (opt_.memo_.IsInProgress(group, goal)) {
         ++st.in_progress_hits;
         ++st.goals_completed;
         *f->out = Optimizer::Result{nullptr, f->limit};
@@ -721,7 +597,7 @@ void TaskEngine::StepGoal(GoalFrame* f) {
         goal_pool_.Release(f);
         return;
       }
-      MarkGoal(group, goal);
+      opt_.memo_.MarkInProgress(group, goal);
       ++st.goals_started;
       f->group = group;
       f->goal = goal;
@@ -870,7 +746,7 @@ void TaskEngine::StepGoal(GoalFrame* f) {
         if (opt_.options_.move_limit > 0 &&
             f->moves.size() >
                 static_cast<size_t>(opt_.options_.move_limit)) {
-          opt_.stats_sink().moves_skipped +=
+          opt_.stats_.moves_skipped +=
               f->moves.size() - opt_.options_.move_limit;
           f->moves.resize(opt_.options_.move_limit);
         }
@@ -897,7 +773,7 @@ void TaskEngine::StepGoal(GoalFrame* f) {
       if (opt_.options_.move_limit > 0 &&
           f->moves.size() >
               static_cast<size_t>(opt_.options_.move_limit)) {
-        opt_.stats_sink().moves_skipped +=
+        opt_.stats_.moves_skipped +=
             f->moves.size() - opt_.options_.move_limit;
         f->moves.resize(opt_.options_.move_limit);
       }
@@ -907,11 +783,6 @@ void TaskEngine::StepGoal(GoalFrame* f) {
     }
 
     case kGoalPursueNext: {
-      if (f->fan_out && f->moves.size() > 1) {
-        FanOutMoves(f);
-        FinishGoal(f);
-        return;
-      }
       if (f->move_idx >= f->moves.size()) {
         FinishGoal(f);
         return;
@@ -948,8 +819,8 @@ void TaskEngine::StepGoal(GoalFrame* f) {
         std::optional<EnforcerApplication> app =
             enf->Enforce(f->required, *logical);
         if (!app.has_value()) continue;
-        ++opt_.stats_sink().enforcer_moves;
-        ++opt_.stats_sink().cost_estimates;
+        ++opt_.stats_.enforcer_moves;
+        ++opt_.stats_.cost_estimates;
         Cost local = enf->LocalCost(*logical, *app->delivered);
         if (!opt_.AdmitLocalCost(&local)) continue;
         Cost total = cm.Add(f->glue_base.cost, local);
@@ -1056,8 +927,8 @@ void TaskEngine::StepGoal(GoalFrame* f) {
       const TransformationRule& rule = *f->trans_rule;
       uint32_t applied = 0;
       opt_.memo_.SetProvenance(rule.name().c_str());
-      SearchStats& st = opt_.stats_sink();
-      SearchMetrics& metrics = opt_.metrics_sink();
+      SearchStats& st = opt_.stats_;
+      SearchMetrics& metrics = opt_.metrics_;
       for (const Binding& b : f->bindings) {
         ++st.transformations_matched;
         if (!rule.Condition(b, opt_.memo_)) continue;
@@ -1069,7 +940,7 @@ void TaskEngine::StepGoal(GoalFrame* f) {
         RexPtr rex = rule.Apply(b, opt_.memo_);
         if (rex == nullptr) continue;
         ++st.transformations_applied;
-        opt_.transforms_fired_.fetch_add(1, std::memory_order_relaxed);
+        ++opt_.transforms_fired_;
         ++metrics.transformations[rule.id()].succeeded;
         ++applied;
         opt_.memo_.InsertRex(*rex, opt_.memo_.Find(tm.expr->group()));
@@ -1120,11 +991,11 @@ void TaskEngine::StepMove(MoveFrame* f) {
   const Optimizer::Move& mv = *f->mv;
   switch (f->state) {
     case kMoveStart: {
-      SearchStats& st = opt_.stats_sink();
+      SearchStats& st = opt_.stats_;
       if (mv.rule != nullptr) {
         ++st.algorithm_moves;
         ++st.cost_estimates;
-        ++opt_.metrics_sink().implementations[mv.rule->id()].fired;
+        ++opt_.metrics_.implementations[mv.rule->id()].fired;
         VOLCANO_TRACE(opt_.options_.trace,
                       {.kind = TraceEventKind::kAlgorithmPursued,
                        .group = f->group,
@@ -1148,7 +1019,7 @@ void TaskEngine::StepMove(MoveFrame* f) {
       }
       ++st.enforcer_moves;
       ++st.cost_estimates;
-      ++opt_.metrics_sink().enforcers[mv.enforcer_id].fired;
+      ++opt_.metrics_.enforcers[mv.enforcer_id].fired;
       VOLCANO_TRACE(opt_.options_.trace,
                     {.kind = TraceEventKind::kEnforcerPursued,
                      .group = f->group,
@@ -1215,13 +1086,13 @@ void TaskEngine::StepMove(MoveFrame* f) {
             mv.rule->name().c_str(), /*from_enforcer=*/false);
         f->goal->best.cost = f->total;
         f->goal->best_cost = f->total;
-        ++opt_.metrics_sink().implementations[mv.rule->id()].succeeded;
+        ++opt_.metrics_.implementations[mv.rule->id()].succeeded;
         FinishMove(f);
         return;
       }
       if (opt_.options_.branch_and_bound &&
           !cm.LessEq(f->total, f->goal->best_cost)) {
-        ++opt_.stats_sink().moves_pruned;
+        ++opt_.stats_.moves_pruned;
         VOLCANO_TRACE(opt_.options_.trace,
                       {.kind = TraceEventKind::kMovePruned,
                        .group = f->group,
@@ -1282,239 +1153,9 @@ void TaskEngine::StepMove(MoveFrame* f) {
           mv.enforcer->name().c_str(), /*from_enforcer=*/true);
       f->goal->best.cost = total;
       f->goal->best_cost = total;
-      ++opt_.metrics_sink().enforcers[mv.enforcer_id].succeeded;
+      ++opt_.metrics_.enforcers[mv.enforcer_id].succeeded;
       FinishMove(f);
       return;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel fan-out (SearchOptions::workers > 1)
-// ---------------------------------------------------------------------------
-
-bool TaskEngine::EvaluateMoveParallel(const Optimizer::Move& mv, GroupId group,
-                                      const LogicalPropsPtr& logical,
-                                      PlanPtr* plan, Cost* total,
-                                      const std::atomic<double>* incumbent) {
-  // Hold the structure lock shared for the whole move (Loop upgrades to
-  // exclusive around exploration steps); drop it on every exit path so
-  // peers waiting for exclusive get in between moves.
-  struct LockRelease {
-    TaskEngine* e;
-    ~LockRelease() { e->WorkerLock(LockMode::kNone); }
-  } release{this};
-  WorkerLock(LockMode::kShared);
-  const CostModel& cm = opt_.model_.cost_model();
-  SearchStats& st = opt_.stats_sink();
-  if (mv.rule != nullptr) {
-    ++st.algorithm_moves;
-    ++st.cost_estimates;
-    ++opt_.metrics_sink().implementations[mv.rule->id()].fired;
-    VOLCANO_TRACE(opt_.options_.trace,
-                  {.kind = TraceEventKind::kAlgorithmPursued,
-                   .group = group,
-                   .rule_id = mv.rule->id(),
-                   .rule = mv.rule->name().c_str(),
-                   .promise = mv.promise});
-    Cost t = mv.rule->LocalCost(mv.binding, opt_.memo_);
-    if (!opt_.AdmitLocalCost(&t)) return false;
-    if (std::isinf(cm.Total(t))) return false;
-    std::vector<PlanPtr> children;
-    children.reserve(mv.binding.num_leaves());
-    // Infinite child limits: a subgoal's winner is its schedule-independent
-    // optimum, so a move a serial search would have pruned mid-way instead
-    // completes here with a total the reduce step rejects — same outcome,
-    // and the memoized winners stay valid for every later query.
-    for (size_t i = 0; i < mv.binding.num_leaves(); ++i) {
-      if (incumbent != nullptr &&
-          cm.Total(t) >= incumbent->load(std::memory_order_relaxed)) {
-        // Fast mode: the running total already matches or exceeds a
-        // completed move's total, so this move cannot strictly win. The
-        // optimum is still found (the optimal move's partials stay below
-        // every incumbent), but which tied/losing moves finish is now
-        // schedule-dependent — hence no bit-identical digest.
-        ++st.moves_pruned;
-        return false;
-      }
-      Optimizer::Result r =
-          Run(mv.binding.leaf(i), mv.alt.input_props[i], cm.Infinity());
-      if (r.plan == nullptr) return false;
-      t = cm.Add(t, r.cost);
-      children.push_back(std::move(r.plan));
-    }
-    *plan = PlanNode::Make(mv.rule->algorithm(),
-                           mv.rule->PlanArg(mv.binding, opt_.memo_),
-                           std::move(children), mv.alt.delivered, logical, t,
-                           mv.rule->name().c_str(), /*from_enforcer=*/false);
-    *total = t;
-    return true;
-  }
-  ++st.enforcer_moves;
-  ++st.cost_estimates;
-  ++opt_.metrics_sink().enforcers[mv.enforcer_id].fired;
-  VOLCANO_TRACE(opt_.options_.trace,
-                {.kind = TraceEventKind::kEnforcerPursued,
-                 .group = group,
-                 .rule_id = mv.enforcer_id,
-                 .rule = mv.enforcer->name().c_str(),
-                 .promise = mv.promise});
-  Cost local = mv.enforcer->LocalCost(*logical, *mv.app.delivered);
-  if (!opt_.AdmitLocalCost(&local)) return false;
-  if (std::isinf(cm.Total(local))) return false;
-  if (incumbent != nullptr &&
-      cm.Total(local) >= incumbent->load(std::memory_order_relaxed)) {
-    ++st.moves_pruned;
-    return false;
-  }
-  Optimizer::Result r =
-      Run(group, mv.app.input_required, cm.Infinity(), mv.app.excluded);
-  if (r.plan == nullptr) return false;
-  Cost t = cm.Add(local, r.cost);
-  *plan = PlanNode::Make(mv.enforcer->enforcer(),
-                         mv.enforcer->PlanArg(*mv.app.delivered), {r.plan},
-                         mv.app.delivered, logical, t,
-                         mv.enforcer->name().c_str(), /*from_enforcer=*/true);
-  *total = t;
-  return true;
-}
-
-void TaskEngine::FanOutMoves(GoalFrame* f) {
-  struct Slot {
-    PlanPtr plan;
-    Cost total;
-    bool ok = false;
-  };
-  const CostModel& cm = opt_.model_.cost_model();
-  const size_t num_moves = f->moves.size();
-  std::vector<Slot> slots(num_moves);
-  const size_t workers =
-      std::min<size_t>(static_cast<size_t>(opt_.options_.workers), num_moves);
-  const bool fast =
-      opt_.options_.parallel_mode == SearchOptions::ParallelMode::kFast &&
-      opt_.options_.branch_and_bound;
-  // Fast mode's cross-move bound: the cheapest *completed* total so far.
-  // In-flight moves whose running partial reaches it abandon themselves.
-  // A seeded root goal starts the bound at the greedy seed's cost instead
-  // of +inf, so workers prune against it from their first step; should
-  // every move abandon at exactly the seed cost, the seed plan itself is
-  // the degradation floor (Optimizer::FinalizeTopLevel).
-  const CostModel& fan_cm = opt_.model_.cost_model();
-  std::atomic<double> incumbent{
-      opt_.seed_active_ ? fan_cm.Total(f->best_cost)
-                        : std::numeric_limits<double>::infinity()};
-
-  // One steal queue of move indices per worker, seeded round-robin in
-  // decreasing index order so each owner's PopHot (hot end = back) yields
-  // its lowest — most promising — index first, mirroring the serial pursue
-  // order. Idle workers steal the cold half of a peer's queue, i.e. that
-  // peer's highest-index (least promising) moves.
-  std::vector<StealQueue<size_t>> queues(workers);
-  for (size_t i = num_moves; i > 0; --i) {
-    queues[(i - 1) % workers].PushHot(i - 1);
-  }
-
-  std::vector<Optimizer::WorkerContext> contexts(workers);
-  for (Optimizer::WorkerContext& ctx : contexts) {
-    opt_.InitWorkerContext(&ctx);
-  }
-  std::vector<double> busy(workers, 0.0);
-  std::vector<uint64_t> stolen(workers, 0);
-
-  opt_.memo_.SetConcurrent(true);
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([this, f, w, workers, fast, &cm, &slots, &queues,
-                       &contexts, &busy, &stolen, &incumbent] {
-      trace_internal::tls_worker_id = static_cast<uint32_t>(w + 1);
-      Optimizer::ScopedWorkerContext scoped(&contexts[w]);
-      TaskEngine engine(opt_, /*worker_mode=*/true);
-      std::vector<size_t> loot;
-      for (;;) {
-        size_t i;
-        if (!queues[w].PopHot(&i)) {
-          // Own queue drained: steal the cold half of the first non-empty
-          // peer queue. The job set is fixed before the pool starts (no
-          // worker creates new jobs), so a full empty sweep means no work
-          // can ever appear again — terminate.
-          loot.clear();
-          for (size_t off = 1; off < workers && loot.empty(); ++off) {
-            queues[(w + off) % workers].StealHalf(&loot);
-          }
-          if (loot.empty()) break;
-          stolen[w] += loot.size();
-          // Re-push in reverse so PopHot replays the stolen indices in
-          // their original ascending (promise) order.
-          for (size_t k = loot.size(); k > 0; --k) {
-            queues[w].PushHot(loot[k - 1]);
-          }
-          continue;
-        }
-        auto t0 = std::chrono::steady_clock::now();
-        slots[i].ok = engine.EvaluateMoveParallel(
-            f->moves[i], f->group, f->logical, &slots[i].plan,
-            &slots[i].total, fast ? &incumbent : nullptr);
-        busy[w] += std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-        if (fast && slots[i].ok) {
-          // CAS-min: publish this completed total if it tightens the bound.
-          double t = cm.Total(slots[i].total);
-          double cur = incumbent.load(std::memory_order_relaxed);
-          while (t < cur &&
-                 !incumbent.compare_exchange_weak(cur, t,
-                                                  std::memory_order_relaxed)) {
-          }
-        }
-      }
-      trace_internal::tls_worker_id = 0;
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  opt_.memo_.SetConcurrent(false);
-
-  for (const Optimizer::WorkerContext& ctx : contexts) {
-    opt_.MergeWorkerContext(ctx);
-  }
-  opt_.stats_.effective_workers = std::max(
-      opt_.stats_.effective_workers, static_cast<uint32_t>(workers));
-  for (uint64_t s : stolen) opt_.stats_.moves_stolen += s;
-  if (opt_.stats_.worker_busy_seconds.size() < busy.size()) {
-    opt_.stats_.worker_busy_seconds.resize(busy.size(), 0.0);
-  }
-  for (size_t w = 0; w < busy.size(); ++w) {
-    opt_.stats_.worker_busy_seconds[w] += busy[w];
-  }
-
-  // Deterministic reduce in promise order with the serial install semantics:
-  // within the goal's limit, strictly cheaper than the incumbent. Cost ties
-  // resolve to the earlier move exactly as the single-threaded pursue loop
-  // does, and moves a serial search would have pruned or failed on a finite
-  // child limit fail the same comparisons here — so the installed winner
-  // (and the plan digest) is identical to the single-threaded run.
-  for (size_t i = 0; i < f->moves.size(); ++i) {
-    Slot& s = slots[i];
-    if (!s.ok || s.plan == nullptr) continue;
-    if (!cm.LessEq(s.total, f->best_cost)) continue;
-    if (f->best.plan != nullptr && !cm.Less(s.total, f->best_cost)) continue;
-    const Optimizer::Move& mv = f->moves[i];
-    VOLCANO_TRACE(
-        opt_.options_.trace,
-        {.kind = f->best.plan == nullptr ? TraceEventKind::kWinnerInstalled
-                                         : TraceEventKind::kWinnerImproved,
-         .group = f->group,
-         .rule_id = mv.rule != nullptr ? mv.rule->id() : mv.enforcer_id,
-         .rule = mv.rule != nullptr ? mv.rule->name().c_str()
-                                    : mv.enforcer->name().c_str(),
-         .cost = cm.Total(s.total)});
-    f->best.plan = std::move(s.plan);
-    f->best.cost = s.total;
-    f->best_cost = s.total;
-    if (mv.rule != nullptr) {
-      ++opt_.metrics_.implementations[mv.rule->id()].succeeded;
-    } else {
-      ++opt_.metrics_.enforcers[mv.enforcer_id].succeeded;
     }
   }
 }
@@ -1525,25 +1166,6 @@ void TaskEngine::FanOutMoves(GoalFrame* f) {
 
 void TaskEngine::StepExplore(ExploreFrame* f) {
   switch (f->state) {
-    case kExpAcquire: {
-      // Worker mode: EnterExplore ran under the shared lock and could not
-      // write the exploring mark. Now that Loop() holds the lock exclusive
-      // for this explore step, re-check and claim: a peer may have finished
-      // (or still be running) the same exploration since the frame was
-      // pushed.
-      f->group = opt_.memo_.Find(f->group);
-      const Group& grp = opt_.memo_.group(f->group);
-      if (grp.explored() || grp.exploring()) {
-        stack_.Pop();
-        f->Reuse();
-        explore_pool_.Release(f);
-        return;
-      }
-      opt_.memo_.SetExploring(f->group, true);
-      f->state = kExpRoundStart;
-      return;
-    }
-
     case kExpRoundStart: {
       f->changed = false;
       f->expr_idx = 0;
@@ -1611,8 +1233,8 @@ void TaskEngine::StepExplore(ExploreFrame* f) {
       if (!RunMatcher(f->matcher, f)) return;
       const TransformationRule& rule = *f->rule;
       uint32_t applied = 0;
-      SearchStats& st = opt_.stats_sink();
-      SearchMetrics& metrics = opt_.metrics_sink();
+      SearchStats& st = opt_.stats_;
+      SearchMetrics& metrics = opt_.metrics_;
       opt_.memo_.SetProvenance(rule.name().c_str());
       for (const Binding& b : f->bindings) {
         ++st.transformations_matched;
@@ -1625,7 +1247,7 @@ void TaskEngine::StepExplore(ExploreFrame* f) {
         RexPtr rex = rule.Apply(b, opt_.memo_);
         if (rex == nullptr) continue;
         ++st.transformations_applied;
-        opt_.transforms_fired_.fetch_add(1, std::memory_order_relaxed);
+        ++opt_.transforms_fired_;
         ++metrics.transformations[rule.id()].succeeded;
         ++applied;
         opt_.memo_.InsertRex(*rex, opt_.memo_.Find(f->expr->group()));
@@ -1713,7 +1335,7 @@ Optimizer::Result TaskEngine::BfLoop() {
         // Freeze in place (the stack, when non-empty, holds one collect_only
         // frame mid-expansion); Continue() re-enters this loop.
         suspended_ = true;
-        ++opt_.stats_sink().suspensions;
+        ++opt_.stats_.suspensions;
         return Optimizer::Result{};
       }
       // Budget tripped for good: drain the in-flight expansion (aborted
@@ -1778,7 +1400,7 @@ TaskEngine::BfGoalRec* TaskEngine::BfIntern(GroupId group,
                                             const PhysPropsPtr& excluded,
                                             BfGoalRec* creator,
                                             double priority) {
-  SearchStats& st = opt_.stats_sink();
+  SearchStats& st = opt_.stats_;
   ++st.find_best_plan_calls;  // every demand mirrors one FindBestPlan call
   const CostModel& cm = opt_.model_.cost_model();
   group = opt_.memo_.Find(group);
@@ -1868,7 +1490,7 @@ void TaskEngine::BfExpand(BfGoalRec* rec) {
     return;
   }
   rec->state = BfGoalRec::State::kExpanding;
-  ++opt_.stats_sink().goals_started;
+  ++opt_.stats_.goals_started;
   bf_expanding_ = rec;
   // Reuse the goal state machine's explore + collect phases (collect_only
   // short-circuits at kGoalCollectCheck into BfHarvest). Mirrors
@@ -1910,7 +1532,7 @@ void TaskEngine::BfRegisterChildren(BfGoalRec* rec) {
   rec->state = BfGoalRec::State::kWaiting;
   const CostModel& cm = opt_.model_.cost_model();
   const Cost inf = cm.Infinity();
-  SearchStats& st = opt_.stats_sink();
+  SearchStats& st = opt_.stats_;
   rec->inputs.clear();
   rec->inputs.resize(rec->moves.size());
   for (size_t i = 0; i < rec->moves.size(); ++i) {
@@ -1919,8 +1541,9 @@ void TaskEngine::BfRegisterChildren(BfGoalRec* rec) {
     const double prio = BfMoveScore(rec, mv);
     // Children are demanded at infinite cost limits: a subgoal's winner is
     // its schedule-independent optimum, so the reduce step reproduces the
-    // serial engine's pruning decisions (same argument as the parallel
-    // fan-out's EvaluateMoveParallel).
+    // depth-first engine's pruning decisions — a move it would have pruned
+    // on a finite child limit completes here with a total the reduce
+    // rejects.
     const size_t n = mv.rule != nullptr ? mv.binding.num_leaves() : 1;
     for (size_t k = 0; k < n; ++k) {
       GroupId cg;
@@ -1993,7 +1616,7 @@ double TaskEngine::BfMoveScore(const BfGoalRec* rec,
 
 void TaskEngine::BfReduce(BfGoalRec* rec) {
   const CostModel& cm = opt_.model_.cost_model();
-  SearchStats& st = opt_.stats_sink();
+  SearchStats& st = opt_.stats_;
   const GroupId group = opt_.memo_.Find(rec->group);
   // Re-probe the winner table first: a class merge (or a duplicate record
   // that finished while this one waited) may have settled this goal already.
@@ -2032,7 +1655,7 @@ void TaskEngine::BfReduce(BfGoalRec* rec) {
     if (mv.rule != nullptr) {
       ++st.algorithm_moves;
       ++st.cost_estimates;
-      ++opt_.metrics_sink().implementations[mv.rule->id()].fired;
+      ++opt_.metrics_.implementations[mv.rule->id()].fired;
       VOLCANO_TRACE(opt_.options_.trace,
                     {.kind = TraceEventKind::kAlgorithmPursued,
                      .group = group,
@@ -2056,7 +1679,7 @@ void TaskEngine::BfReduce(BfGoalRec* rec) {
     } else {
       ++st.enforcer_moves;
       ++st.cost_estimates;
-      ++opt_.metrics_sink().enforcers[mv.enforcer_id].fired;
+      ++opt_.metrics_.enforcers[mv.enforcer_id].fired;
       VOLCANO_TRACE(opt_.options_.trace,
                     {.kind = TraceEventKind::kEnforcerPursued,
                      .group = group,
@@ -2087,13 +1710,13 @@ void TaskEngine::BfReduce(BfGoalRec* rec) {
           mv.rule->algorithm(), mv.rule->PlanArg(mv.binding, opt_.memo_),
           std::move(children), mv.alt.delivered, rec->logical, total,
           mv.rule->name().c_str(), /*from_enforcer=*/false);
-      ++opt_.metrics_sink().implementations[mv.rule->id()].succeeded;
+      ++opt_.metrics_.implementations[mv.rule->id()].succeeded;
     } else {
       best.plan = PlanNode::Make(
           mv.enforcer->enforcer(), mv.enforcer->PlanArg(*mv.app.delivered),
           std::move(children), mv.app.delivered, rec->logical, total,
           mv.enforcer->name().c_str(), /*from_enforcer=*/true);
-      ++opt_.metrics_sink().enforcers[mv.enforcer_id].succeeded;
+      ++opt_.metrics_.enforcers[mv.enforcer_id].succeeded;
     }
     best.cost = total;
     best_cost = total;
@@ -2150,7 +1773,7 @@ void TaskEngine::BfBreakStall() {
     }
   }
   VOLCANO_CHECK(victim != nullptr);
-  ++opt_.stats_sink().in_progress_hits;
+  ++opt_.stats_.in_progress_hits;
   for (BfGoalRec::MoveIn& in : victim->inputs) {
     if (in.failed) continue;
     for (BfGoalRec* c : in.children) {

@@ -2,33 +2,27 @@
 //
 // Figure 2's FindBestPlan is a recursive procedure; run literally (see
 // SearchOptions::Engine::kRecursive) its search depth is bounded by the
-// native call stack, a tripped budget can only abandon the search, and
-// nothing can run concurrently. TaskEngine executes the same algorithm as an
-// explicit stack of small state-machine frames — OptimizeGoal, ApplyMove,
-// ExploreGroup, plus an iterative pattern matcher — whose pending state
-// lives in an arena next to the memo (support/task_stack.h). Three
-// properties follow:
+// native call stack and a tripped budget can only abandon the search.
+// TaskEngine executes the same algorithm as an explicit stack of small
+// state-machine frames — OptimizeGoal, ApplyMove, ExploreGroup, plus an
+// iterative pattern matcher — whose pending state lives in an arena next to
+// the memo (support/task_stack.h). Two properties follow:
 //
 //   1. Stack safety: native stack consumption is constant in plan depth; a
 //      256-way chain join optimizes in a few kilobytes of C++ stack.
 //   2. Suspension: with SearchOptions::suspend_on_trip, a tripped budget
 //      freezes the frames in place and Optimizer::Resume() continues from
 //      the exact preemption point.
-//   3. Parallelism: with SearchOptions::workers > 1, the independent moves
-//      of the root goal fan out across a worker pool with work stealing
-//      (see DESIGN.md §11).
 //
-// In default single-threaded mode the engine replicates the recursive
-// control flow site for site — budget checkpoints, move collection and
-// ordering, branch-and-bound limits, in-progress cycle detection, enforcer
-// glue, winner memoization — and is verified plan-for-plan identical against
-// the recursive engine by tests/engine_differential_test.cc and the
-// committed plan digest.
+// The engine replicates the recursive control flow site for site — budget
+// checkpoints, move collection and ordering, branch-and-bound limits,
+// in-progress cycle detection, enforcer glue, winner memoization — and is
+// verified plan-for-plan identical against the recursive engine by
+// tests/engine_differential_test.cc and the committed plan digest.
 
 #ifndef VOLCANO_SEARCH_TASK_ENGINE_H_
 #define VOLCANO_SEARCH_TASK_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -45,13 +39,7 @@ namespace volcano {
 
 class TaskEngine {
  public:
-  /// `worker_mode` engines are the short-lived per-thread engines of a
-  /// parallel fan-out (see FanOutMoves): they never park on a budget trip,
-  /// never probe the native stack (they run on a foreign thread's stack),
-  /// route their stats through a thread-local WorkerContext, and follow the
-  /// memo's reader/writer lock protocol (shared while costing, exclusive
-  /// while inserting; see Memo's concurrency notes and DESIGN.md §11).
-  explicit TaskEngine(Optimizer& opt, bool worker_mode = false);
+  explicit TaskEngine(Optimizer& opt);
   ~TaskEngine();
 
   TaskEngine(const TaskEngine&) = delete;
@@ -59,7 +47,7 @@ class TaskEngine {
 
   /// Runs FindBestPlan(group, required, limit, excluded) to completion
   /// (or budget trip / suspension) on the task stack. Mirrors the recursive
-  /// engine's result exactly in single-threaded mode.
+  /// engine's result exactly.
   Optimizer::Result Run(GroupId group, const PhysPropsPtr& required,
                         Cost limit, const PhysPropsPtr& excluded = nullptr);
 
@@ -144,7 +132,6 @@ class TaskEngine {
     PhysPropsPtr excluded;
     Cost limit;
     Optimizer::Result* out = nullptr;
-    bool fan_out = false;  ///< pursue moves on the worker pool (root goal)
     /// Best-first expansion: run only the explore + collect + order phases,
     /// then hand the moves to the frontier record (BfHarvest) instead of
     /// pursuing them on the task stack.
@@ -251,7 +238,6 @@ class TaskEngine {
     kExpRuleNext,    // next transformation rule for the expression
     kExpMatch,       // matcher running; then apply bindings
     kExpRoundEnd,    // round done: repeat if anything changed
-    kExpAcquire,     // worker mode: re-check + claim under the exclusive lock
   };
 
   // --- engine core ---------------------------------------------------------
@@ -287,61 +273,6 @@ class TaskEngine {
   /// True when a budget trip should freeze the stack instead of unwinding.
   bool Parking() const;
 
-  // --- parallel fan-out (SearchOptions::workers > 1) -----------------------
-
-  /// Pursues all collected moves of `f` on a worker pool instead of the task
-  /// stack: the move indices are dealt round-robin into per-worker steal
-  /// queues (support/task_stack.h), each worker evaluates its moves
-  /// start-to-finish with a private worker engine under the memo's
-  /// reader/writer lock protocol, idle workers steal the cold half of a
-  /// peer's queue, and the main thread reduces the joined results in move
-  /// (promise) order with the exact serial install semantics. Fills
-  /// f->best / f->best_cost; the caller finishes the goal.
-  void FanOutMoves(GoalFrame* f);
-
-  /// Worker-side evaluation of one move (algorithm inputs or enforcer input
-  /// via Run with an infinite cost limit — subgoal winners are
-  /// limit-independent, so the reduce step reproduces serial pruning).
-  /// Returns true and fills *plan / *total when the move yielded a complete
-  /// plan; the install decision belongs to the reduce step. `incumbent` is
-  /// non-null only in ParallelMode::kFast: the shared best-total bound that
-  /// lets a worker abandon a move mid-evaluation (cost-equivalent results,
-  /// no longer bit-identical to the serial move reduction).
-  bool EvaluateMoveParallel(const Optimizer::Move& mv, GroupId group,
-                            const LogicalPropsPtr& logical, PlanPtr* plan,
-                            Cost* total,
-                            const std::atomic<double>* incumbent);
-
-  // --- worker-mode concurrency support -------------------------------------
-
-  /// The memo structure-lock state a worker engine currently holds. Workers
-  /// hold the lock SHARED while costing (reads plus internally synchronized
-  /// winner/interner writes) and EXCLUSIVE while exploring (structure
-  /// growth: InsertRex, merges, fired masks). The mode is derived from the
-  /// top frame's kind each Loop iteration and only transitions on change;
-  /// transitions release before re-acquiring (no in-place upgrade, no
-  /// deadlock). Serial engines never touch the lock.
-  enum class LockMode : uint8_t { kNone, kShared, kExclusive };
-
-  /// Transitions the worker's structure-lock state to `want`.
-  void WorkerLock(LockMode want);
-
-  /// In-progress goal marks for this worker's own in-flight goals, layered
-  /// over the memo's marks (which are frozen while the fan-out runs — the
-  /// only memo-level mark is the root goal's). Writing the shared table
-  /// from workers would race; each worker only ever needs to see its own
-  /// cycles plus the frozen root mark. Linear scan: the list length is the
-  /// worker's goal-frame depth.
-  bool GoalInProgress(GroupId group, const Goal& goal);
-  void MarkGoal(GroupId group, const Goal& goal);
-  void UnmarkGoal(GroupId group, const Goal& goal);
-
-  /// Winner-table probe: in worker mode copies the record out under the
-  /// stripe lock (a FindWinner pointer may dangle across a concurrent
-  /// StoreWinner rehash); serially it is the plain pointer probe.
-  /// Returns null when absent; `storage` backs the copy.
-  const Winner* ProbeWinner(GroupId group, const Goal& goal, Winner* storage);
-
   // --- best-first engine (SearchOptions::Engine::kBestFirst) ---------------
   //
   // A global frontier of goal records ordered by adaptive promise replaces
@@ -349,12 +280,11 @@ class TaskEngine {
   // is one FindBestPlan goal; expansion reuses the existing explore + collect
   // state machine (a collect_only GoalFrame run through Loop()), registration
   // turns the collected moves into child demands at infinite cost limits
-  // (limit-independent memoized optima — the same argument that makes the
-  // parallel fan-out deterministic), and a canonical-order reduce reproduces
-  // the serial engine's winners move for move. Two memory caps degrade the
-  // search instead of growing it: frontier eviction fails the least promising
-  // goal, and the memo byte gate completes remaining goals through the greedy
-  // descent. Either cap sets bf_degraded_.
+  // (limit-independent memoized optima), and a canonical-order reduce
+  // reproduces the depth-first engine's winners move for move. Two memory
+  // caps degrade the search instead of growing it: frontier eviction fails
+  // the least promising goal, and the memo byte gate completes remaining
+  // goals through the greedy descent. Either cap sets bf_degraded_.
 
   /// One best-first goal record: a FindBestPlan demand keyed by
   /// (group, canonical goal), deduplicated in bf_index_.
@@ -453,9 +383,6 @@ class TaskEngine {
   Optimizer::Result root_result_;
   bool suspended_ = false;
   bool abandoning_ = false;
-  bool worker_mode_ = false;
-  LockMode lock_mode_ = LockMode::kNone;
-  std::vector<std::pair<GroupId, Goal>> local_marks_;
 
   // Best-first state (live only while bf_active_).
   std::vector<std::unique_ptr<BfGoalRec>> bf_recs_;

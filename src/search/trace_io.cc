@@ -53,12 +53,6 @@ void JsonTraceSink::OnEvent(const TraceEvent& event) {
     line.append(", \"rule_id\": ");
     line.append(std::to_string(event.rule_id));
   }
-  if (event.worker != 0) {
-    // Only parallel workers stamp a nonzero id, so single-threaded streams
-    // (and the golden trace) are unchanged byte for byte.
-    line.append(", \"worker\": ");
-    line.append(std::to_string(event.worker));
-  }
   if (event.rule != nullptr) {
     line.append(", \"rule\": \"");
     AppendEscaped(event.rule, &line);

@@ -107,10 +107,6 @@ Server::Server(rel::Catalog* catalog, ServerOptions options)
   // The serving loop owns the degradation ladder; the engine must hand back
   // its best (anytime/greedy) answer rather than erroring outright.
   options_.search.degradation = SearchOptions::Degradation::kAnytime;
-  VOLCANO_CHECK(options_.search_workers >= 0);
-  if (options_.search_workers > 0) {
-    options_.search.workers = options_.search_workers;
-  }
   // Sessions hold a SearchConfig, so the composed knobs must validate here —
   // at startup, where a misconfiguration is a deployment error — rather than
   // per request.

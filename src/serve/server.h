@@ -104,15 +104,6 @@ struct ServerOptions {
   /// below is always safe).
   SearchOptions search;
 
-  /// Intra-query parallelism: fan each request's root-goal moves across this
-  /// many search workers inside the session's optimizer (SearchOptions::
-  /// workers). 0 leaves `search.workers` untouched. Orthogonal to `workers`
-  /// above, which is inter-query (one request per serving thread); total
-  /// peak threads ≈ workers × max(search_workers, 1). The composed
-  /// configuration must pass ValidateSearchOptions — the server constructor
-  /// checks it.
-  int search_workers = 0;
-
   /// Relational-model configuration shared by all sessions.
   rel::RelModelOptions model;
 

@@ -125,9 +125,6 @@ StatusOr<uint64_t> Session::BeginInterleaved(std::string_view sql,
 
   SearchOptions opts = config_.options();
   opts.suspend_on_trip = true;
-  // Suspension needs a single serial resume point.
-  opts.workers = 0;
-  opts.parallel_mode = SearchOptions::ParallelMode::kDeterministic;
   if (opts.engine == SearchOptions::Engine::kBestFirst &&
       interleave_budget_bytes_ != 0) {
     // Divide the shared budget evenly; the validation floor (128 KiB) is

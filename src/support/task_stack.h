@@ -13,8 +13,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <vector>
 
 #include "support/arena.h"
@@ -60,9 +58,9 @@ class FramePool {
   std::vector<T*> free_;
 };
 
-/// LIFO stack of frame pointers with a high-water mark. The single-threaded
-/// engine steps the top frame until the stack drains; pushing a child frame
-/// suspends the parent exactly like a recursive call suspends its caller.
+/// LIFO stack of frame pointers with a high-water mark. The engine steps the
+/// top frame until the stack drains; pushing a child frame suspends the
+/// parent exactly like a recursive call suspends its caller.
 template <typename FrameT>
 class TaskStack {
  public:
@@ -90,64 +88,6 @@ class TaskStack {
  private:
   std::vector<FrameT*> frames_;
   size_t high_water_ = 0;
-};
-
-/// Per-worker work-stealing deque for the parallel search scheduler
-/// (search/task_engine.cc FanOutMoves). The owner treats its queue as a LIFO
-/// stack — PushHot/PopHot on the hot end, keeping recently generated work
-/// cache-warm — while idle peers StealHalf from the cold end, taking the
-/// oldest (typically largest-granularity) jobs.
-///
-/// Why jobs and not frames: a TaskStack's frames carry parent pointers into
-/// their owner's stack and pools, so frames cannot migrate between engines.
-/// The stealable unit is one self-contained job (a move index of the fanned
-/// out goal); each worker runs a private TaskEngine per job. See DESIGN.md
-/// §11.
-///
-/// Mutex-per-queue rather than a lock-free Chase-Lev deque: jobs here are
-/// coarse (one whole move evaluation, typically microseconds to milliseconds
-/// of search), so queue operations are nowhere near the contention point, and
-/// a mutex keeps StealHalf's bulk transfer trivially correct under TSan.
-template <typename JobT>
-class StealQueue {
- public:
-  void PushHot(JobT job) {
-    std::lock_guard<std::mutex> lock(mu_);
-    jobs_.push_back(std::move(job));
-  }
-
-  /// Owner-side pop from the hot end. False when the queue is empty.
-  bool PopHot(JobT* out) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (jobs_.empty()) return false;
-    *out = std::move(jobs_.back());
-    jobs_.pop_back();
-    return true;
-  }
-
-  /// Thief-side bulk transfer: moves the older half (rounded up, at least one
-  /// job when any exist) from this queue's cold end to the back of `into`.
-  /// Returns the number of jobs taken. `into` is the thief's private buffer;
-  /// only this queue's mutex is held.
-  size_t StealHalf(std::vector<JobT>* into) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (jobs_.empty()) return 0;
-    size_t take = (jobs_.size() + 1) / 2;
-    for (size_t i = 0; i < take; ++i) {
-      into->push_back(std::move(jobs_.front()));
-      jobs_.pop_front();
-    }
-    return take;
-  }
-
-  size_t SizeApprox() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return jobs_.size();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::deque<JobT> jobs_;
 };
 
 }  // namespace volcano

@@ -27,7 +27,6 @@
 #define VOLCANO_SUPPORT_TRACE_H_
 
 #include <cstdint>
-#include <mutex>
 
 namespace volcano {
 
@@ -86,11 +85,8 @@ struct TraceEvent {
   double promise = 0.0;          ///< move ordering key, where applicable
   double cost = 0.0;             ///< scalar cost summary, where applicable
   /// Monotonic per-optimizer sequence number, stamped at emission (before
-  /// the sink sees the event). Total order over one optimizer's stream even
-  /// when parallel workers emit; 1-based so 0 means "not stamped".
+  /// the sink sees the event); 1-based so 0 means "not stamped".
   uint64_t seq = 0;
-  /// Emitting worker: 0 = the main search thread, 1..N = parallel workers.
-  uint32_t worker = 0;
 };
 
 /// Receiver interface. Implementations must tolerate events arriving in any
@@ -101,37 +97,22 @@ class TraceSink {
   virtual void OnEvent(const TraceEvent& event) = 0;
 };
 
-namespace trace_internal {
-/// Which worker the current thread is: 0 = the main search thread; parallel
-/// workers set 1..N around their move evaluation (search/task_engine.cc).
-inline thread_local uint32_t tls_worker_id = 0;
-}  // namespace trace_internal
-
-/// Stamps every event with a per-optimizer monotonic sequence number and the
-/// emitting worker's id (TraceEvent::seq / ::worker), then forwards to the
-/// wrapped sink. The optimizer interposes one of these in front of any
-/// user-installed sink. Parallel workers emit truly concurrently (there is no
-/// engine-wide mutex anymore), so stamping and forwarding happen under one
-/// internal mutex: the stamped sequence stays a contiguous total order across
-/// workers, the inner sink sees events serialized in that order, and plain
-/// sinks like TraceLog need no locking of their own. This serializes tracing
-/// only — a traced parallel run measures the search, not the tracer, as long
-/// as the sink is cheap; untraced runs never reach this code (the emission
-/// macro's null check short-circuits first).
+/// Stamps every event with a per-optimizer monotonic sequence number
+/// (TraceEvent::seq), then forwards to the wrapped sink. The optimizer
+/// interposes one of these in front of any user-installed sink. Untraced
+/// runs never reach this code (the emission macro's null check
+/// short-circuits first).
 class StampingTraceSink : public TraceSink {
  public:
   void set_inner(TraceSink* inner) { inner_ = inner; }
 
   void OnEvent(const TraceEvent& event) override {
-    std::lock_guard<std::mutex> lock(mu_);
     TraceEvent e = event;
     e.seq = ++seq_;
-    e.worker = trace_internal::tls_worker_id;
     if (inner_ != nullptr) inner_->OnEvent(e);
   }
 
  private:
-  std::mutex mu_;
   TraceSink* inner_ = nullptr;
   uint64_t seq_ = 0;
 };

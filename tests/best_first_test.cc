@@ -338,11 +338,6 @@ TEST(BestFirst, ValidationRejectsInvalidKnobCombinations) {
   }
   {
     SearchOptions o = BestFirstOptions();
-    o.workers = 2;
-    cases.push_back({"best-first cannot fan out", o});
-  }
-  {
-    SearchOptions o = BestFirstOptions();
     o.strategy = SearchOptions::Strategy::kInterleaved;
     cases.push_back({"best-first is kExploreFirst only", o});
   }

@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "exec/datagen.h"
 #include "exec/iterator.h"
 #include "exec/plan_exec.h"
@@ -248,6 +251,33 @@ TEST(Budget, PreCancelledTokenDegradesImmediately) {
   const std::string* tripped = rejected.status().FindDetail("budget");
   ASSERT_NE(tripped, nullptr);
   EXPECT_EQ(*tripped, "cancelled");
+}
+
+TEST(Budget, CancelFromAnotherThreadStopsTheSearch) {
+  // The token is the one search input written by another thread while the
+  // search runs. This 14-relation star takes 3.4 s to search exhaustively
+  // (Release build, 4-core x86-64 host), so a cancel 10 ms in must be what
+  // ends it.
+  rel::WorkloadOptions wopts;
+  wopts.num_relations = 14;
+  wopts.join_graph = rel::WorkloadOptions::JoinGraph::kStar;
+  wopts.order_by_prob = 1.0;
+  rel::Workload w = rel::GenerateWorkload(wopts, 7);
+  auto token = std::make_shared<CancellationToken>();
+  SearchOptions opts;
+  opts.budget.cancel = token;
+  Optimizer opt(*w.model, SearchConfig::FromOptions(opts).value());
+
+  std::thread canceller([token] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    token->Cancel();
+  });
+  StatusOr<PlanPtr> plan = opt.Optimize(*w.query, w.required);
+  canceller.join();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(opt.outcome().trip, BudgetTrip::kCancelled);
+  EXPECT_TRUE(opt.outcome().approximate);
+  ExpectPlanIsSound(w, *plan, 7, /*check_execution=*/false);
 }
 
 TEST(Budget, UserCostLimitStillCatchesUnreasonableQueries) {

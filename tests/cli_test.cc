@@ -46,6 +46,11 @@ TEST(Cli, UsageErrorsAreTwo) {
   EXPECT_EQ(RunVopt("--strict --fallback \"SELECT * FROM emp\""), 2);
   EXPECT_EQ(RunVopt("--engine warp \"SELECT * FROM emp\""), 2);
   EXPECT_EQ(RunVopt("serve --no-such-flag"), 2);
+  // Removed flags: a script that still passes one gets a usage error, not
+  // a silent serial run.
+  EXPECT_EQ(RunVopt("--workers 4 \"SELECT * FROM emp\""), 2);
+  EXPECT_EQ(RunVopt("--parallel-mode fast \"SELECT * FROM emp\""), 2);
+  EXPECT_EQ(RunVopt("serve --search-workers 2"), 2);
 }
 
 TEST(Cli, ParseAndSemanticErrorsAreThree) {

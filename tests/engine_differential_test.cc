@@ -1,6 +1,6 @@
-// Differential engine tests: the task engine (single-threaded and parallel)
-// must choose byte-identical plans at identical cost to the recursive
-// Figure-2 engine on every committed workload. This is the acceptance gate
+// Differential engine tests: the task engine must choose byte-identical plans
+// at identical cost to the recursive Figure-2 engine on every committed
+// workload. This is the acceptance gate
 // for the explicit search core — any divergence in budget checkpoints, move
 // ordering, branch-and-bound limits, or tie-breaking shows up here as a
 // plan-line mismatch long before it would move the committed plan digest
@@ -89,42 +89,13 @@ TEST(EngineDifferential, TaskMatchesRecursiveOnDigestGrid) {
   }
 }
 
-TEST(EngineDifferential, ParallelMatchesSingleThreadedOnDigestGrid) {
-  bool any_fan_out = false;
-  for (int order_by = 0; order_by <= 1; ++order_by) {
-    for (int n = 2; n <= 10; ++n) {
-      for (uint64_t seed = 1; seed <= 3; ++seed) {
-        rel::Workload w = MakeChain(n, seed, order_by != 0);
-        SearchOptions serial;
-        SearchOptions parallel;
-        parallel.workers = 4;
-
-        RunOutput s = RunOne(w, serial);
-        RunOutput p = RunOne(w, parallel);
-        SCOPED_TRACE("n=" + std::to_string(n) + " seed=" +
-                     std::to_string(seed) + " order_by=" +
-                     std::to_string(order_by));
-        ASSERT_EQ(s.ok, p.ok) << s.status << " vs " << p.status;
-        if (!s.ok) continue;
-        EXPECT_EQ(s.plan_line, p.plan_line);
-        EXPECT_DOUBLE_EQ(s.cost, p.cost);
-        EXPECT_TRUE(s.stats.worker_busy_seconds.empty());
-        if (!p.stats.worker_busy_seconds.empty()) any_fan_out = true;
-      }
-    }
-  }
-  // The grid must actually exercise the worker pool somewhere, or the
-  // parallel comparison above proves nothing.
-  EXPECT_TRUE(any_fan_out);
-}
-
 // The best-first engine schedules goals from a global frontier instead of a
 // depth-first stack, but with no caps set it demands every subgoal at an
 // infinite limit and reduces each goal's moves in canonical order — so its
 // plans (and costs) are identical to the task engine's across the digest
 // grid. Effort counters legitimately differ (the schedule is global, and
 // branch-and-bound cannot prune an already-demanded subgoal), so only plan
-// and cost are compared — the same contract the parallel fan-out meets.
+// and cost are compared.
 TEST(EngineDifferential, BestFirstMatchesTaskOnDigestGrid) {
   for (int order_by = 0; order_by <= 1; ++order_by) {
     for (int n = 2; n <= 10; ++n) {
@@ -149,35 +120,8 @@ TEST(EngineDifferential, BestFirstMatchesTaskOnDigestGrid) {
   }
 }
 
-// Fast mode trades plan-shape reproducibility for a shared branch-and-bound
-// incumbent; what it must NOT trade is optimality. Across the digest grid the
-// fast-mode winner re-costs exactly equal to the deterministic winner (plan
-// lines may legitimately differ when distinct shapes tie on cost).
-TEST(EngineDifferential, FastModeCostMatchesDeterministicOnDigestGrid) {
-  for (int order_by = 0; order_by <= 1; ++order_by) {
-    for (int n = 2; n <= 10; ++n) {
-      for (uint64_t seed = 1; seed <= 3; ++seed) {
-        rel::Workload w = MakeChain(n, seed, order_by != 0);
-        SearchOptions det;
-        det.workers = 4;
-        SearchOptions fast = det;
-        fast.parallel_mode = SearchOptions::ParallelMode::kFast;
-
-        RunOutput d = RunOne(w, det);
-        RunOutput f = RunOne(w, fast);
-        SCOPED_TRACE("n=" + std::to_string(n) + " seed=" +
-                     std::to_string(seed) + " order_by=" +
-                     std::to_string(order_by));
-        ASSERT_EQ(d.ok, f.ok) << d.status << " vs " << f.status;
-        if (!d.ok) continue;
-        EXPECT_DOUBLE_EQ(d.cost, f.cost);
-      }
-    }
-  }
-}
-
-// The interleaved (Figure 2 verbatim) strategy pursues serially even with
-// workers configured; plans still match the recursive engine.
+// The interleaved (Figure 2 verbatim) strategy: plans match the recursive
+// engine.
 TEST(EngineDifferential, InterleavedStrategyMatchesAcrossEngines) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     rel::Workload w = MakeChain(4, seed, seed % 2 == 0);
@@ -186,7 +130,6 @@ TEST(EngineDifferential, InterleavedStrategyMatchesAcrossEngines) {
     recursive.strategy = SearchOptions::Strategy::kInterleaved;
     SearchOptions task = recursive;
     task.engine = SearchOptions::Engine::kTask;
-    task.workers = 4;
 
     RunOutput r = RunOne(w, recursive);
     RunOutput t = RunOne(w, task);
@@ -219,9 +162,7 @@ TEST(EngineDifferential, GluePropertiesMatchesAcrossEngines) {
 }
 
 // Trace determinism: the optimizer stamps every event with a 1-based,
-// strictly contiguous per-optimizer sequence number, single-threaded events
-// carry worker 0, and parallel workers stamp their own ids — so merged
-// multi-worker streams re-sort into one total order.
+// strictly contiguous per-optimizer sequence number.
 TEST(EngineDifferential, TraceSequenceIsMonotonicAndContiguous) {
   rel::Workload w = MakeChain(5, 1, /*order_by=*/false);
   TraceLog log;
@@ -233,30 +174,8 @@ TEST(EngineDifferential, TraceSequenceIsMonotonicAndContiguous) {
   uint64_t expect_seq = 1;
   for (const TraceLog::Entry& e : log.entries()) {
     EXPECT_EQ(e.event.seq, expect_seq);
-    EXPECT_EQ(e.event.worker, 0u);
     ++expect_seq;
   }
-}
-
-TEST(EngineDifferential, ParallelTraceCarriesWorkerIds) {
-  rel::Workload w = MakeChain(5, 1, /*order_by=*/false);
-  TraceLog log;
-  SearchOptions opts;
-  opts.trace = &log;
-  opts.workers = 4;
-  Optimizer opt(*w.model, SearchConfig::FromOptions(opts).value());
-  ASSERT_TRUE(opt.Optimize(*w.query, w.required).ok());
-  ASSERT_FALSE(log.entries().empty());
-  uint64_t expect_seq = 1;
-  bool any_worker = false;
-  for (const TraceLog::Entry& e : log.entries()) {
-    EXPECT_EQ(e.event.seq, expect_seq);  // total order across workers
-    EXPECT_LE(e.event.worker, 4u);
-    if (e.event.worker != 0) any_worker = true;
-    ++expect_seq;
-  }
-  EXPECT_TRUE(any_worker);
-  EXPECT_FALSE(opt.stats().worker_busy_seconds.empty());
 }
 
 }  // namespace

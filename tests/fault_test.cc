@@ -71,14 +71,11 @@ Scenario MakeScenario(uint64_t seed) {
     sc.search.strategy = SearchOptions::Strategy::kInterleaved;
   }
   if (rng.NextDouble() < 0.1) sc.search.heuristic_fallback = false;
-  // Drawn last so earlier seeds derive the same scenarios as before these
-  // dimensions existed. Both engines must uphold the robustness contract
-  // under the full fault mix, and the task engine also under parallel
-  // fan-out.
+  // Drawn last so earlier seeds derive the same scenarios as before this
+  // dimension existed. Both engines must uphold the robustness contract
+  // under the full fault mix.
   if (rng.NextDouble() < 0.3) {
     sc.search.engine = SearchOptions::Engine::kRecursive;
-  } else if (rng.NextDouble() < 0.3) {
-    sc.search.workers = 2 + static_cast<int>(rng.Uniform(3));
   }
   return sc;
 }
@@ -120,13 +117,8 @@ RunResult RunScenario(const Scenario& sc, bool check_execution) {
     EXPECT_EQ(st.tasks_executed, 0u) << "seed " << sc.workload_seed;
     EXPECT_EQ(st.task_stack_high_water, 0u) << "seed " << sc.workload_seed;
   }
-  // No scenario enables suspension, so none may be recorded; worker busy
-  // time appears exactly when a parallel fan-out actually ran.
+  // No scenario enables suspension, so none may be recorded.
   EXPECT_EQ(st.suspensions, 0u) << "seed " << sc.workload_seed;
-  if (opts.workers <= 1 || opts.engine != SearchOptions::Engine::kTask) {
-    EXPECT_TRUE(st.worker_busy_seconds.empty())
-        << "seed " << sc.workload_seed;
-  }
 
   RunResult out;
   if (!plan.ok()) {

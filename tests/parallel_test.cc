@@ -5,13 +5,10 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "exec/datagen.h"
 #include "exec/plan_exec.h"
 #include "relational/rel_plan_cost.h"
 #include "search/optimizer.h"
-#include "search/search_config.h"
 
 namespace volcano {
 namespace {
@@ -184,60 +181,6 @@ TEST(Parallel, SimulatedExecutionMatchesReference) {
   exec::Schema gs = exec::PlanSchema(**plan, model, db);
   exec::Schema ws = exec::LogicalSchema(*q, model, db);
   EXPECT_TRUE(exec::SameMultiset(exec::ReorderToSchema(got, gs, ws), want));
-}
-
-// --- parallel *search* (SearchOptions::workers), as opposed to the
-// parallel *plans* above -----------------------------------------------------
-
-TEST(ParallelSearch, FanOutIsRealAndReported) {
-  // Guards against the configured worker pool silently degrading to a
-  // serial pursue loop: SearchStats::effective_workers records the widest
-  // fan-out that actually ran, and it must match the request (the root
-  // goal of this join enumerates far more than 4 moves). This holds on any
-  // machine — the engine spawns OS threads regardless of core count — so
-  // no skip here; only wall-clock *speedup* needs real cores (see the
-  // bench_report --parallel-scaling CI guard).
-  Fixture f(200000);
-  rel::RelModel model(f.catalog, Parallel(8));
-  SearchConfig config = SearchConfig::Builder().workers(4).Build().value();
-  Optimizer opt(model, config);
-  StatusOr<PlanPtr> plan = opt.Optimize(*f.Query(model), model.Serial());
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  const SearchStats& st = opt.stats();
-  ASSERT_EQ(st.effective_workers, 4u)
-      << "workers=4 was configured but the search fanned out at width "
-      << st.effective_workers << " — parallel coverage is not real";
-  EXPECT_GE(st.worker_busy_seconds.size(), 4u);
-
-  // Same plan as the single-threaded search (deterministic mode default).
-  Optimizer serial(model);
-  StatusOr<PlanPtr> splan = serial.Optimize(*f.Query(model), model.Serial());
-  ASSERT_TRUE(splan.ok());
-  EXPECT_EQ(model.cost_model().Total((*plan)->cost()),
-            model.cost_model().Total((*splan)->cost()));
-  EXPECT_EQ(serial.stats().effective_workers, 0u);
-}
-
-TEST(ParallelSearch, WorkStealingEngagesOnWideGoals) {
-  if (std::thread::hardware_concurrency() < 4) {
-    GTEST_SKIP() << "work stealing needs real concurrency to engage "
-                    "reliably; hardware_concurrency() = "
-                 << std::thread::hardware_concurrency()
-                 << " (< 4) — not asserting moves_stolen";
-  }
-  // With >= 4 cores the steal queues drain unevenly (move evaluation times
-  // vary by orders of magnitude), so at least one steal should occur over
-  // a spread of workloads; SearchStats::moves_stolen surfaces it.
-  uint64_t stolen = 0;
-  for (double card : {50000.0, 100000.0, 200000.0, 400000.0}) {
-    Fixture f(card);
-    rel::RelModel model(f.catalog, Parallel(8));
-    SearchConfig config = SearchConfig::Builder().workers(4).Build().value();
-    Optimizer opt(model, config);
-    ASSERT_TRUE(opt.Optimize(*f.Query(model), model.Serial()).ok());
-    stolen += opt.stats().moves_stolen;
-  }
-  EXPECT_GT(stolen, 0u);
 }
 
 TEST(Parallel, WinnersKeyedPerPartitioning) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "exec/datagen.h"
 #include "exec/plan_exec.h"
 #include "relational/query_gen.h"
@@ -14,13 +17,23 @@
 namespace volcano {
 namespace {
 
+// gtest prints a parameter it cannot format as its raw bytes, and the ctest
+// case names carry that print. So every byte of a SweepCase is fixed by the
+// case itself: the label is an index into kSweepLabels, not a pointer (whose
+// value changes from build to build), and what would be padding is zeroed.
 struct SweepCase {
   int relations;
   rel::WorkloadOptions::JoinGraph graph;
   bool pushdown_rules;  // also enables pull-up (inverse pair)
   bool multiway;
-  const char* label;
+  uint8_t zero[6];
+  uint64_t label;  // index into kSweepLabels
 };
+static_assert(std::has_unique_object_representations_v<SweepCase>);
+
+constexpr const char* kSweepLabels[] = {
+    "chain3", "chain5", "star5", "random5", "random4_inverse_rules",
+    "random5_multiway", "star6"};
 
 class Sweep : public ::testing::TestWithParam<SweepCase> {
  protected:
@@ -98,19 +111,19 @@ TEST_P(Sweep, SearchOptionsNeverChangePlanCost) {
 std::vector<SweepCase> Cases() {
   using G = rel::WorkloadOptions::JoinGraph;
   return {
-      {3, G::kChain, false, false, "chain3"},
-      {5, G::kChain, false, false, "chain5"},
-      {5, G::kStar, false, false, "star5"},
-      {5, G::kRandomTree, false, false, "random5"},
-      {4, G::kRandomTree, true, false, "random4_inverse_rules"},
-      {5, G::kRandomTree, false, true, "random5_multiway"},
-      {6, G::kStar, false, false, "star6"},
+      {3, G::kChain, false, false, {}, 0},
+      {5, G::kChain, false, false, {}, 1},
+      {5, G::kStar, false, false, {}, 2},
+      {5, G::kRandomTree, false, false, {}, 3},
+      {4, G::kRandomTree, true, false, {}, 4},
+      {5, G::kRandomTree, false, true, {}, 5},
+      {6, G::kStar, false, false, {}, 6},
   };
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, Sweep, ::testing::ValuesIn(Cases()),
                          [](const ::testing::TestParamInfo<SweepCase>& info) {
-                           return info.param.label;
+                           return kSweepLabels[info.param.label];
                          });
 
 TEST(CostLimit, CatchesUnreasonableQueries) {

@@ -87,9 +87,9 @@ TEST(Tpch, OptimizedPlansMatchNaiveEvaluationRowForRow) {
   }
 }
 
-// Engine differential over the family: task (serial and 4-way parallel),
-// recursive, and best-first must pick byte-identical plans at identical
-// cost — the tpch digest's cross-engine invariance, testable per query.
+// Engine differential over the family: task, recursive, and best-first must
+// pick byte-identical plans at identical cost — the tpch digest's
+// cross-engine invariance, testable per query.
 TEST(Tpch, EnginesChooseIdenticalPlans) {
   rel::TpchWorkload w = rel::MakeTpchWorkload();
   for (const rel::TpchQuery& q : w.queries) {
@@ -103,9 +103,7 @@ TEST(Tpch, EnginesChooseIdenticalPlans) {
     recursive.engine = SearchOptions::Engine::kRecursive;
     SearchOptions best_first;
     best_first.engine = SearchOptions::Engine::kBestFirst;
-    SearchOptions parallel;
-    parallel.workers = 4;
-    for (const SearchOptions& so : {recursive, best_first, parallel}) {
+    for (const SearchOptions& so : {recursive, best_first}) {
       Compiled other = Compile(w, q, so);
       EXPECT_EQ(base_line, PlanToLine(*other.plan, w.model->registry()))
           << q.name;

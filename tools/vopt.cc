@@ -18,8 +18,6 @@
 // (see src/serve/server.h for the protocol). Serve options:
 //   --catalog FILE       as below
 //   --serve-workers N    worker threads (default 1)
-//   --search-workers N   intra-query search workers per session (default:
-//                        single-threaded search)
 //   --max-inflight N     admission cap; excess requests answered OVERLOADED
 //   --cache-capacity N   plan-cache entries (0 disables)
 //   --timeout-ms/--max-mexprs/--max-calls   per-request budget
@@ -60,12 +58,6 @@
 //   --memo-byte-limit=N  best-first only: hard cap on memo arena bytes;
 //                    goals beyond the cap complete through the greedy
 //                    descent (plan becomes approximate)
-//   --workers N      task engine only: fan the root goal's moves across N
-//                    worker threads; the chosen plan is identical to the
-//                    single-threaded search (trace events carry worker ids)
-//   --parallel-mode M  with --workers N > 1: 'deterministic' (default;
-//                    bit-identical plans) or 'fast' (cross-move incumbent
-//                    pruning; same plan cost, shape may vary run to run)
 //   --join-seed=on|off  greedy join-order incumbent seeding (DESIGN.md §12):
 //                    a heuristic join order is planned first and its cost
 //                    tightens branch-and-bound from the first move; plans
@@ -214,9 +206,6 @@ int RunServe(int argc, char** argv) {
       catalog_path = argv[++i];
     } else if (arg == "--serve-workers" && i + 1 < argc) {
       options.workers = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (arg == "--search-workers" && i + 1 < argc) {
-      options.search_workers =
-          static_cast<int>(std::strtol(argv[++i], nullptr, 10));
     } else if (arg == "--max-inflight" && i + 1 < argc) {
       options.max_inflight = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--cache-capacity" && i + 1 < argc) {
@@ -240,23 +229,6 @@ int RunServe(int argc, char** argv) {
   if (options.workers < 1) {
     std::fprintf(stderr, "vopt serve: --serve-workers must be >= 1\n");
     return kExitUsage;
-  }
-  {
-    // Pre-validate the composed search knobs: the server constructor
-    // re-checks and aborts, but a flag mistake should be a usage error.
-    if (options.search_workers < 0) {
-      std::fprintf(stderr,
-                   "vopt serve: --search-workers must be >= 0, got %d\n",
-                   options.search_workers);
-      return kExitUsage;
-    }
-    volcano::SearchOptions composed = options.search;
-    if (options.search_workers > 0) composed.workers = options.search_workers;
-    volcano::Status s = volcano::ValidateSearchOptions(composed);
-    if (!s.ok()) {
-      std::fprintf(stderr, "vopt serve: %s\n", s.ToString().c_str());
-      return kExitUsage;
-    }
   }
 
   rel::Catalog catalog;
@@ -340,9 +312,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "vopt: unknown engine '%s'\n", engine.c_str());
         return 2;
       }
-    } else if (arg == "--workers" && i + 1 < argc) {
-      search_options.workers =
-          static_cast<int>(std::strtol(argv[++i], nullptr, 10));
     } else if (arg.rfind("--frontier-limit=", 0) == 0) {
       search_options.frontier_limit = static_cast<size_t>(
           std::strtoull(arg.c_str() + std::strlen("--frontier-limit="),
@@ -359,19 +328,6 @@ int main(int argc, char** argv) {
       search_options.join_seed_threshold = static_cast<int>(
           std::strtol(arg.c_str() + std::strlen("--join-threshold="),
                       nullptr, 10));
-    } else if (arg == "--parallel-mode" && i + 1 < argc) {
-      std::string mode = argv[++i];
-      if (mode == "deterministic") {
-        search_options.parallel_mode =
-            volcano::SearchOptions::ParallelMode::kDeterministic;
-      } else if (mode == "fast") {
-        search_options.parallel_mode =
-            volcano::SearchOptions::ParallelMode::kFast;
-      } else {
-        std::fprintf(stderr, "vopt: unknown parallel mode '%s'\n",
-                     mode.c_str());
-        return 2;
-      }
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "vopt: unknown option %s\n", arg.c_str());
       return 2;
@@ -385,9 +341,8 @@ int main(int argc, char** argv) {
                  "[--stats-json] [--explain] [--trace FILE] "
                  "[--execute SEED] [--timeout-ms N] [--max-mexprs N] "
                  "[--max-calls N] [--strict] [--fallback] "
-                 "[--engine task|recursive|best-first] [--workers N] "
+                 "[--engine task|recursive|best-first] "
                  "[--frontier-limit=N] [--memo-byte-limit=N] "
-                 "[--parallel-mode deterministic|fast] "
                  "[--join-seed=on|off] [--join-threshold=N] \"SQL\"\n");
     return 2;
   }
