@@ -8,9 +8,9 @@
 //
 // Cost is a small fixed-capacity value (up to kMaxCostDims doubles); the
 // CostModel interface supplied by the optimizer implementor defines how the
-// components combine and compare. Branch-and-bound pruning additionally
-// needs subtraction ("Limit - TotalCost" in Figure 2), so the interface
-// includes Sub.
+// components combine and compare. Branch-and-bound compares a move's
+// accumulated cost with the goal's incumbent and never subtracts: input
+// goals are searched without a limit (docs/SEARCH.md, steps 5 and 6).
 
 #ifndef VOLCANO_ALGEBRA_COST_H_
 #define VOLCANO_ALGEBRA_COST_H_
@@ -101,14 +101,6 @@ class CostModel {
     Cost r = Widen(a, b);
     for (int i = 0; i < r.dims(); ++i)
       r.at(i) = Component(a, i) + Component(b, i);
-    return r;
-  }
-
-  /// Component-wise a - b; used to pass reduced limits to input optimization.
-  virtual Cost Sub(const Cost& a, const Cost& b) const {
-    Cost r = Widen(a, b);
-    for (int i = 0; i < r.dims(); ++i)
-      r.at(i) = Component(a, i) - Component(b, i);
     return r;
   }
 

@@ -85,8 +85,14 @@ struct SearchOptions {
   /// degrades per `degradation` exactly like the recursive engine.
   bool suspend_on_trip = false;
 
-  /// Branch-and-bound: pass reduced cost limits down ("Limit - TotalCost",
-  /// Figure 2) and abandon moves that exceed the best known plan.
+  /// Branch-and-bound: abandon an algorithm or enforcer move as soon as its
+  /// local cost plus the inputs planned so far exceeds the goal's incumbent
+  /// (which starts at the goal's limit). Input goals and enforcers' relaxed
+  /// goals are entered with an infinite limit either way, not with
+  /// Figure 2's "Limit - TotalCost": each subgoal is then searched once and
+  /// its memoized winner is its optimum, instead of failing under a tight
+  /// limit and being reopened under a looser one. False disables the
+  /// incumbent pruning; plans are identical either way.
   bool branch_and_bound = true;
 
   /// Memoize optimization failures ("failures that can save future

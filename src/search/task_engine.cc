@@ -1049,14 +1049,13 @@ void TaskEngine::StepMove(MoveFrame* f) {
       }
       f->total = local;
       // "The original logical expression is optimized ... with a suitably
-      // modified (i.e., relaxed) physical property vector" — the enforcer
-      // cost is already subtracted from the bound (section 6).
-      Cost child_limit = opt_.options_.branch_and_bound
-                             ? cm.Sub(f->goal->best_cost, local)
-                             : cm.Infinity();
+      // modified (i.e., relaxed) physical property vector" (section 6). The
+      // relaxed goal is entered without a limit, like every input goal:
+      // its memoized winner is then its optimum, and the incumbent test in
+      // kMoveEnforcerDone does the pruning.
       f->state = kMoveEnforcerDone;
-      EnterGoal(f->group, mv.app.input_required, child_limit, mv.app.excluded,
-                &f->child_result, f);
+      EnterGoal(f->group, mv.app.input_required, cm.Infinity(),
+                mv.app.excluded, &f->child_result, f);
       return;
     }
 
@@ -1102,12 +1101,12 @@ void TaskEngine::StepMove(MoveFrame* f) {
         FinishMove(f);
         return;
       }
-      Cost child_limit = opt_.options_.branch_and_bound
-                             ? cm.Sub(f->goal->best_cost, f->total)
-                             : cm.Infinity();
+      // Input goals are entered without a limit, so each is searched once
+      // and never fails under a tight limit only to be reopened under a
+      // looser one; the incumbent test above prunes this move instead.
       f->state = kMoveInputDone;
       EnterGoal(mv.binding.leaf(f->input_idx),
-                mv.alt.input_props[f->input_idx], child_limit, nullptr,
+                mv.alt.input_props[f->input_idx], cm.Infinity(), nullptr,
                 &f->child_result, f);
       return;
     }
@@ -1539,11 +1538,9 @@ void TaskEngine::BfRegisterChildren(BfGoalRec* rec) {
     const Optimizer::Move& mv = rec->moves[i];
     BfGoalRec::MoveIn& in = rec->inputs[i];
     const double prio = BfMoveScore(rec, mv);
-    // Children are demanded at infinite cost limits: a subgoal's winner is
-    // its schedule-independent optimum, so the reduce step reproduces the
-    // depth-first engine's pruning decisions — a move it would have pruned
-    // on a finite child limit completes here with a total the reduce
-    // rejects.
+    // Children are demanded at infinite cost limits, as in the depth-first
+    // engines: a subgoal's winner is its schedule-independent optimum, and
+    // the reduce step's incumbent test rejects what they prune.
     const size_t n = mv.rule != nullptr ? mv.binding.num_leaves() : 1;
     for (size_t k = 0; k < n; ++k) {
       GroupId cg;

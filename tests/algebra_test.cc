@@ -61,9 +61,6 @@ TEST(CostModel, DefaultArithmetic) {
   Cost sum = cm.Add(a, b);
   EXPECT_DOUBLE_EQ(sum[0], 1.5);
   EXPECT_DOUBLE_EQ(sum[1], 2.25);
-  Cost diff = cm.Sub(a, b);
-  EXPECT_DOUBLE_EQ(diff[0], 0.5);
-  EXPECT_DOUBLE_EQ(diff[1], 1.75);
   EXPECT_DOUBLE_EQ(cm.Total(a), 3.0);
   EXPECT_TRUE(cm.Less(b, a));
   EXPECT_FALSE(cm.Less(a, a));

@@ -53,6 +53,50 @@ TEST(Cli, UsageErrorsAreTwo) {
   EXPECT_EQ(RunVopt("serve --search-workers 2"), 2);
 }
 
+// Runs `vopt <args>` with stdout discarded; returns what it wrote to stderr.
+std::string VoptStderr(const std::string& args) {
+  std::string cmd = std::string(VOPT_PATH) + " " + args + " 2>&1 >/dev/null";
+  std::string err;
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return err;
+  char buf[256];
+  while (size_t n = std::fread(buf, 1, sizeof buf, pipe)) err.append(buf, n);
+  pclose(pipe);
+  return err;
+}
+
+TEST(Cli, MalformedNumericFlagsAreUsageErrors) {
+  const std::string q = " \"SELECT * FROM emp, dept WHERE emp.a1 = dept.a0\"";
+  // "1e6" used to parse as a memo cap of 1 and "abc" as "no deadline".
+  EXPECT_EQ(RunVopt("--max-mexprs 1e6" + q), 2);
+  EXPECT_EQ(RunVopt("--timeout-ms abc" + q), 2);
+  EXPECT_EQ(RunVopt("--max-calls -1" + q), 2);
+  EXPECT_EQ(RunVopt("--timeout-ms -5" + q), 2);
+  EXPECT_EQ(RunVopt("--timeout-ms inf" + q), 2);
+  EXPECT_EQ(RunVopt("--execute 7x" + q), 2);
+  EXPECT_EQ(RunVopt("--join-threshold=" + q), 2);
+  EXPECT_EQ(RunVopt("--memo-byte-limit=99999999999999999999999" + q), 2);
+  EXPECT_EQ(RunVopt("serve --max-mexprs 1e6 </dev/null"), 2);
+  EXPECT_EQ(RunVopt("serve --timeout-ms abc </dev/null"), 2);
+  EXPECT_EQ(RunVopt("serve --serve-workers 0 </dev/null"), 2);
+  EXPECT_EQ(RunVopt("serve --cache-capacity 16k </dev/null"), 2);
+  // Well-formed values in every spelling the flags document still run.
+  EXPECT_EQ(RunVopt("--max-mexprs 1000000 --timeout-ms 2.5 --max-calls 0 "
+                    "--execute 7" + q),
+            0);
+  EXPECT_EQ(RunVopt("serve --max-mexprs 1000 --timeout-ms 1e3 </dev/null"),
+            0);
+}
+
+TEST(Cli, NumericFlagErrorNamesFlagAndValue) {
+  EXPECT_NE(VoptStderr("--max-mexprs 1e6 \"SELECT * FROM emp\"")
+                .find("'1e6' for --max-mexprs"),
+            std::string::npos);
+  EXPECT_NE(VoptStderr("serve --timeout-ms abc </dev/null")
+                .find("'abc' for --timeout-ms"),
+            std::string::npos);
+}
+
 TEST(Cli, ParseAndSemanticErrorsAreThree) {
   EXPECT_EQ(RunVopt("\"SELEC * FROM emp\""), 3);      // syntax
   EXPECT_EQ(RunVopt("\"SELECT * FROM nowhere\""), 3); // unknown table

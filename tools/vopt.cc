@@ -7,7 +7,8 @@
 //
 // Exit codes (one-shot mode):
 //   0  success
-//   2  usage error (bad flags, missing SQL)
+//   2  usage error (bad flags, missing SQL, a numeric flag value that is
+//      not wholly a number in range, e.g. --max-mexprs 1e6)
 //   3  parse / semantic error (malformed SQL, unknown table or column,
 //      malformed catalog file)
 //   4  budget exhausted under --strict (RESOURCE_EXHAUSTED)
@@ -79,13 +80,16 @@
 //
 // Without --catalog, a small built-in demo schema (emp, dept) is used.
 
+#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "exec/datagen.h"
@@ -126,6 +130,41 @@ int ExitCodeFor(const Status& status) {
     default:
       return kExitInternal;
   }
+}
+
+// Parses the value of numeric flag `flag` into *out. The whole value must
+// be one number in [lo, hi] ("1e6" is not an integer, "abc" is not a
+// number); the default range is all of T, except that a floating-point
+// value must be finite and not negative. Anything else prints a usage
+// error naming the flag and the value and returns false, leaving *out
+// untouched.
+template <typename T>
+bool ParseFlagValue(const char* prog, std::string_view flag,
+                    std::string_view value, T* out,
+                    T lo = std::is_floating_point_v<T>
+                               ? T{0}
+                               : std::numeric_limits<T>::min(),
+                    T hi = std::numeric_limits<T>::max()) {
+  T v{};
+  const char* end = value.data() + value.size();
+  auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc() || ptr != end || !(v >= lo && v <= hi)) {  // NaN too
+    std::fprintf(stderr, "%s: invalid value '%.*s' for %.*s\n", prog,
+                 static_cast<int>(value.size()), value.data(),
+                 static_cast<int>(flag.size()), flag.data());
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+// Splits "--name=value" at the '=': true, with *value set, when `arg`
+// starts with `prefix` ("--name=").
+bool FlagWithValue(std::string_view arg, std::string_view prefix,
+                   std::string_view* value) {
+  if (arg.substr(0, prefix.size()) != prefix) return false;
+  *value = arg.substr(prefix.size());
+  return true;
 }
 
 Status LoadCatalog(const std::string& path, rel::Catalog* catalog) {
@@ -197,6 +236,7 @@ void BuiltinCatalog(rel::Catalog* catalog) {
 }
 
 int RunServe(int argc, char** argv) {
+  constexpr const char* kServe = "vopt serve";
   std::string catalog_path;
   bool stats_json = false;
   serve::ServerOptions options;
@@ -205,18 +245,24 @@ int RunServe(int argc, char** argv) {
     if (arg == "--catalog" && i + 1 < argc) {
       catalog_path = argv[++i];
     } else if (arg == "--serve-workers" && i + 1 < argc) {
-      options.workers = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      if (!ParseFlagValue(kServe, arg, argv[++i], &options.workers, 1))
+        return kExitUsage;
     } else if (arg == "--max-inflight" && i + 1 < argc) {
-      options.max_inflight = std::strtoull(argv[++i], nullptr, 10);
+      if (!ParseFlagValue(kServe, arg, argv[++i], &options.max_inflight))
+        return kExitUsage;
     } else if (arg == "--cache-capacity" && i + 1 < argc) {
-      options.cache_capacity = std::strtoull(argv[++i], nullptr, 10);
+      if (!ParseFlagValue(kServe, arg, argv[++i], &options.cache_capacity))
+        return kExitUsage;
     } else if (arg == "--timeout-ms" && i + 1 < argc) {
-      options.budget.timeout_ms = std::strtod(argv[++i], nullptr);
+      if (!ParseFlagValue(kServe, arg, argv[++i], &options.budget.timeout_ms))
+        return kExitUsage;
     } else if (arg == "--max-mexprs" && i + 1 < argc) {
-      options.budget.max_mexprs = std::strtoull(argv[++i], nullptr, 10);
+      if (!ParseFlagValue(kServe, arg, argv[++i], &options.budget.max_mexprs))
+        return kExitUsage;
     } else if (arg == "--max-calls" && i + 1 < argc) {
-      options.budget.max_find_best_plan_calls =
-          std::strtoull(argv[++i], nullptr, 10);
+      if (!ParseFlagValue(kServe, arg, argv[++i],
+                          &options.budget.max_find_best_plan_calls))
+        return kExitUsage;
     } else if (arg == "--stats-in-response") {
       options.stats_in_response = true;
     } else if (arg == "--stats-json") {
@@ -225,10 +271,6 @@ int RunServe(int argc, char** argv) {
       std::fprintf(stderr, "vopt serve: unknown option %s\n", arg.c_str());
       return kExitUsage;
     }
-  }
-  if (options.workers < 1) {
-    std::fprintf(stderr, "vopt serve: --serve-workers must be >= 1\n");
-    return kExitUsage;
   }
 
   rel::Catalog catalog;
@@ -267,6 +309,7 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
+    std::string_view value;
     if (arg == "--catalog" && i + 1 < argc) {
       catalog_path = argv[++i];
     } else if (arg == "--dot") {
@@ -281,19 +324,23 @@ int main(int argc, char** argv) {
       explain = true;
     } else if (arg == "--trace" && i + 1 < argc) {
       trace_path = argv[++i];
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      trace_path = arg.substr(std::strlen("--trace="));
+    } else if (FlagWithValue(arg, "--trace=", &value)) {
+      trace_path = value;
     } else if (arg == "--execute" && i + 1 < argc) {
       execute = true;
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!ParseFlagValue("vopt", arg, argv[++i], &seed)) return kExitUsage;
     } else if (arg == "--timeout-ms" && i + 1 < argc) {
-      search_options.budget.timeout_ms = std::strtod(argv[++i], nullptr);
+      if (!ParseFlagValue("vopt", arg, argv[++i],
+                          &search_options.budget.timeout_ms))
+        return kExitUsage;
     } else if (arg == "--max-mexprs" && i + 1 < argc) {
-      search_options.budget.max_mexprs =
-          std::strtoull(argv[++i], nullptr, 10);
+      if (!ParseFlagValue("vopt", arg, argv[++i],
+                          &search_options.budget.max_mexprs))
+        return kExitUsage;
     } else if (arg == "--max-calls" && i + 1 < argc) {
-      search_options.budget.max_find_best_plan_calls =
-          std::strtoull(argv[++i], nullptr, 10);
+      if (!ParseFlagValue("vopt", arg, argv[++i],
+                          &search_options.budget.max_find_best_plan_calls))
+        return kExitUsage;
     } else if (arg == "--strict") {
       strict = true;
       search_options.degradation =
@@ -312,22 +359,22 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "vopt: unknown engine '%s'\n", engine.c_str());
         return 2;
       }
-    } else if (arg.rfind("--frontier-limit=", 0) == 0) {
-      search_options.frontier_limit = static_cast<size_t>(
-          std::strtoull(arg.c_str() + std::strlen("--frontier-limit="),
-                        nullptr, 10));
-    } else if (arg.rfind("--memo-byte-limit=", 0) == 0) {
-      search_options.memo_byte_limit = static_cast<size_t>(
-          std::strtoull(arg.c_str() + std::strlen("--memo-byte-limit="),
-                        nullptr, 10));
+    } else if (FlagWithValue(arg, "--frontier-limit=", &value)) {
+      if (!ParseFlagValue("vopt", "--frontier-limit", value,
+                          &search_options.frontier_limit))
+        return kExitUsage;
+    } else if (FlagWithValue(arg, "--memo-byte-limit=", &value)) {
+      if (!ParseFlagValue("vopt", "--memo-byte-limit", value,
+                          &search_options.memo_byte_limit))
+        return kExitUsage;
     } else if (arg == "--join-seed=on") {
       search_options.join_seed = true;
     } else if (arg == "--join-seed=off") {
       search_options.join_seed = false;
-    } else if (arg.rfind("--join-threshold=", 0) == 0) {
-      search_options.join_seed_threshold = static_cast<int>(
-          std::strtol(arg.c_str() + std::strlen("--join-threshold="),
-                      nullptr, 10));
+    } else if (FlagWithValue(arg, "--join-threshold=", &value)) {
+      if (!ParseFlagValue("vopt", "--join-threshold", value,
+                          &search_options.join_seed_threshold))
+        return kExitUsage;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "vopt: unknown option %s\n", arg.c_str());
       return 2;
