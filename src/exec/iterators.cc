@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 namespace volcano::exec {
 
@@ -149,27 +150,95 @@ bool DistinctRows::Contains(const int64_t* t) const {
   }) != nullptr;
 }
 
-// --- FilterIterator ----------------------------------------------------------
+// --- ValueRange, ScanIterator, FilterIterator --------------------------------
+
+ValueRange ValueRange::Of(const rel::SelectArg& pred) {
+  constexpr int64_t kMin = kNull + 1;  // the smallest non-NULL value
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  int64_t constant = pred.constant();
+  switch (pred.op()) {
+    case rel::CmpOp::kLess:
+      return constant == kNull ? ValueRange{} : ValueRange{kMin, constant - 1};
+    case rel::CmpOp::kLessEq: return {kMin, constant};
+    case rel::CmpOp::kEq: return {std::max(constant, kMin), constant};
+    case rel::CmpOp::kGreaterEq: return {std::max(constant, kMin), kMax};
+    case rel::CmpOp::kGreater:
+      return constant == kMax ? ValueRange{}
+                              : ValueRange{std::max(constant + 1, kMin), kMax};
+  }
+  return {};
+}
+
+ScanIterator::ScanIterator(const Table& table)
+    : table_(table), end_(table.size()) {
+  VOLCANO_CHECK(table.size() <= UINT32_MAX);
+}
+
+void ScanIterator::AddSelection(const rel::SelectArg& pred) {
+  int col = table_.schema.IndexOf(pred.attr());
+  VOLCANO_CHECK(col >= 0);
+  ValueRange range = ValueRange::Of(pred);
+  if (range.empty()) end_ = 0;
+  ranges_.push_back({col, range});
+}
+
+void ScanIterator::Open() {
+  next_ = 0;
+  sel_size_ = 0;
+  sel_pos_ = 0;
+}
+
+const int64_t* ScanIterator::Pull() {
+  if (ranges_.empty()) return next_ < end_ ? table_.row(next_++) : nullptr;
+  while (sel_pos_ == sel_size_) {
+    if (next_ >= end_) return nullptr;
+    SelectBlock();
+  }
+  return table_.row(sel_[sel_pos_++]);
+}
+
+void ScanIterator::SelectBlock() {
+  // A selection vector (MonetDB/X100): the first range picks from the
+  // block's rows, each further one narrows the pick. Every row number is
+  // written and the test's outcome added to the count, so no branch depends
+  // on the data.
+  size_t begin = next_;
+  size_t rows = std::min(kBlockRows, end_ - begin);
+  next_ = begin + rows;
+  const ColumnRange& first = ranges_[0];
+  size_t n = 0;
+  for (size_t i = begin; i < begin + rows; ++i) {
+    sel_[n] = static_cast<uint32_t>(i);
+    n += first.range.Contains(table_.row(i)[first.col]);
+  }
+  for (size_t r = 1; r < ranges_.size(); ++r) {
+    const ColumnRange& narrow = ranges_[r];
+    size_t kept = 0;
+    for (size_t j = 0; j < n; ++j) {
+      uint32_t i = sel_[j];
+      sel_[kept] = i;
+      kept += narrow.range.Contains(table_.row(i)[narrow.col]);
+    }
+    n = kept;
+  }
+  sel_size_ = n;
+  sel_pos_ = 0;
+}
 
 FilterIterator::FilterIterator(IteratorPtr input, const rel::SelectArg& pred)
-    : input_(std::move(input)), pred_(pred) {}
-
-void FilterIterator::Open() {
-  input_->Open();
-  col_ = input_->schema().IndexOf(pred_.attr());
+    : input_(std::move(input)),
+      col_(input_->schema().IndexOf(pred.attr())),
+      range_(ValueRange::Of(pred)) {
   VOLCANO_CHECK(col_ >= 0);
 }
 
 const int64_t* FilterIterator::Pull() {
+  if (range_.empty()) return nullptr;
   while (const int64_t* t = input_->Pull()) {
-    // Predicates on NULL are unknown, never true.
-    int64_t v = t[col_];
-    if (v != kNull && pred_.Eval(v)) return t;
+    if (range_.Contains(t[col_])) return t;
   }
   return nullptr;
 }
-
-void FilterIterator::Close() { input_->Close(); }
 
 // --- SortIterator ------------------------------------------------------------
 
@@ -201,6 +270,7 @@ MergeJoinIterator::MergeJoinIterator(IteratorPtr left, IteratorPtr right,
   lcol_ = left_->schema().IndexOf(left_attr);
   rcol_ = right_->schema().IndexOf(right_attr);
   VOLCANO_CHECK(lcol_ >= 0 && rcol_ >= 0);
+  lwidth_ = left_->schema().size();
   schema_ = Schema::Concat(left_->schema(), right_->schema());
   out_ = SlotFor(schema_);
 }
@@ -249,9 +319,9 @@ const int64_t* MergeJoinIterator::Pull() {
       }
     }
     if (rpos_ < rgroup_.size()) {
-      size_t lw = left_->schema().size();
-      std::copy_n(lrow_, lw, out_.data());
-      std::copy_n(rgroup_.row(rpos_++), rgroup_.width(), out_.data() + lw);
+      std::copy_n(lrow_, lwidth_, out_.data());
+      std::copy_n(rgroup_.row(rpos_++), rgroup_.width(),
+                  out_.data() + lwidth_);
       return out_.data();
     }
     // Group exhausted for this left row; a duplicate left key re-scans it.
@@ -274,6 +344,7 @@ HashJoinIterator::HashJoinIterator(IteratorPtr left, IteratorPtr right,
   lcol_ = left_->schema().IndexOf(left_attr);
   rcol_ = right_->schema().IndexOf(right_attr);
   VOLCANO_CHECK(lcol_ >= 0 && rcol_ >= 0);
+  rwidth_ = right_->schema().size();
   schema_ = Schema::Concat(left_->schema(), right_->schema());
   out_ = SlotFor(schema_);
 }
@@ -293,7 +364,7 @@ const int64_t* HashJoinIterator::Pull() {
     match_ = index_.Find(key_);
     // The probe tuple is copied once, then paired with each match.
     if (match_ != KeyIndex::kEnd) {
-      std::copy_n(r, right_->schema().size(), out_.data() + build_.width());
+      std::copy_n(r, rwidth_, out_.data() + build_.width());
     }
   }
   std::copy_n(build_.row(match_), build_.width(), out_.data());
@@ -317,6 +388,7 @@ HashLeftOuterJoinIterator::HashLeftOuterJoinIterator(IteratorPtr left,
   lcol_ = left_->schema().IndexOf(left_attr);
   rcol_ = right_->schema().IndexOf(right_attr);
   VOLCANO_CHECK(lcol_ >= 0 && rcol_ >= 0);
+  lwidth_ = left_->schema().size();
   schema_ = Schema::Concat(left_->schema(), right_->schema());
   out_ = SlotFor(schema_);
 }
@@ -331,24 +403,24 @@ void HashLeftOuterJoinIterator::Open() {
 }
 
 const int64_t* HashLeftOuterJoinIterator::Pull() {
-  size_t lw = left_->schema().size();
   while (true) {
     if (in_probe_) {
       if (match_ != KeyIndex::kEnd) {
-        std::copy_n(build_.row(match_), build_.width(), out_.data() + lw);
+        std::copy_n(build_.row(match_), build_.width(),
+                    out_.data() + lwidth_);
         match_ = index_.NextMatch(match_, key_);
         emitted_match_ = true;
         return out_.data();
       }
       in_probe_ = false;
       if (!emitted_match_) {
-        std::fill_n(out_.data() + lw, build_.width(), kNull);
+        std::fill_n(out_.data() + lwidth_, build_.width(), kNull);
         return out_.data();
       }
     }
     const int64_t* l = left_->Pull();
     if (l == nullptr) return nullptr;
-    std::copy_n(l, lw, out_.data());
+    std::copy_n(l, lwidth_, out_.data());
     key_ = l[lcol_];
     match_ = key_ == kNull ? KeyIndex::kEnd : index_.Find(key_);
     in_probe_ = true;
@@ -485,6 +557,7 @@ MultiHashJoinIterator::MultiHashJoinIterator(IteratorPtr a, IteratorPtr b,
   c_outer_col_ = c_->schema().IndexOf(arg_.outer_right());
   VOLCANO_CHECK(a_inner_col_ >= 0 && b_inner_col_ >= 0 &&
                 ab_outer_col_ >= 0 && c_outer_col_ >= 0);
+  a_width_ = a_->schema().size();
   schema_ = Schema::Concat(ab, c_->schema());
   out_ = SlotFor(schema_);
 }
@@ -498,13 +571,12 @@ void MultiHashJoinIterator::Open() {
 }
 
 const int64_t* MultiHashJoinIterator::Pull() {
-  size_t aw = a_->schema().size();
-  size_t ab_width = aw + b_rows_.width();
   while (c_match_ == KeyIndex::kEnd) {
     if (b_match_ != KeyIndex::kEnd) {
       // The intermediate (a, b) tuple exists only in the output slot; it is
       // never materialized into a table.
-      std::copy_n(b_rows_.row(b_match_), b_rows_.width(), out_.data() + aw);
+      std::copy_n(b_rows_.row(b_match_), b_rows_.width(),
+                  out_.data() + a_width_);
       b_match_ = b_index_.NextMatch(b_match_, b_key_);
       c_key_ = out_[ab_outer_col_];
       if (c_key_ != kNull) c_match_ = c_index_.Find(c_key_);
@@ -515,10 +587,10 @@ const int64_t* MultiHashJoinIterator::Pull() {
     b_key_ = a[a_inner_col_];
     if (b_key_ == kNull) continue;  // NULL keys never join
     b_match_ = b_index_.Find(b_key_);
-    if (b_match_ != KeyIndex::kEnd) std::copy_n(a, aw, out_.data());
+    if (b_match_ != KeyIndex::kEnd) std::copy_n(a, a_width_, out_.data());
   }
   std::copy_n(c_rows_.row(c_match_), c_rows_.width(),
-              out_.data() + ab_width);
+              out_.data() + a_width_ + b_rows_.width());
   c_match_ = c_index_.NextMatch(c_match_, c_key_);
   return out_.data();
 }
@@ -656,6 +728,7 @@ MergeIntersectIterator::MergeIntersectIterator(IteratorPtr left,
   VOLCANO_CHECK(left_->schema().size() == right_->schema().size());
   VOLCANO_CHECK(left_order_.size() == left_->schema().size());
   VOLCANO_CHECK(right_order_.size() == right_->schema().size());
+  width_ = left_->schema().size();
   last_ = SlotFor(left_->schema());
 }
 
@@ -678,7 +751,6 @@ const int64_t* MergeIntersectIterator::Pull() {
     }
     return 0;
   };
-  size_t width = left_->schema().size();
   while (lrow_ != nullptr && rrow_ != nullptr) {
     int c = compare();
     if (c < 0) {
@@ -688,9 +760,9 @@ const int64_t* MergeIntersectIterator::Pull() {
     } else {
       // Duplicate elimination: a match equal to the last one emitted is
       // skipped. The match is copied out before either input advances.
-      bool repeat = have_last_ && std::equal(lrow_, lrow_ + width,
+      bool repeat = have_last_ && std::equal(lrow_, lrow_ + width_,
                                              last_.data());
-      if (!repeat) std::copy_n(lrow_, width, last_.data());
+      if (!repeat) std::copy_n(lrow_, width_, last_.data());
       have_last_ = true;
       lrow_ = left_->Pull();
       rrow_ = right_->Pull();

@@ -22,52 +22,6 @@
 
 namespace volcano::exec {
 
-/// Tuples of one fixed width packed back to back in one int64_t array. Row
-/// i starts at row(i); pointers stay valid until the next Append, Clear or
-/// Release.
-class RowBuffer {
- public:
-  /// Empties the buffer and sets the width of the rows it will hold.
-  void Reset(size_t width) {
-    width_ = width;
-    stride_ = width == 0 ? 1 : width;  // zero-width rows still get an address
-    Clear();
-  }
-  void Clear() {
-    values_.clear();
-    rows_ = 0;
-  }
-  /// Clear that also gives the memory back.
-  void Release() {
-    Clear();
-    values_.shrink_to_fit();
-  }
-
-  size_t width() const { return width_; }
-  size_t size() const { return rows_; }
-  const int64_t* row(size_t i) const { return values_.data() + i * stride_; }
-  int64_t* row(size_t i) { return values_.data() + i * stride_; }
-
-  /// Appends a copy of the width() values at `t`.
-  void Append(const int64_t* t) {
-    if (values_.size() + stride_ > values_.capacity()) {
-      values_.reserve(std::max(2 * values_.capacity(), kMinRows * stride_));
-    }
-    values_.insert(values_.end(), t, t + width_);
-    if (width_ == 0) values_.push_back(0);
-    ++rows_;
-  }
-
- private:
-  // First allocation: enough rows that small inputs never regrow.
-  static constexpr size_t kMinRows = 256;
-
-  std::vector<int64_t> values_;
-  size_t width_ = 0;
-  size_t stride_ = 1;
-  size_t rows_ = 0;
-};
-
 /// Hash index over one key column of a RowBuffer: bucket heads and per-row
 /// next links, both uint32_t row numbers in one array, with no node per
 /// row. Each chain lists its rows in build order. The indexed rows hold no
@@ -133,36 +87,73 @@ class DistinctRows {
   FlatHashSet<uint32_t> index_;
 };
 
+/// A selection `attr cmp constant` compiled to the closed interval
+/// [lo, hi] of the values it keeps. kNull (INT64_MIN) lies outside every
+/// interval, so the rule that a predicate on NULL is never true needs no
+/// test of its own.
+struct ValueRange {
+  int64_t lo = 0;
+  int64_t hi = -1;
+
+  static ValueRange Of(const rel::SelectArg& pred);
+
+  /// True if no value passes: the selection keeps no row at all.
+  bool empty() const { return lo > hi; }
+  /// Branch-free membership; only meaningful when !empty().
+  bool Contains(int64_t v) const {
+    return static_cast<uint64_t>(v) - static_cast<uint64_t>(lo) <=
+           static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  }
+};
+
 /// Full scan of a stored table: hands out pointers into the table itself.
+/// Selections over the table can be fused in (BuildIterator folds a FILTER
+/// chain over a FILE_SCAN into one scan): the scan then tests them a block
+/// of rows at a time, without a branch per row, into a selection vector of
+/// matching row numbers, and hands those rows out one per Pull.
 class ScanIterator final : public Iterator {
  public:
-  explicit ScanIterator(const Table& table) : table_(table) {}
-  void Open() override { pos_ = 0; }
-  const int64_t* Pull() override {
-    if (pos_ >= table_.rows.size()) return nullptr;
-    return table_.rows[pos_++].data();
-  }
+  explicit ScanIterator(const Table& table);
+  /// Keeps only rows that also pass `pred`; call before Open.
+  void AddSelection(const rel::SelectArg& pred);
+  void Open() override;
+  const int64_t* Pull() override;
   void Close() override {}
   const Schema& schema() const override { return table_.schema; }
 
  private:
+  static constexpr size_t kBlockRows = 256;
+
+  struct ColumnRange {
+    int col = 0;
+    ValueRange range;
+  };
+
+  void SelectBlock();
+
   const Table& table_;
-  size_t pos_ = 0;
+  std::vector<ColumnRange> ranges_;
+  size_t end_ = 0;   // rows to scan: 0 when a selection keeps nothing
+  size_t next_ = 0;  // first row not yet tested (or, unfiltered, handed out)
+  uint32_t sel_[kBlockRows] = {};  // the current block's matching rows
+  size_t sel_size_ = 0;
+  size_t sel_pos_ = 0;
 };
 
-/// Predicate filter; order preserving, fully pipelined.
+/// Predicate filter; order preserving, fully pipelined. The predicate is
+/// the same compiled interval a fused scan tests.
 class FilterIterator final : public Iterator {
  public:
   FilterIterator(IteratorPtr input, const rel::SelectArg& pred);
-  void Open() override;
+  void Open() override { input_->Open(); }
   const int64_t* Pull() override;
-  void Close() override;
+  void Close() override { input_->Close(); }
   const Schema& schema() const override { return input_->schema(); }
 
  private:
   IteratorPtr input_;
-  rel::SelectArg pred_;
   int col_ = -1;
+  ValueRange range_;
 };
 
 /// Full sort (materializing); ascending on the given attributes
@@ -201,6 +192,7 @@ class MergeJoinIterator final : public Iterator {
   IteratorPtr right_;
   int lcol_ = -1;
   int rcol_ = -1;
+  size_t lwidth_ = 0;
   Schema schema_;
   std::vector<int64_t> out_;
   const int64_t* lrow_ = nullptr;  // held across right-hand Pulls
@@ -228,6 +220,7 @@ class HashJoinIterator final : public Iterator {
   IteratorPtr right_;
   int lcol_ = -1;
   int rcol_ = -1;
+  size_t rwidth_ = 0;
   Schema schema_;
   std::vector<int64_t> out_;
   RowBuffer build_;
@@ -253,6 +246,7 @@ class HashLeftOuterJoinIterator final : public Iterator {
   IteratorPtr right_;
   int lcol_ = -1;
   int rcol_ = -1;
+  size_t lwidth_ = 0;
   Schema schema_;
   std::vector<int64_t> out_;
   RowBuffer build_;
@@ -348,6 +342,7 @@ class MultiHashJoinIterator final : public Iterator {
   int b_inner_col_ = -1;   // inner-right attribute in b's schema
   int ab_outer_col_ = -1;  // outer-left attribute in the (a,b) row
   int c_outer_col_ = -1;   // outer-right attribute in c's schema
+  size_t a_width_ = 0;
   std::vector<int64_t> out_;  // the (a,b) prefix, then the c suffix
   RowBuffer b_rows_;
   RowBuffer c_rows_;
@@ -397,6 +392,7 @@ class MergeIntersectIterator final : public Iterator {
   std::vector<Symbol> left_order_;
   std::vector<Symbol> right_order_;
   std::vector<int> lcols_, rcols_;
+  size_t width_ = 0;
   const int64_t* lrow_ = nullptr;
   const int64_t* rrow_ = nullptr;
   bool have_last_ = false;

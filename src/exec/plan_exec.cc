@@ -8,21 +8,46 @@
 
 namespace volcano::exec {
 
+namespace {
+
+/// The stored table a FILE_SCAN node reads.
+const Table& ScannedTable(const PlanNode& scan, const Database& db) {
+  const auto& arg = static_cast<const rel::GetArg&>(*scan.arg());
+  const Table* table = db.Find(arg.relation());
+  VOLCANO_CHECK(table != nullptr);
+  return *table;
+}
+
+}  // namespace
+
 IteratorPtr BuildIterator(const PlanNode& plan, const rel::RelModel& model,
                           const Database& db) {
   const rel::RelOps& ops = model.ops();
   OperatorId op = plan.op();
 
   if (op == ops.file_scan) {
-    const auto& arg = static_cast<const rel::GetArg&>(*plan.arg());
-    const Table* table = db.Find(arg.relation());
-    VOLCANO_CHECK(table != nullptr);
-    return std::make_unique<ScanIterator>(*table);
+    return std::make_unique<ScanIterator>(ScannedTable(plan, db));
   }
   if (op == ops.filter) {
     const auto& arg = static_cast<const rel::SelectArg&>(*plan.arg());
-    return std::make_unique<FilterIterator>(
-        BuildIterator(*plan.input(0), model, db), arg);
+    // A chain of filters over a stored table becomes one fused scan. The
+    // walk sees through EXCHANGE, which forwards its stream unchanged.
+    const PlanNode* base = &plan;
+    while (base->op() == ops.filter || base->op() == ops.exchange) {
+      base = base->input(0).get();
+    }
+    if (base->op() != ops.file_scan) {
+      return std::make_unique<FilterIterator>(
+          BuildIterator(*plan.input(0), model, db), arg);
+    }
+    auto scan = std::make_unique<ScanIterator>(ScannedTable(*base, db));
+    for (const PlanNode* node = &plan; node != base;
+         node = node->input(0).get()) {
+      if (node->op() == ops.filter) {
+        scan->AddSelection(static_cast<const rel::SelectArg&>(*node->arg()));
+      }
+    }
+    return scan;
   }
   if (op == ops.sort) {
     const auto& arg = static_cast<const rel::SortArg&>(*plan.arg());
@@ -170,7 +195,7 @@ Evaluated Eval(const Expr& expr, const rel::RelModel& model,
     const auto& arg = static_cast<const rel::GetArg&>(*expr.arg());
     const Table* table = db.Find(arg.relation());
     VOLCANO_CHECK(table != nullptr);
-    return {table->schema, table->rows};
+    return {table->schema, CopyRows(*table)};
   }
   if (op == ops.select) {
     const auto& arg = static_cast<const rel::SelectArg&>(*expr.arg());

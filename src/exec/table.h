@@ -1,13 +1,15 @@
 // In-memory tables and the tuple representation.
 //
-// The execution substrate: relations are vectors of fixed-width integer
-// tuples with a named schema. This stands in for Volcano's stored files;
-// 100-byte records of the paper's experiments are modeled by the catalog's
-// tuple_bytes (cost model) while execution works on the attribute values.
+// The execution substrate: a relation is a named schema over fixed-width
+// integer tuples stored back to back in one array. This stands in for
+// Volcano's stored files; 100-byte records of the paper's experiments are
+// modeled by the catalog's tuple_bytes (cost model) while execution works on
+// the attribute values.
 
 #ifndef VOLCANO_EXEC_TABLE_H_
 #define VOLCANO_EXEC_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <unordered_map>
@@ -58,11 +60,75 @@ class Schema {
   std::vector<Symbol> attrs_;
 };
 
-/// A stored relation instance.
+/// Tuples of one fixed width packed back to back in one int64_t array. Row
+/// i starts at row(i); pointers stay valid until the next Append, Reserve,
+/// Clear or Release.
+class RowBuffer {
+ public:
+  /// Empties the buffer and sets the width of the rows it will hold.
+  void Reset(size_t width) {
+    width_ = width;
+    stride_ = width == 0 ? 1 : width;  // zero-width rows still get an address
+    Clear();
+  }
+  void Clear() {
+    values_.clear();
+    rows_ = 0;
+  }
+  /// Clear that also gives the memory back.
+  void Release() {
+    Clear();
+    values_.shrink_to_fit();
+  }
+
+  /// Makes room for `rows` rows in all, so that appending up to that many
+  /// allocates nothing more.
+  void Reserve(size_t rows) { values_.reserve(rows * stride_); }
+
+  size_t width() const { return width_; }
+  size_t size() const { return rows_; }
+  const int64_t* row(size_t i) const { return values_.data() + i * stride_; }
+  int64_t* row(size_t i) { return values_.data() + i * stride_; }
+
+  /// Appends a copy of the width() values at `t`.
+  void Append(const int64_t* t) {
+    if (values_.size() + stride_ > values_.capacity()) {
+      values_.reserve(std::max(2 * values_.capacity(), kMinRows * stride_));
+    }
+    values_.insert(values_.end(), t, t + width_);
+    if (width_ == 0) values_.push_back(0);
+    ++rows_;
+  }
+
+ private:
+  // First allocation: enough rows that small inputs never regrow.
+  static constexpr size_t kMinRows = 256;
+
+  std::vector<int64_t> values_;
+  size_t width_ = 0;
+  size_t stride_ = 1;
+  size_t rows_ = 0;
+};
+
+/// A stored relation instance: its rows back to back in one RowBuffer of
+/// the schema's width.
 struct Table {
   Schema schema;
-  std::vector<Row> rows;
+  RowBuffer rows;
+
+  size_t size() const { return rows.size(); }
+  const int64_t* row(size_t i) const { return rows.row(i); }
 };
+
+/// Owned copies of every row of `table`, in stored order.
+inline std::vector<Row> CopyRows(const Table& table) {
+  std::vector<Row> out;
+  out.reserve(table.size());
+  for (size_t i = 0; i < table.size(); ++i) {
+    out.emplace_back(table.row(i), table.row(i) + table.schema.size());
+  }
+  return out;
+}
 
 /// All stored relations of one database instance.
 class Database {

@@ -105,6 +105,27 @@ void CheckFamily(const rel::RelModelOptions& options, const char* family) {
               static_cast<double>(total) / w.queries.size());
 }
 
+// Stored tables are laid out row after row in one buffer each, so data
+// generation allocates per table, not per row: a handful per table for the
+// scratch draw, the sort permutation, the rows and the schema. One heap Row
+// per stored tuple, as tables once held them, costs ~17.8k here.
+constexpr uint64_t kMaxAllocationsPerGeneratedTable = 8;
+
+TEST(ExecAllocations, DatagenAllocatesPerTableNotPerRow) {
+  rel::TpchWorkload w = rel::MakeTpchWorkload({});
+  size_t tables = w.catalog->RelationNames().size();
+  ASSERT_EQ(tables, 8u);
+  g_allocations.store(0);
+  g_counting.store(true);
+  exec::Database db = exec::GenerateDatabase(*w.catalog, kDataSeed);
+  g_counting.store(false);
+  uint64_t allocations = g_allocations.load();
+  std::printf("GenerateDatabase: %llu allocations for %zu tables\n",
+              static_cast<unsigned long long>(allocations), tables);
+  EXPECT_EQ(db.size(), tables);
+  EXPECT_LE(allocations, kMaxAllocationsPerGeneratedTable * tables);
+}
+
 TEST(ExecAllocations, TpchPlansStayUnderTheBound) {
   CheckFamily({}, "tpch");
 }

@@ -4,13 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
 
 #include "exec/datagen.h"
 #include "exec/iterators.h"
 #include "exec/plan_exec.h"
 #include "relational/catalog.h"
+#include "relational/rel_model.h"
+#include "support/rng.h"
 
 namespace volcano::exec {
 namespace {
@@ -19,10 +23,15 @@ SymbolTable g_symbols;
 
 Symbol Sym(const char* s) { return g_symbols.Intern(s); }
 
-Table MakeTable(std::vector<Symbol> attrs, std::vector<Row> rows) {
+Table MakeTable(std::vector<Symbol> attrs, const std::vector<Row>& rows) {
   Table t;
   t.schema = Schema(std::move(attrs));
-  t.rows = std::move(rows);
+  t.rows.Reset(t.schema.size());
+  t.rows.Reserve(rows.size());
+  for (const Row& row : rows) {
+    EXPECT_EQ(row.size(), t.schema.size());
+    t.rows.Append(row.data());
+  }
   return t;
 }
 
@@ -97,9 +106,10 @@ TEST(SortIterator, StableUnderEqualKeys) {
 std::vector<Row> JoinReference(const Table& l, const Table& r, int lc,
                                int rc) {
   std::vector<Row> out;
-  for (const Row& a : l.rows) {
+  const std::vector<Row> right = CopyRows(r);
+  for (const Row& a : CopyRows(l)) {
     if (a[lc] == kNull) continue;
-    for (const Row& b : r.rows) {
+    for (const Row& b : right) {
       if (a[lc] == b[rc]) {
         Row row = a;
         row.insert(row.end(), b.begin(), b.end());
@@ -263,9 +273,10 @@ Table RightTable(const InputPair& in) {
 
 std::vector<Row> LeftOuterJoinReference(const Table& l, const Table& r) {
   std::vector<Row> out;
-  for (const Row& a : l.rows) {
+  const std::vector<Row> right = CopyRows(r);
+  for (const Row& a : CopyRows(l)) {
     bool matched = false;
-    for (const Row& b : r.rows) {
+    for (const Row& b : right) {
       if (a[0] != kNull && a[0] == b[0]) {
         Row row = a;
         row.insert(row.end(), b.begin(), b.end());
@@ -287,9 +298,10 @@ std::vector<Row> LeftOuterJoinReference(const Table& l, const Table& r) {
 std::vector<Row> SemiJoinReference(const Table& l, const Table& r,
                                    bool want_match) {
   std::vector<Row> out;
-  for (const Row& a : l.rows) {
+  const std::vector<Row> right = CopyRows(r);
+  for (const Row& a : CopyRows(l)) {
     bool matched = false;
-    for (const Row& b : r.rows) matched |= a[0] != kNull && a[0] == b[0];
+    for (const Row& b : right) matched |= a[0] != kNull && a[0] == b[0];
     if (matched == want_match) out.push_back(a);
   }
   return out;
@@ -345,6 +357,227 @@ TEST(HashJoinIterator, NullKeysAndDuplicatesMatchReference) {
     Table r = RightTable(in);
     HashJoinIterator it(Strict(l), Strict(r), Sym("it_lk"), Sym("it_rk"));
     EXPECT_TRUE(SameMultiset(Drain(it), JoinReference(l, r, 0, 0)));
+  }
+}
+
+// --- Selections against the reference rule ---------------------------------
+//
+// A selection keeps a row exactly when `v != kNull && arg.Eval(v)` holds,
+// the rule EvalLogical applies. A fused scan (ScanIterator with
+// AddSelection) and FilterIterator compile each predicate to an interval
+// instead; these tests hold both to the rule at the edges of int64_t,
+// across the scan's 256-row blocks and on an empty table. Stored tables
+// never hold kNull, but the tables here do, to show that no interval
+// admits it.
+
+constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+
+constexpr rel::CmpOp kAllOps[] = {rel::CmpOp::kLess, rel::CmpOp::kLessEq,
+                                  rel::CmpOp::kEq, rel::CmpOp::kGreaterEq,
+                                  rel::CmpOp::kGreater};
+constexpr int64_t kEdgeConstants[] = {kMin, kMin + 1, -1, 0, kMax - 1, kMax};
+
+/// The rows of `rows` (in `schema`'s column order) that pass every one of
+/// `preds` by the reference rule, in input order.
+std::vector<Row> SelectReference(const std::vector<Row>& rows,
+                                 const Schema& schema,
+                                 const std::vector<rel::SelectArg>& preds) {
+  std::vector<Row> out;
+  for (const Row& row : rows) {
+    bool keep = true;
+    for (const rel::SelectArg& pred : preds) {
+      int64_t v = row[schema.IndexOf(pred.attr())];
+      keep = keep && v != kNull && pred.Eval(v);
+    }
+    if (keep) out.push_back(row);
+  }
+  return out;
+}
+
+std::vector<Row> FusedScan(const Table& t,
+                           const std::vector<rel::SelectArg>& preds) {
+  ScanIterator scan(t);
+  for (const rel::SelectArg& pred : preds) scan.AddSelection(pred);
+  return Drain(scan);
+}
+
+/// One FilterIterator per predicate, stacked over a strict (non-scan) input.
+std::vector<Row> FilterChain(const Table& t,
+                             const std::vector<rel::SelectArg>& preds) {
+  IteratorPtr it = Strict(t);
+  for (const rel::SelectArg& pred : preds) {
+    it = std::make_unique<FilterIterator>(std::move(it), pred);
+  }
+  return Drain(*it);
+}
+
+/// Every triple over the edge values and kNull in columns sel_a, sel_b and
+/// sel_c: 512 rows, two blocks.
+Table EdgeTable() {
+  const int64_t values[] = {kNull, kMin + 1, -2, -1, 0, 1, kMax - 1, kMax};
+  std::vector<Row> rows;
+  for (int64_t a : values) {
+    for (int64_t b : values) {
+      for (int64_t c : values) rows.push_back({a, b, c});
+    }
+  }
+  return MakeTable({Sym("sel_a"), Sym("sel_b"), Sym("sel_c")}, rows);
+}
+
+/// Every (column, operator, edge constant) predicate over EdgeTable.
+std::vector<rel::SelectArg> EdgePredicates() {
+  std::vector<rel::SelectArg> preds;
+  for (const char* col : {"sel_a", "sel_b", "sel_c"}) {
+    for (rel::CmpOp op : kAllOps) {
+      for (int64_t c : kEdgeConstants) {
+        preds.emplace_back(g_symbols, Sym(col), op, c, 0.5);
+      }
+    }
+  }
+  return preds;
+}
+
+void ExpectBothMatchReference(const Table& t, const std::vector<Row>& rows,
+                              const std::vector<rel::SelectArg>& preds) {
+  std::vector<Row> want = SelectReference(rows, t.schema, preds);
+  std::string label;
+  for (const rel::SelectArg& pred : preds) label += pred.ToString() + "; ";
+  EXPECT_EQ(FusedScan(t, preds), want) << label;
+  EXPECT_EQ(FilterChain(t, preds), want) << label;
+}
+
+TEST(Selection, EveryCmpOpAtEdgeConstants) {
+  Table t = EdgeTable();
+  std::vector<Row> rows = CopyRows(t);
+  for (const rel::SelectArg& pred : EdgePredicates()) {
+    ExpectBothMatchReference(t, rows, {pred});
+  }
+}
+
+TEST(Selection, TwoAndThreeFusedPredicates) {
+  Table t = EdgeTable();
+  std::vector<Row> rows = CopyRows(t);
+  std::vector<rel::SelectArg> all = EdgePredicates();
+  // Every pair, the same column twice included.
+  for (const rel::SelectArg& p : all) {
+    for (const rel::SelectArg& q : all) {
+      ExpectBothMatchReference(t, rows, {p, q});
+    }
+  }
+  // A fixed sample of triples.
+  Rng rng(20);
+  for (int i = 0; i < 2000; ++i) {
+    ExpectBothMatchReference(t, rows,
+                             {all[rng.Uniform(all.size())],
+                              all[rng.Uniform(all.size())],
+                              all[rng.Uniform(all.size())]});
+  }
+}
+
+TEST(Selection, ThousandRowsAllNoneAndAlternating) {
+  // 1,000 rows is three full 256-row blocks and a partial one.
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 1000; ++i) rows.push_back({i % 2, i});
+  Table t = MakeTable({Sym("alt_p"), Sym("alt_i")}, rows);
+  auto pred = [](rel::CmpOp op, int64_t c) {
+    return rel::SelectArg(g_symbols, Sym("alt_p"), op, c, 0.5);
+  };
+  rel::SelectArg all_true = pred(rel::CmpOp::kLess, 2);
+  rel::SelectArg all_false = pred(rel::CmpOp::kGreater, 1);
+  rel::SelectArg alternating = pred(rel::CmpOp::kEq, 0);
+  EXPECT_EQ(FusedScan(t, {all_true}).size(), 1000u);
+  EXPECT_EQ(FusedScan(t, {all_false}).size(), 0u);
+  EXPECT_EQ(FusedScan(t, {alternating}).size(), 500u);
+  for (const auto& preds : std::vector<std::vector<rel::SelectArg>>{
+           {all_true}, {all_false}, {alternating}, {all_true, alternating},
+           {alternating, all_true}, {alternating, all_false}}) {
+    ExpectBothMatchReference(t, rows, preds);
+  }
+
+  Table empty = MakeTable({Sym("alt_p"), Sym("alt_i")}, {});
+  for (const rel::SelectArg& p : {all_true, all_false, alternating}) {
+    EXPECT_TRUE(FusedScan(empty, {p}).empty());
+    EXPECT_TRUE(FilterChain(empty, {p}).empty());
+  }
+}
+
+TEST(Selection, FusedScanHandsOutStoredRows) {
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 1000; ++i) rows.push_back({i % 2, i});
+  Table t = MakeTable({Sym("ptr_p"), Sym("ptr_i")}, rows);
+  ScanIterator scan(t);
+  scan.AddSelection(
+      rel::SelectArg(g_symbols, Sym("ptr_p"), rel::CmpOp::kEq, 1, 0.5));
+  scan.Open();
+  size_t k = 0;
+  while (const int64_t* p = scan.Pull()) {
+    ASSERT_LT(2 * k + 1, t.size());
+    EXPECT_EQ(p, t.row(2 * k + 1)) << "match " << k;
+    ++k;
+  }
+  scan.Close();
+  EXPECT_EQ(k, 500u);
+}
+
+TEST(Selection, FilterOverExchangeOverScanIsOneFusedScan) {
+  rel::Catalog catalog;
+  StatusOr<Symbol> rel = catalog.AddRelation("FX", 700, 100, 2, {700, 10});
+  ASSERT_TRUE(rel.ok());
+  rel::RelModel model(catalog);
+  const rel::RelOps& ops = model.ops();
+  const SymbolTable& syms = catalog.symbols();
+  Symbol a0 = syms.Lookup("FX.a0");
+  Symbol a1 = syms.Lookup("FX.a1");
+  Database db;
+  db.Put(rel.value(), GenerateTable(*catalog.FindRelation(rel.value()), 5));
+  const Table& t = *db.Find(rel.value());
+
+  // FILTER[a1 >= 3] over EXCHANGE over FILTER[a0 < 400] over FILE_SCAN.
+  rel::SelectArg low(syms, a0, rel::CmpOp::kLess, 400, 0.5);
+  rel::SelectArg high(syms, a1, rel::CmpOp::kGreaterEq, 3, 0.5);
+  auto node = [](OperatorId op, OpArgPtr arg, std::vector<PlanPtr> inputs) {
+    return PlanNode::Make(op, std::move(arg), std::move(inputs), nullptr,
+                          nullptr, Cost());
+  };
+  PlanPtr plan = node(
+      ops.filter, std::make_shared<rel::SelectArg>(high),
+      {node(ops.exchange,
+            rel::ExchangeArg::Make(syms, rel::Partitioning::Serial()),
+            {node(ops.filter, std::make_shared<rel::SelectArg>(low),
+                  {node(ops.file_scan, rel::GetArg::Make(syms, rel.value()),
+                        {})})})});
+
+  IteratorPtr it = BuildIterator(*plan, model, db);
+  EXPECT_NE(dynamic_cast<ScanIterator*>(it.get()), nullptr);
+  std::vector<Row> want = SelectReference(CopyRows(t), t.schema, {low, high});
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(Drain(*it), want);
+  EXPECT_EQ(ExecutePlan(*plan, model, db), want);
+}
+
+TEST(Selection, FilterOverOuterJoinPadding) {
+  // The left outer join pads unmatched outer rows with kNull in it_rk and
+  // it_rv; no selection on those columns may keep a padded row.
+  for (const InputPair& in : JoinInputs()) {
+    Table l = LeftTable(in);
+    Table r = RightTable(in);
+    Schema schema = Schema::Concat(l.schema, r.schema);
+    std::vector<Row> joined = LeftOuterJoinReference(l, r);
+    for (const char* col : {"it_rk", "it_rv", "it_lk"}) {
+      for (rel::CmpOp op : kAllOps) {
+        for (int64_t c : {kMin, kMin + 1, int64_t{1}, int64_t{100}, kMax}) {
+          rel::SelectArg pred(g_symbols, Sym(col), op, c, 0.5);
+          FilterIterator it(
+              std::make_unique<HashLeftOuterJoinIterator>(
+                  Strict(l), Strict(r), Sym("it_lk"), Sym("it_rk")),
+              pred);
+          EXPECT_TRUE(SameMultiset(Drain(it),
+                                   SelectReference(joined, schema, {pred})))
+              << pred.ToString();
+        }
+      }
+    }
   }
 }
 
@@ -497,8 +730,9 @@ TEST(MergeJoinIterator, HoldsLeftTupleAcrossRightPulls) {
       positive));
   MergeJoinIterator mj(std::move(left), std::move(right), Sym("pl_k"),
                        Sym("pr_k"));
-  Table projected = MakeTable({Sym("pl_v"), Sym("pl_k")}, {});
-  for (const Row& row : l.rows) projected.rows.push_back({row[1], row[0]});
+  std::vector<Row> swapped;
+  for (const Row& row : CopyRows(l)) swapped.push_back({row[1], row[0]});
+  Table projected = MakeTable({Sym("pl_v"), Sym("pl_k")}, swapped);
   std::vector<Row> want = JoinReference(projected, r, 1, 0);
   EXPECT_EQ(want.size(), 2u * 2u + 3u * 3u);
   EXPECT_TRUE(SameMultiset(Drain(mj), want));
@@ -523,7 +757,7 @@ TEST(Iterator, NextCopiesWhatPullReturns) {
   EXPECT_EQ(row, (Row{1, 2}));
   const int64_t* p = scan.Pull();
   ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p, t.rows[1].data());  // a scan hands out the stored tuple
+  EXPECT_EQ(p, t.row(1));  // a scan hands out the stored tuple
   EXPECT_FALSE(scan.Next(&row));
   EXPECT_EQ(scan.Pull(), nullptr);
   scan.Close();
@@ -535,8 +769,8 @@ TEST(Datagen, HonoursCardinalityAndDomain) {
       catalog.AddRelation("DG1", 500, 100, 2, {500, 10});
   ASSERT_TRUE(r.ok());
   Table t = GenerateTable(*catalog.FindRelation(r.value()), 7);
-  EXPECT_EQ(t.rows.size(), 500u);
-  for (const Row& row : t.rows) {
+  EXPECT_EQ(t.size(), 500u);
+  for (const Row& row : CopyRows(t)) {
     EXPECT_GE(row[1], 0);
     EXPECT_LT(row[1], 10);
   }
@@ -549,7 +783,7 @@ TEST(Datagen, SortedRelationIsSorted) {
   Symbol key = catalog.symbols().Lookup("DG2.a0");
   ASSERT_TRUE(catalog.SetSortedOn(r.value(), {key}).ok());
   Table t = GenerateTable(*catalog.FindRelation(r.value()), 13);
-  EXPECT_TRUE(IsSortedBy(t.rows, {0}));
+  EXPECT_TRUE(IsSortedBy(CopyRows(t), {0}));
 }
 
 TEST(Datagen, Deterministic) {
@@ -558,7 +792,7 @@ TEST(Datagen, Deterministic) {
   ASSERT_TRUE(r.ok());
   Table a = GenerateTable(*catalog.FindRelation(r.value()), 99);
   Table b = GenerateTable(*catalog.FindRelation(r.value()), 99);
-  EXPECT_EQ(a.rows, b.rows);
+  EXPECT_EQ(CopyRows(a), CopyRows(b));
 }
 
 TEST(Helpers, SameMultisetDetectsDifference) {

@@ -58,32 +58,43 @@ TEST(Tpch, SchemaShape) {
 }
 
 // Every query of the family: optimized plan valid, execution row-identical
-// to the naive evaluator (the tentpole's differential acceptance bar).
+// to the naive evaluator (the tentpole's differential acceptance bar). Also
+// with unnesting off, where every subquery runs as NESTED_SUBQ.
 TEST(Tpch, OptimizedPlansMatchNaiveEvaluationRowForRow) {
-  rel::TpchWorkload w = rel::MakeTpchWorkload();
-  exec::Database db = exec::GenerateDatabase(*w.catalog, kSeed);
+  rel::RelModelOptions nested;
+  nested.enable_unnest_subqueries = false;
+  for (const rel::RelModelOptions& options : {rel::RelModelOptions{}, nested}) {
+    rel::TpchWorkload w = rel::MakeTpchWorkload(options);
+    exec::Database db = exec::GenerateDatabase(*w.catalog, kSeed);
+    const char* family = options.enable_unnest_subqueries ? "" : " (nested)";
 
-  for (const rel::TpchQuery& q : w.queries) {
-    Compiled c = Compile(w, q);
-    EXPECT_TRUE(rel::ValidatePlan(*c.plan, *w.model).ok()) << q.name;
-    EXPECT_TRUE(c.plan->props()->Covers(*c.query.required)) << q.name;
+    for (const rel::TpchQuery& q : w.queries) {
+      Compiled c = Compile(w, q);
+      EXPECT_TRUE(rel::ValidatePlan(*c.plan, *w.model).ok())
+          << q.name << family;
+      EXPECT_TRUE(c.plan->props()->Covers(*c.query.required))
+          << q.name << family;
 
-    std::vector<exec::Row> got = exec::ExecutePlan(*c.plan, *w.model, db);
-    std::vector<exec::Row> want =
-        exec::EvalLogical(*c.query.expr, *w.model, db);
-    exec::Schema gs = exec::PlanSchema(*c.plan, *w.model, db);
-    exec::Schema ws = exec::LogicalSchema(*c.query.expr, *w.model, db);
-    const auto* rp =
-        dynamic_cast<const rel::RelPhysProps*>(c.query.required.get());
-    if (rp != nullptr && rp->unique()) {
-      // Uniqueness is a required property, not a logical operator — dedupe
-      // the oracle before comparing.
-      std::sort(want.begin(), want.end());
-      want.erase(std::unique(want.begin(), want.end()), want.end());
+      std::vector<exec::Row> got = exec::ExecutePlan(*c.plan, *w.model, db);
+      std::vector<exec::Row> want =
+          exec::EvalLogical(*c.query.expr, *w.model, db);
+      exec::Schema gs = exec::PlanSchema(*c.plan, *w.model, db);
+      exec::Schema ws = exec::LogicalSchema(*c.query.expr, *w.model, db);
+      const auto* rp =
+          dynamic_cast<const rel::RelPhysProps*>(c.query.required.get());
+      if (rp != nullptr && rp->unique()) {
+        // Uniqueness is a required property, not a logical operator — dedupe
+        // the oracle before comparing.
+        std::sort(want.begin(), want.end());
+        want.erase(std::unique(want.begin(), want.end()), want.end());
+      }
+      EXPECT_TRUE(
+          exec::SameMultiset(exec::ReorderToSchema(got, gs, ws), want))
+          << q.name << family
+          << ": optimized rows diverge from naive evaluation";
+      ASSERT_FALSE(got.empty())
+          << q.name << family << ": degenerate (empty) result";
     }
-    EXPECT_TRUE(exec::SameMultiset(exec::ReorderToSchema(got, gs, ws), want))
-        << q.name << ": optimized rows diverge from naive evaluation";
-    ASSERT_FALSE(got.empty()) << q.name << ": degenerate (empty) result";
   }
 }
 
@@ -146,7 +157,9 @@ TEST(Tpch, LeftJoinPadsUnmatchedOuterRowsWithNull) {
   const exec::Table& orders = *f.db.Find(f.w.catalog->symbols().Lookup("orders"));
 
   std::set<int64_t> custkeys_with_orders;
-  for (const exec::Row& o : orders.rows) custkeys_with_orders.insert(o[1]);
+  for (size_t i = 0; i < orders.size(); ++i) {
+    custkeys_with_orders.insert(orders.row(i)[1]);
+  }
 
   std::set<int64_t> seen;
   size_t padded = 0;
@@ -161,7 +174,7 @@ TEST(Tpch, LeftJoinPadsUnmatchedOuterRowsWithNull) {
   }
   // Every distinct customer key appears in the result...
   std::set<int64_t> all;
-  for (const exec::Row& c : customer.rows) all.insert(c[0]);
+  for (size_t i = 0; i < customer.size(); ++i) all.insert(customer.row(i)[0]);
   EXPECT_EQ(seen, all);
   // ...and with 600 keys uniform over 3000 orders, some customers must
   // lack orders entirely (probability of none ~ (1-1/600)^-... effectively
@@ -184,12 +197,14 @@ TEST(Tpch, SemijoinAndAntijoinPartitionTheOuter) {
       "anti");
   const exec::Table& customer =
       *f.db.Find(f.w.catalog->symbols().Lookup("customer"));
-  EXPECT_EQ(in_rows.size() + not_in_rows.size(), customer.rows.size());
+  EXPECT_EQ(in_rows.size() + not_in_rows.size(), customer.size());
   std::vector<exec::Row> all = in_rows;
   all.insert(all.end(), not_in_rows.begin(), not_in_rows.end());
   std::vector<exec::Row> outer;
-  outer.reserve(customer.rows.size());
-  for (const exec::Row& c : customer.rows) outer.push_back({c[0]});
+  outer.reserve(customer.size());
+  for (size_t i = 0; i < customer.size(); ++i) {
+    outer.push_back({customer.row(i)[0]});
+  }
   EXPECT_TRUE(exec::SameMultiset(all, outer));
   EXPECT_FALSE(in_rows.empty());
   EXPECT_FALSE(not_in_rows.empty());
@@ -204,7 +219,7 @@ TEST(Tpch, EmptyInnerEdgeCases) {
       "(SELECT region.a0 FROM region WHERE region.a1 < 0)",
       "anti_empty");
   const exec::Table& nation = *f.db.Find(f.w.catalog->symbols().Lookup("nation"));
-  EXPECT_EQ(anti.size(), nation.rows.size());
+  EXPECT_EQ(anti.size(), nation.size());
   // ...SEMIJOIN emits nothing...
   std::vector<exec::Row> semi = f.Run(
       "SELECT nation.a0 FROM nation WHERE nation.a1 IN "
