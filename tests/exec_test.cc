@@ -533,27 +533,36 @@ TEST(Selection, FilterOverExchangeOverScanIsOneFusedScan) {
   db.Put(rel.value(), GenerateTable(*catalog.FindRelation(rel.value()), 5));
   const Table& t = *db.Find(rel.value());
 
-  // FILTER[a1 >= 3] over EXCHANGE over FILTER[a0 < 400] over FILE_SCAN.
   rel::SelectArg low(syms, a0, rel::CmpOp::kLess, 400, 0.5);
   rel::SelectArg high(syms, a1, rel::CmpOp::kGreaterEq, 3, 0.5);
   auto node = [](OperatorId op, OpArgPtr arg, std::vector<PlanPtr> inputs) {
     return PlanNode::Make(op, std::move(arg), std::move(inputs), nullptr,
                           nullptr, Cost());
   };
-  PlanPtr plan = node(
-      ops.filter, std::make_shared<rel::SelectArg>(high),
-      {node(ops.exchange,
-            rel::ExchangeArg::Make(syms, rel::Partitioning::Serial()),
-            {node(ops.filter, std::make_shared<rel::SelectArg>(low),
-                  {node(ops.file_scan, rel::GetArg::Make(syms, rel.value()),
-                        {})})})});
+  auto filter = [&](const rel::SelectArg& pred, PlanPtr input) {
+    return node(ops.filter, std::make_shared<rel::SelectArg>(pred), {input});
+  };
+  auto exchange = [&](PlanPtr input) {
+    return node(ops.exchange,
+                rel::ExchangeArg::Make(syms, rel::Partitioning::Serial()),
+                {input});
+  };
+  PlanPtr scan =
+      node(ops.file_scan, rel::GetArg::Make(syms, rel.value()), {});
 
-  IteratorPtr it = BuildIterator(*plan, model, db);
-  EXPECT_NE(dynamic_cast<ScanIterator*>(it.get()), nullptr);
-  std::vector<Row> want = SelectReference(CopyRows(t), t.schema, {low, high});
-  EXPECT_FALSE(want.empty());
-  EXPECT_EQ(Drain(*it), want);
-  EXPECT_EQ(ExecutePlan(*plan, model, db), want);
+  // FILTER[a1 >= 3](EXCHANGE(FILE_SCAN)), and the same with
+  // FILTER[a0 < 400] below the exchange.
+  for (bool two : {false, true}) {
+    PlanPtr plan = filter(high, exchange(two ? filter(low, scan) : scan));
+    IteratorPtr it = BuildIterator(*plan, model, db);
+    EXPECT_NE(dynamic_cast<ScanIterator*>(it.get()), nullptr);
+    std::vector<rel::SelectArg> preds = {high};
+    if (two) preds.push_back(low);
+    std::vector<Row> want = SelectReference(CopyRows(t), t.schema, preds);
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(Drain(*it), want) << "filters: " << preds.size();
+    EXPECT_EQ(ExecutePlan(*plan, model, db), want);
+  }
 }
 
 TEST(Selection, FilterOverOuterJoinPadding) {
