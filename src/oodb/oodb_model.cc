@@ -31,7 +31,7 @@ class OodbSupport final : public gen_model::oodb::Support {
  public:
   explicit OodbSupport(const OodbModel& model) : model_(model) {}
 
-  std::vector<AlgorithmAlternative> ExtentScanApplicability(
+  AlgorithmAlternatives ExtentScanApplicability(
       const Binding& b, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const override {
     (void)b;
@@ -39,7 +39,7 @@ class OodbSupport final : public gen_model::oodb::Support {
     (void)excluded;
     PhysPropsPtr delivered = model_.AnyProps();  // unassembled
     if (!delivered->Covers(*required)) return {};
-    return {AlgorithmAlternative{{}, delivered}};
+    return OneAlternative({{}, delivered});
   }
 
   Cost ExtentScanCost(const Binding& b, const Memo& memo) const override {
@@ -48,7 +48,7 @@ class OodbSupport final : public gen_model::oodb::Support {
     return Cost::Scalar(out.cardinality() * model_.params().seq_io_per_object);
   }
 
-  std::vector<AlgorithmAlternative> NaiveTraverseApplicability(
+  AlgorithmAlternatives NaiveTraverseApplicability(
       const Binding& b, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const override {
     (void)b;
@@ -56,7 +56,7 @@ class OodbSupport final : public gen_model::oodb::Support {
     (void)excluded;
     PhysPropsPtr delivered = model_.AnyProps();
     if (!delivered->Covers(*required)) return {};
-    return {AlgorithmAlternative{{model_.AnyProps()}, delivered}};
+    return OneAlternative({{model_.AnyProps()}, delivered});
   }
 
   Cost NaiveTraverseCost(const Binding& b, const Memo& memo) const override {
@@ -64,14 +64,14 @@ class OodbSupport final : public gen_model::oodb::Support {
                         model_.params().random_io_per_object);
   }
 
-  std::vector<AlgorithmAlternative> ClusteredTraverseApplicability(
+  AlgorithmAlternatives ClusteredTraverseApplicability(
       const Binding& b, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const override {
     (void)b;
     (void)memo;
     (void)required;  // assembled output covers every requirement
     (void)excluded;
-    return {AlgorithmAlternative{{model_.Assembled()}, model_.Assembled()}};
+    return OneAlternative({{model_.Assembled()}, model_.Assembled()});
   }
 
   Cost ClusteredTraverseCost(const Binding& b,

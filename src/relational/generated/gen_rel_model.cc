@@ -114,7 +114,7 @@ class RelSupport final : public genrel::Support {
 
   // ----- implementation support ---------------------------------------------
 #define VOLCANO_DELEGATE_IMPL(Fn, rule_name)                                 \
-  std::vector<AlgorithmAlternative> Fn##Applicability(                       \
+  AlgorithmAlternatives Fn##Applicability(                       \
       const Binding& b, const Memo& m, const PhysPropsPtr& required,         \
       const PhysProps* excluded) const override {                            \
     return Implementation(rule_name).Applicability(b, m, required,           \

@@ -400,7 +400,7 @@ GetToFileScanRule::GetToFileScanRule(const RelModel& model)
                          model.ops().file_scan),
       model_(model) {}
 
-std::vector<AlgorithmAlternative> GetToFileScanRule::Applicability(
+AlgorithmAlternatives GetToFileScanRule::Applicability(
     const Binding& b, const Memo& memo, const PhysPropsPtr& required,
     const PhysProps* excluded) const {
   (void)memo;
@@ -408,7 +408,7 @@ std::vector<AlgorithmAlternative> GetToFileScanRule::Applicability(
   const auto& arg = static_cast<const GetArg&>(*b.root().arg());
   PhysPropsPtr delivered = model_.StoredOrderOf(arg.relation());
   if (!delivered->Covers(*required)) return {};
-  return {AlgorithmAlternative{{}, std::move(delivered)}};
+  return OneAlternative({{}, std::move(delivered)});
 }
 
 Cost GetToFileScanRule::LocalCost(const Binding& b, const Memo& memo) const {
@@ -423,7 +423,7 @@ SelectToFilterRule::SelectToFilterRule(const RelModel& model)
                          model.ops().filter),
       model_(model) {}
 
-std::vector<AlgorithmAlternative> SelectToFilterRule::Applicability(
+AlgorithmAlternatives SelectToFilterRule::Applicability(
     const Binding& b, const Memo& memo, const PhysPropsPtr& required,
     const PhysProps* excluded) const {
   (void)b;
@@ -431,7 +431,7 @@ std::vector<AlgorithmAlternative> SelectToFilterRule::Applicability(
   (void)excluded;
   // FILTER preserves its input's order: pass the requirement through
   // (sharing the caller's vector; no copy).
-  return {AlgorithmAlternative{{required}, required}};
+  return OneAlternative({{required}, required});
 }
 
 Cost SelectToFilterRule::LocalCost(const Binding& b, const Memo& memo) const {
@@ -456,7 +456,7 @@ bool JoinToMergeJoinRule::Condition(const Binding& b,
   return !GroupContainsJoin(memo, b.leaf(1), model_.ops().join);
 }
 
-std::vector<AlgorithmAlternative> JoinToMergeJoinRule::Applicability(
+AlgorithmAlternatives JoinToMergeJoinRule::Applicability(
     const Binding& b, const Memo& memo, const PhysPropsPtr& required,
     const PhysProps* excluded) const {
   (void)memo;
@@ -467,9 +467,10 @@ std::vector<AlgorithmAlternative> JoinToMergeJoinRule::Applicability(
   // and delivers output sorted on the join attribute (paper section 2.2).
   if (!delivered->Covers(*required)) return {};
   AlgorithmAlternative alt;
-  alt.input_props = {delivered, model_.SortedOn(arg.right_attr())};
+  alt.input_props.push_back(delivered);
+  alt.input_props.push_back(model_.SortedOn(arg.right_attr()));
   alt.delivered = std::move(delivered);
-  return {std::move(alt)};
+  return OneAlternative(std::move(alt));
 }
 
 Cost JoinToMergeJoinRule::LocalCost(const Binding& b, const Memo& memo) const {
@@ -493,7 +494,7 @@ bool JoinToHashJoinRule::Condition(const Binding& b,
   return !GroupContainsJoin(memo, b.leaf(1), model_.ops().join);
 }
 
-std::vector<AlgorithmAlternative> JoinToHashJoinRule::Applicability(
+AlgorithmAlternatives JoinToHashJoinRule::Applicability(
     const Binding& b, const Memo& memo, const PhysPropsPtr& required,
     const PhysProps* excluded) const {
   (void)b;
@@ -504,9 +505,10 @@ std::vector<AlgorithmAlternative> JoinToHashJoinRule::Applicability(
   PhysPropsPtr delivered = model_.AnyProps();
   if (!delivered->Covers(*required)) return {};
   AlgorithmAlternative alt;
-  alt.input_props = {model_.AnyProps(), model_.AnyProps()};
+  alt.input_props.push_back(delivered);
+  alt.input_props.push_back(delivered);
   alt.delivered = std::move(delivered);
-  return {std::move(alt)};
+  return OneAlternative(std::move(alt));
 }
 
 Cost JoinToHashJoinRule::LocalCost(const Binding& b, const Memo& memo) const {
@@ -527,7 +529,7 @@ JoinToMultiHashJoinRule::JoinToMultiHashJoinRule(const RelModel& model)
           model.ops().multi_hash_join),
       model_(model) {}
 
-std::vector<AlgorithmAlternative> JoinToMultiHashJoinRule::Applicability(
+AlgorithmAlternatives JoinToMultiHashJoinRule::Applicability(
     const Binding& b, const Memo& memo, const PhysPropsPtr& required,
     const PhysProps* excluded) const {
   (void)b;
@@ -540,7 +542,7 @@ std::vector<AlgorithmAlternative> JoinToMultiHashJoinRule::Applicability(
   alt.input_props = {model_.AnyProps(), model_.AnyProps(),
                      model_.AnyProps()};
   alt.delivered = std::move(delivered);
-  return {std::move(alt)};
+  return OneAlternative(std::move(alt));
 }
 
 Cost JoinToMultiHashJoinRule::LocalCost(const Binding& b,
@@ -575,7 +577,7 @@ ProjectRule::ProjectRule(const RelModel& model)
                          model.ops().project_op),
       model_(model) {}
 
-std::vector<AlgorithmAlternative> ProjectRule::Applicability(
+AlgorithmAlternatives ProjectRule::Applicability(
     const Binding& b, const Memo& memo, const PhysPropsPtr& required,
     const PhysProps* excluded) const {
   (void)memo;
@@ -589,7 +591,7 @@ std::vector<AlgorithmAlternative> ProjectRule::Applicability(
   for (Symbol attr : req.attrs) {
     if (!arg.Contains(attr)) return {};
   }
-  return {AlgorithmAlternative{{required}, required}};
+  return OneAlternative({{required}, required});
 }
 
 Cost ProjectRule::LocalCost(const Binding& b, const Memo& memo) const {
@@ -607,7 +609,7 @@ IntersectToMergeIntersectRule::IntersectToMergeIntersectRule(
           model.ops().merge_intersect),
       model_(model) {}
 
-std::vector<AlgorithmAlternative> IntersectToMergeIntersectRule::Applicability(
+AlgorithmAlternatives IntersectToMergeIntersectRule::Applicability(
     const Binding& b, const Memo& memo, const PhysPropsPtr& required,
     const PhysProps* excluded) const {
   (void)excluded;
@@ -657,7 +659,7 @@ std::vector<AlgorithmAlternative> IntersectToMergeIntersectRule::Applicability(
     }
   }
 
-  std::vector<AlgorithmAlternative> alts;
+  AlgorithmAlternatives alts;
   for (const auto& perm : perms) {
     std::vector<Symbol> lorder, rorder;
     for (size_t i : perm) {
@@ -696,7 +698,7 @@ IntersectToHashIntersectRule::IntersectToHashIntersectRule(
           model.ops().hash_intersect),
       model_(model) {}
 
-std::vector<AlgorithmAlternative>
+AlgorithmAlternatives
 IntersectToHashIntersectRule::Applicability(const Binding& b, const Memo& memo,
                                             const PhysPropsPtr& required,
                                             const PhysProps* excluded) const {
@@ -708,7 +710,7 @@ IntersectToHashIntersectRule::Applicability(const Binding& b, const Memo& memo,
   AlgorithmAlternative alt;
   alt.input_props = {model_.AnyProps(), model_.AnyProps()};
   alt.delivered = std::move(delivered);
-  return {std::move(alt)};
+  return OneAlternative(std::move(alt));
 }
 
 Cost IntersectToHashIntersectRule::LocalCost(const Binding& b,
@@ -727,7 +729,7 @@ UnionToConcatRule::UnionToConcatRule(const RelModel& model)
                          model.ops().concat),
       model_(model) {}
 
-std::vector<AlgorithmAlternative> UnionToConcatRule::Applicability(
+AlgorithmAlternatives UnionToConcatRule::Applicability(
     const Binding& b, const Memo& memo, const PhysPropsPtr& required,
     const PhysProps* excluded) const {
   (void)b;
@@ -738,7 +740,7 @@ std::vector<AlgorithmAlternative> UnionToConcatRule::Applicability(
   AlgorithmAlternative alt;
   alt.input_props = {model_.AnyProps(), model_.AnyProps()};
   alt.delivered = std::move(delivered);
-  return {std::move(alt)};
+  return OneAlternative(std::move(alt));
 }
 
 Cost UnionToConcatRule::LocalCost(const Binding& b, const Memo& memo) const {
@@ -753,7 +755,7 @@ AggToHashAggRule::AggToHashAggRule(const RelModel& model)
                          model.ops().hash_aggregate),
       model_(model) {}
 
-std::vector<AlgorithmAlternative> AggToHashAggRule::Applicability(
+AlgorithmAlternatives AggToHashAggRule::Applicability(
     const Binding& b, const Memo& memo, const PhysPropsPtr& required,
     const PhysProps* excluded) const {
   (void)b;
@@ -764,7 +766,7 @@ std::vector<AlgorithmAlternative> AggToHashAggRule::Applicability(
   AlgorithmAlternative alt;
   alt.input_props = {model_.AnyProps()};
   alt.delivered = std::move(delivered);
-  return {std::move(alt)};
+  return OneAlternative(std::move(alt));
 }
 
 Cost AggToHashAggRule::LocalCost(const Binding& b, const Memo& memo) const {
@@ -780,7 +782,7 @@ AggToSortAggRule::AggToSortAggRule(const RelModel& model)
                          model.ops().sort_aggregate),
       model_(model) {}
 
-std::vector<AlgorithmAlternative> AggToSortAggRule::Applicability(
+AlgorithmAlternatives AggToSortAggRule::Applicability(
     const Binding& b, const Memo& memo, const PhysPropsPtr& required,
     const PhysProps* excluded) const {
   (void)memo;
@@ -793,7 +795,7 @@ std::vector<AlgorithmAlternative> AggToSortAggRule::Applicability(
   AlgorithmAlternative alt;
   alt.input_props = {model_.SortedOn(arg.group_attr())};
   alt.delivered = std::move(delivered);
-  return {std::move(alt)};
+  return OneAlternative(std::move(alt));
 }
 
 Cost AggToSortAggRule::LocalCost(const Binding& b, const Memo& memo) const {
@@ -810,7 +812,7 @@ JoinToParallelHashJoinRule::JoinToParallelHashJoinRule(const RelModel& model)
           model.ops().parallel_hash_join),
       model_(model) {}
 
-std::vector<AlgorithmAlternative> JoinToParallelHashJoinRule::Applicability(
+AlgorithmAlternatives JoinToParallelHashJoinRule::Applicability(
     const Binding& b, const Memo& memo, const PhysPropsPtr& required,
     const PhysProps* excluded) const {
   (void)memo;
@@ -824,7 +826,7 @@ std::vector<AlgorithmAlternative> JoinToParallelHashJoinRule::Applicability(
   AlgorithmAlternative alt;
   alt.input_props = {delivered, model_.Partitioned(arg.right_attr())};
   alt.delivered = std::move(delivered);
-  return {std::move(alt)};
+  return OneAlternative(std::move(alt));
 }
 
 Cost JoinToParallelHashJoinRule::LocalCost(const Binding& b,
@@ -843,7 +845,7 @@ LeftOuterJoinToHashRule::LeftOuterJoinToHashRule(const RelModel& model)
                          model.ops().hash_left_outer_join),
       model_(model) {}
 
-std::vector<AlgorithmAlternative> LeftOuterJoinToHashRule::Applicability(
+AlgorithmAlternatives LeftOuterJoinToHashRule::Applicability(
     const Binding& b, const Memo& memo, const PhysPropsPtr& required,
     const PhysProps* excluded) const {
   (void)b;
@@ -855,7 +857,7 @@ std::vector<AlgorithmAlternative> LeftOuterJoinToHashRule::Applicability(
   AlgorithmAlternative alt;
   alt.input_props = {model_.AnyProps(), model_.AnyProps()};
   alt.delivered = std::move(delivered);
-  return {std::move(alt)};
+  return OneAlternative(std::move(alt));
 }
 
 Cost LeftOuterJoinToHashRule::LocalCost(const Binding& b,
@@ -874,7 +876,7 @@ SemijoinToHashRule::SemijoinToHashRule(const RelModel& model)
                          model.ops().hash_semijoin),
       model_(model) {}
 
-std::vector<AlgorithmAlternative> SemijoinToHashRule::Applicability(
+AlgorithmAlternatives SemijoinToHashRule::Applicability(
     const Binding& b, const Memo& memo, const PhysPropsPtr& required,
     const PhysProps* excluded) const {
   (void)b;
@@ -883,7 +885,7 @@ std::vector<AlgorithmAlternative> SemijoinToHashRule::Applicability(
   // The output is a filtered copy of the outer stream: order, uniqueness,
   // and partitioning all survive, so the requirement passes through to the
   // outer input (the inner side only feeds the key set).
-  return {AlgorithmAlternative{{required, model_.AnyProps()}, required}};
+  return OneAlternative({{required, model_.AnyProps()}, required});
 }
 
 Cost SemijoinToHashRule::LocalCost(const Binding& b, const Memo& memo) const {
@@ -901,13 +903,13 @@ AntijoinToHashRule::AntijoinToHashRule(const RelModel& model)
                          model.ops().hash_antijoin),
       model_(model) {}
 
-std::vector<AlgorithmAlternative> AntijoinToHashRule::Applicability(
+AlgorithmAlternatives AntijoinToHashRule::Applicability(
     const Binding& b, const Memo& memo, const PhysPropsPtr& required,
     const PhysProps* excluded) const {
   (void)b;
   (void)memo;
   (void)excluded;
-  return {AlgorithmAlternative{{required, model_.AnyProps()}, required}};
+  return OneAlternative({{required, model_.AnyProps()}, required});
 }
 
 Cost AntijoinToHashRule::LocalCost(const Binding& b, const Memo& memo) const {
@@ -924,7 +926,7 @@ DistinctToHashDistinctRule::DistinctToHashDistinctRule(const RelModel& model)
                          model.ops().hash_distinct),
       model_(model) {}
 
-std::vector<AlgorithmAlternative> DistinctToHashDistinctRule::Applicability(
+AlgorithmAlternatives DistinctToHashDistinctRule::Applicability(
     const Binding& b, const Memo& memo, const PhysPropsPtr& required,
     const PhysProps* excluded) const {
   (void)b;
@@ -935,7 +937,7 @@ std::vector<AlgorithmAlternative> DistinctToHashDistinctRule::Applicability(
   AlgorithmAlternative alt;
   alt.input_props = {model_.AnyProps()};
   alt.delivered = std::move(delivered);
-  return {std::move(alt)};
+  return OneAlternative(std::move(alt));
 }
 
 Cost DistinctToHashDistinctRule::LocalCost(const Binding& b,
@@ -952,7 +954,7 @@ DistinctToSortDistinctRule::DistinctToSortDistinctRule(const RelModel& model)
                          model.ops().sort_distinct),
       model_(model) {}
 
-std::vector<AlgorithmAlternative> DistinctToSortDistinctRule::Applicability(
+AlgorithmAlternatives DistinctToSortDistinctRule::Applicability(
     const Binding& b, const Memo& memo, const PhysPropsPtr& required,
     const PhysProps* excluded) const {
   (void)excluded;
@@ -967,7 +969,7 @@ std::vector<AlgorithmAlternative> DistinctToSortDistinctRule::Applicability(
   AlgorithmAlternative alt;
   alt.input_props = {model_.AnyProps()};
   alt.delivered = std::move(delivered);
-  return {std::move(alt)};
+  return OneAlternative(std::move(alt));
 }
 
 Cost DistinctToSortDistinctRule::LocalCost(const Binding& b,
@@ -994,7 +996,7 @@ SubqueryToNestedRule::SubqueryToNestedRule(const RelModel& model)
                          model.ops().nested_subq),
       model_(model) {}
 
-std::vector<AlgorithmAlternative> SubqueryToNestedRule::Applicability(
+AlgorithmAlternatives SubqueryToNestedRule::Applicability(
     const Binding& b, const Memo& memo, const PhysPropsPtr& required,
     const PhysProps* excluded) const {
   (void)b;
@@ -1002,7 +1004,7 @@ std::vector<AlgorithmAlternative> SubqueryToNestedRule::Applicability(
   (void)excluded;
   // Streams the outer input, rescanning the inner per tuple: another
   // subset-of-outer operator, so requirements pass through to the outer.
-  return {AlgorithmAlternative{{required, model_.AnyProps()}, required}};
+  return OneAlternative({{required, model_.AnyProps()}, required});
 }
 
 Cost SubqueryToNestedRule::LocalCost(const Binding& b,

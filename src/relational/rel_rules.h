@@ -215,7 +215,7 @@ class AntijoinAbsorbDistinctRule final : public TransformationRule {
 class GetToFileScanRule final : public ImplementationRule {
  public:
   explicit GetToFileScanRule(const RelModel& model);
-  std::vector<AlgorithmAlternative> Applicability(
+  AlgorithmAlternatives Applicability(
       const Binding& binding, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const override;
   Cost LocalCost(const Binding& binding, const Memo& memo) const override;
@@ -229,7 +229,7 @@ class GetToFileScanRule final : public ImplementationRule {
 class SelectToFilterRule final : public ImplementationRule {
  public:
   explicit SelectToFilterRule(const RelModel& model);
-  std::vector<AlgorithmAlternative> Applicability(
+  AlgorithmAlternatives Applicability(
       const Binding& binding, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const override;
   Cost LocalCost(const Binding& binding, const Memo& memo) const override;
@@ -245,7 +245,7 @@ class JoinToMergeJoinRule final : public ImplementationRule {
  public:
   explicit JoinToMergeJoinRule(const RelModel& model);
   bool Condition(const Binding& binding, const Memo& memo) const override;
-  std::vector<AlgorithmAlternative> Applicability(
+  AlgorithmAlternatives Applicability(
       const Binding& binding, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const override;
   Cost LocalCost(const Binding& binding, const Memo& memo) const override;
@@ -260,7 +260,7 @@ class JoinToHashJoinRule final : public ImplementationRule {
  public:
   explicit JoinToHashJoinRule(const RelModel& model);
   bool Condition(const Binding& binding, const Memo& memo) const override;
-  std::vector<AlgorithmAlternative> Applicability(
+  AlgorithmAlternatives Applicability(
       const Binding& binding, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const override;
   Cost LocalCost(const Binding& binding, const Memo& memo) const override;
@@ -278,7 +278,7 @@ class JoinToHashJoinRule final : public ImplementationRule {
 class JoinToMultiHashJoinRule final : public ImplementationRule {
  public:
   explicit JoinToMultiHashJoinRule(const RelModel& model);
-  std::vector<AlgorithmAlternative> Applicability(
+  AlgorithmAlternatives Applicability(
       const Binding& binding, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const override;
   Cost LocalCost(const Binding& binding, const Memo& memo) const override;
@@ -293,7 +293,7 @@ class JoinToMultiHashJoinRule final : public ImplementationRule {
 class ProjectRule final : public ImplementationRule {
  public:
   explicit ProjectRule(const RelModel& model);
-  std::vector<AlgorithmAlternative> Applicability(
+  AlgorithmAlternatives Applicability(
       const Binding& binding, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const override;
   Cost LocalCost(const Binding& binding, const Memo& memo) const override;
@@ -309,7 +309,7 @@ class ProjectRule final : public ImplementationRule {
 class IntersectToMergeIntersectRule final : public ImplementationRule {
  public:
   explicit IntersectToMergeIntersectRule(const RelModel& model);
-  std::vector<AlgorithmAlternative> Applicability(
+  AlgorithmAlternatives Applicability(
       const Binding& binding, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const override;
   Cost LocalCost(const Binding& binding, const Memo& memo) const override;
@@ -322,7 +322,7 @@ class IntersectToMergeIntersectRule final : public ImplementationRule {
 class IntersectToHashIntersectRule final : public ImplementationRule {
  public:
   explicit IntersectToHashIntersectRule(const RelModel& model);
-  std::vector<AlgorithmAlternative> Applicability(
+  AlgorithmAlternatives Applicability(
       const Binding& binding, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const override;
   Cost LocalCost(const Binding& binding, const Memo& memo) const override;
@@ -335,7 +335,7 @@ class IntersectToHashIntersectRule final : public ImplementationRule {
 class UnionToConcatRule final : public ImplementationRule {
  public:
   explicit UnionToConcatRule(const RelModel& model);
-  std::vector<AlgorithmAlternative> Applicability(
+  AlgorithmAlternatives Applicability(
       const Binding& binding, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const override;
   Cost LocalCost(const Binding& binding, const Memo& memo) const override;
@@ -348,7 +348,7 @@ class UnionToConcatRule final : public ImplementationRule {
 class AggToHashAggRule final : public ImplementationRule {
  public:
   explicit AggToHashAggRule(const RelModel& model);
-  std::vector<AlgorithmAlternative> Applicability(
+  AlgorithmAlternatives Applicability(
       const Binding& binding, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const override;
   Cost LocalCost(const Binding& binding, const Memo& memo) const override;
@@ -363,7 +363,7 @@ class AggToHashAggRule final : public ImplementationRule {
 class AggToSortAggRule final : public ImplementationRule {
  public:
   explicit AggToSortAggRule(const RelModel& model);
-  std::vector<AlgorithmAlternative> Applicability(
+  AlgorithmAlternatives Applicability(
       const Binding& binding, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const override;
   Cost LocalCost(const Binding& binding, const Memo& memo) const override;
@@ -380,7 +380,7 @@ class AggToSortAggRule final : public ImplementationRule {
 class JoinToParallelHashJoinRule final : public ImplementationRule {
  public:
   explicit JoinToParallelHashJoinRule(const RelModel& model);
-  std::vector<AlgorithmAlternative> Applicability(
+  AlgorithmAlternatives Applicability(
       const Binding& binding, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const override;
   Cost LocalCost(const Binding& binding, const Memo& memo) const override;
@@ -395,7 +395,7 @@ class JoinToParallelHashJoinRule final : public ImplementationRule {
 class LeftOuterJoinToHashRule final : public ImplementationRule {
  public:
   explicit LeftOuterJoinToHashRule(const RelModel& model);
-  std::vector<AlgorithmAlternative> Applicability(
+  AlgorithmAlternatives Applicability(
       const Binding& binding, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const override;
   Cost LocalCost(const Binding& binding, const Memo& memo) const override;
@@ -411,7 +411,7 @@ class LeftOuterJoinToHashRule final : public ImplementationRule {
 class SemijoinToHashRule final : public ImplementationRule {
  public:
   explicit SemijoinToHashRule(const RelModel& model);
-  std::vector<AlgorithmAlternative> Applicability(
+  AlgorithmAlternatives Applicability(
       const Binding& binding, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const override;
   Cost LocalCost(const Binding& binding, const Memo& memo) const override;
@@ -424,7 +424,7 @@ class SemijoinToHashRule final : public ImplementationRule {
 class AntijoinToHashRule final : public ImplementationRule {
  public:
   explicit AntijoinToHashRule(const RelModel& model);
-  std::vector<AlgorithmAlternative> Applicability(
+  AlgorithmAlternatives Applicability(
       const Binding& binding, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const override;
   Cost LocalCost(const Binding& binding, const Memo& memo) const override;
@@ -438,7 +438,7 @@ class AntijoinToHashRule final : public ImplementationRule {
 class DistinctToHashDistinctRule final : public ImplementationRule {
  public:
   explicit DistinctToHashDistinctRule(const RelModel& model);
-  std::vector<AlgorithmAlternative> Applicability(
+  AlgorithmAlternatives Applicability(
       const Binding& binding, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const override;
   Cost LocalCost(const Binding& binding, const Memo& memo) const override;
@@ -453,7 +453,7 @@ class DistinctToHashDistinctRule final : public ImplementationRule {
 class DistinctToSortDistinctRule final : public ImplementationRule {
  public:
   explicit DistinctToSortDistinctRule(const RelModel& model);
-  std::vector<AlgorithmAlternative> Applicability(
+  AlgorithmAlternatives Applicability(
       const Binding& binding, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const override;
   Cost LocalCost(const Binding& binding, const Memo& memo) const override;
@@ -470,7 +470,7 @@ class DistinctToSortDistinctRule final : public ImplementationRule {
 class SubqueryToNestedRule final : public ImplementationRule {
  public:
   explicit SubqueryToNestedRule(const RelModel& model);
-  std::vector<AlgorithmAlternative> Applicability(
+  AlgorithmAlternatives Applicability(
       const Binding& binding, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const override;
   Cost LocalCost(const Binding& binding, const Memo& memo) const override;

@@ -53,6 +53,16 @@ class Pattern {
     return n;
   }
 
+  /// True for an operator node whose children are all "any" leaves: the
+  /// pattern binds one expression (NumOpNodes() == 1, without recursing).
+  bool IsSingleNode() const {
+    if (is_any()) return false;
+    for (const auto& c : children_) {
+      if (!c.is_any()) return false;
+    }
+    return true;
+  }
+
   std::string ToString(const OperatorRegistry& reg) const {
     if (is_any()) return "?";
     std::string s = reg.Name(op_);

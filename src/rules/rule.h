@@ -27,6 +27,7 @@
 #include "rules/binding.h"
 #include "rules/pattern.h"
 #include "rules/rex.h"
+#include "support/small_vector.h"
 
 namespace volcano {
 
@@ -88,9 +89,22 @@ class TransformationRule : public Rule {
 /// as both inputs use the same one, so the implementor lists the orders to
 /// try (section 3).
 struct AlgorithmAlternative {
-  std::vector<PhysPropsPtr> input_props;  ///< one entry per pattern leaf
-  PhysPropsPtr delivered;                 ///< output properties of the plan
+  /// One entry per pattern leaf. Nearly every algorithm takes one or two
+  /// inputs, whose properties then live inline.
+  SmallVector<PhysPropsPtr, 2> input_props;
+  PhysPropsPtr delivered;  ///< output properties of the plan
 };
+
+/// An applicability check's answer. Nearly every check offers at most one
+/// alternative, which is stored inline.
+using AlgorithmAlternatives = SmallVector<AlgorithmAlternative, 1>;
+
+/// The single-alternative answer, moved into place.
+inline AlgorithmAlternatives OneAlternative(AlgorithmAlternative alt) {
+  AlgorithmAlternatives out;
+  out.push_back(std::move(alt));
+  return out;
+}
 
 /// Cost-based mapping from (one or more) logical operators to an algorithm.
 class ImplementationRule : public Rule {
@@ -110,7 +124,7 @@ class ImplementationRule : public Rule {
   /// must return no alternative whose delivered properties cover it.
   /// `required` is passed as a shared handle so order-preserving algorithms
   /// can forward it without copying.
-  virtual std::vector<AlgorithmAlternative> Applicability(
+  virtual AlgorithmAlternatives Applicability(
       const Binding& binding, const Memo& memo, const PhysPropsPtr& required,
       const PhysProps* excluded) const = 0;
 

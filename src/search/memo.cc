@@ -207,13 +207,7 @@ void Memo::RunMergeWorklist() {
         ga.winners_.TryEmplace(key, std::move(w));
         return;
       }
-      if (cur->failed() && !w.failed()) {
-        *cur = std::move(w);
-      } else if (!cur->failed() && !w.failed() && cm.Less(w.cost, cur->cost)) {
-        *cur = std::move(w);
-      } else if (cur->failed() && w.failed() && cm.Less(cur->cost, w.cost)) {
-        *cur = std::move(w);  // keep the failure with the higher limit
-      }
+      if (cm.Less(w.cost, cur->cost)) *cur = std::move(w);
     });
     gb.winners_.Clear();
 
@@ -275,18 +269,14 @@ void Memo::RunMergeWorklist() {
 }
 
 void Memo::StoreWinner(GroupId g, Goal goal, Winner w) {
+  VOLCANO_DCHECK(w.plan != nullptr);
   Group& grp = *groups_[Find(g)];
   Winner* cur = grp.winners_.Find(goal);
   if (cur == nullptr) {
     grp.winners_.TryEmplace(goal, std::move(w));
     return;
   }
-  const CostModel& cm = model_.cost_model();
-  if (cur->failed()) {
-    if (!w.failed() || cm.Less(cur->cost, w.cost)) *cur = std::move(w);
-  } else if (!w.failed() && cm.Less(w.cost, cur->cost)) {
-    *cur = std::move(w);
-  }
+  if (model_.cost_model().Less(w.cost, cur->cost)) *cur = std::move(w);
 }
 
 void Memo::Reset() {
@@ -344,13 +334,8 @@ std::string Memo::ToString() const {
       os << "  goal " << key.required->ToString();
       if (key.excluded != nullptr)
         os << " excluding " << key.excluded->ToString();
-      if (w.failed()) {
-        os << " -> failed at limit "
-           << model_.cost_model().ToString(w.cost) << "\n";
-      } else {
-        os << " -> " << PlanToLine(*w.plan, reg) << " cost "
-           << model_.cost_model().ToString(w.cost) << "\n";
-      }
+      os << " -> " << PlanToLine(*w.plan, reg) << " cost "
+         << model_.cost_model().ToString(w.cost) << "\n";
     });
   }
   return os.str();

@@ -9,11 +9,10 @@
 // which an equivalence class has already been optimized, e.g., unsorted,
 // sorted on A, and sorted on B, the best plan found is kept." (paper, §3)
 //
-// Failures are memoized too: "'Interesting' is defined with respect to
-// possible future use, which includes both plans optimal for given physical
-// properties as well as failures that can save future optimization effort
-// for a logical expression and a physical property vector with the same or
-// even lower cost limits."
+// The paper memoizes failures too ("failures that can save future
+// optimization effort"). This memo does not: every input goal is searched
+// without a cost limit (search_options.h, branch_and_bound), so below the
+// root nothing fails for cost and a failure record would never be read.
 //
 // Memory layout (see DESIGN.md §7): multi-expressions and classes are
 // bump-allocated from a per-memo arena; input-class lists are arena arrays
@@ -118,13 +117,11 @@ class MExpr {
   bool dead_ = false;
 };
 
-/// The best known result for one (class, required properties, exclusion)
-/// optimization goal: either a winning plan with its cost, or a memoized
-/// failure with the cost limit that proved infeasible.
+/// The best plan found for one (class, required properties, exclusion)
+/// optimization goal, with its cost.
 struct Winner {
-  PlanPtr plan;     ///< null for a failure record
-  Cost cost;        ///< plan cost, or the limit that failed
-  bool failed() const { return plan == nullptr; }
+  PlanPtr plan;  ///< never null
+  Cost cost;
 };
 
 /// Key for the winner table: required physical properties plus the optional
@@ -178,7 +175,7 @@ class Group {
   bool explored() const { return explored_; }
   bool exploring() const { return exploring_; }
 
-  /// Winner or memoized failure for a canonical goal, if known.
+  /// Winner for a canonical goal, if known.
   const Winner* FindWinner(Goal goal) const {
     return winners_.FindHashed(GoalHash{}(goal),
                                [goal](Goal g) { return g == goal; });

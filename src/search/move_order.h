@@ -18,9 +18,12 @@ namespace search_internal {
 /// Stable descending sort by promise. Insertion sort keeps equal-promise
 /// moves in collection order (matching the std::stable_sort it replaces)
 /// without stable_sort's temporary-buffer allocation; move sets are small.
+/// A move already in place is not touched: collected moves are nearly
+/// always in promise order already, and a move is a few hundred bytes.
 template <typename MoveT>
 void SortMovesByPromise(std::vector<MoveT>& moves) {
   for (size_t i = 1; i < moves.size(); ++i) {
+    if (!(moves[i - 1].promise < moves[i].promise)) continue;
     MoveT tmp = std::move(moves[i]);
     size_t j = i;
     while (j > 0 && moves[j - 1].promise < tmp.promise) {
@@ -39,6 +42,11 @@ void SortMovesByPromise(std::vector<MoveT>& moves) {
 template <typename MoveT>
 void SortMovesByPromiseAndKey(std::vector<MoveT>& moves) {
   for (size_t i = 1; i < moves.size(); ++i) {
+    if (!(moves[i - 1].promise < moves[i].promise ||
+          (moves[i - 1].promise == moves[i].promise &&
+           moves[i - 1].order_key > moves[i].order_key))) {
+      continue;
+    }
     MoveT tmp = std::move(moves[i]);
     size_t j = i;
     while (j > 0 &&
@@ -59,6 +67,7 @@ void SortMovesByPromiseAndKey(std::vector<MoveT>& moves) {
 template <typename MoveT>
 void SortMovesByScore(std::vector<MoveT>& moves) {
   for (size_t i = 1; i < moves.size(); ++i) {
+    if (!(moves[i - 1].order_key < moves[i].order_key)) continue;
     MoveT tmp = std::move(moves[i]);
     size_t j = i;
     while (j > 0 && moves[j - 1].order_key < tmp.order_key) {

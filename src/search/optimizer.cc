@@ -773,7 +773,7 @@ void Optimizer::CollectAlgorithmMoves(GroupId group,
             options_.fault->FailRuleApplication()) {
           continue;  // injected: the implementation rule fails to fire
         }
-        std::vector<AlgorithmAlternative> alts = rule.Applicability(
+        AlgorithmAlternatives alts = rule.Applicability(
             b, memo_, required,
             excluded == nullptr ? nullptr : excluded.get());
         for (AlgorithmAlternative& alt : alts) {
@@ -812,25 +812,16 @@ Optimizer::Result Optimizer::FindBestPlan(GroupId group,
   // --- the look-up table part of Figure 2 ---------------------------------
   if (options_.memoize_winners) {
     if (const Winner* w = memo_.FindWinner(group, goal)) {
-      if (!w->failed()) {
-        // A recorded winner is the goal's optimum (branch-and-bound never
-        // discards a plan cheaper than the best known one), so it either
-        // answers the goal or proves it infeasible under this limit.
-        if (cm.LessEq(w->cost, limit)) {
-          ++stats_.memo_winner_hits;
-          ++stats_.goals_completed;
-          return {w->plan, w->cost};
-        }
-        ++stats_.memo_failure_hits;
-        ++stats_.goals_completed;
-        return failure;
+      // A recorded winner is the goal's optimum (branch-and-bound never
+      // discards a plan cheaper than the best known one), so it either
+      // answers the goal or proves it infeasible under this limit.
+      ++stats_.goals_completed;
+      if (cm.LessEq(w->cost, limit)) {
+        ++stats_.memo_winner_hits;
+        return {w->plan, w->cost};
       }
-      if (options_.memoize_failures && cm.LessEq(limit, w->cost)) {
-        // Failed before with an equal or higher limit; must fail now too.
-        ++stats_.memo_failure_hits;
-        ++stats_.goals_completed;
-        return failure;
-      }
+      ++stats_.memo_above_limit_hits;
+      return failure;
     }
   }
 
@@ -924,12 +915,8 @@ Optimizer::Result Optimizer::FindBestPlan(GroupId group,
   // --- maintain the look-up table of explored facts ------------------------
   // Nothing is recorded once the budget has tripped: a truncated search
   // proves neither optimality nor infeasibility.
-  if (options_.memoize_winners && !aborted()) {
-    if (best.plan != nullptr) {
-      memo_.StoreWinner(group, goal, Winner{best.plan, best.cost});
-    } else if (options_.memoize_failures) {
-      memo_.StoreWinner(group, goal, Winner{nullptr, limit});
-    }
+  if (options_.memoize_winners && !aborted() && best.plan != nullptr) {
+    memo_.StoreWinner(group, goal, Winner{best.plan, best.cost});
   }
   if (!aborted()) {
     ++stats_.goals_completed;
@@ -1235,8 +1222,7 @@ Optimizer::Result Optimizer::GreedyPlan(GroupId group,
   Goal goal = memo_.CanonicalGoal(required, excluded);
   // Winners recorded before the budget tripped are optimal and complete —
   // reuse them rather than re-planning greedily.
-  if (const Winner* w = memo_.FindWinner(group, goal);
-      w != nullptr && !w->failed()) {
+  if (const Winner* w = memo_.FindWinner(group, goal)) {
     return {w->plan, w->cost};
   }
   if (memo_.IsInProgress(group, goal)) return failure;

@@ -14,11 +14,6 @@ Status ValidateSearchOptions(const SearchOptions& options) {
   if (options.move_limit < 0) {
     return Invalid("move_limit", "move_limit must be >= 0 (0 = unlimited)");
   }
-  if (options.memoize_failures && !options.memoize_winners) {
-    return Invalid("memoize_failures",
-                   "memoize_failures requires memoize_winners: failure "
-                   "records live in the winner table");
-  }
   if (options.join_seed_threshold < 2) {
     return Invalid("join_seed_threshold",
                    "join_seed_threshold must be >= 2 (a query with fewer "

@@ -2,7 +2,7 @@
 //
 // SearchOptions has one knob per search choice — engine, strategy,
 // suspend-on-trip, budgets, degradation — and with them come cross-knob
-// invariants ("memoize_failures requires memoize_winners") that would
+// invariants ("frontier_limit requires the best-first engine") that would
 // otherwise live in comments or be silently ignored. The SearchConfig
 // builder makes those invariants construction-time Status errors: a
 // SearchConfig that exists is valid by construction, and the Optimizer
@@ -27,8 +27,6 @@ namespace volcano {
 /// Checks the cross-knob invariants a raw SearchOptions can violate. OK iff
 /// the combination is one the engine actually implements:
 ///  * move_limit must be >= 0;
-///  * memoize_failures requires memoize_winners (failure records live in the
-///    winner table);
 ///  * frontier_limit / memo_byte_limit require Engine::kBestFirst (no other
 ///    engine reads them), frontier_limit must leave room for real fan-out
 ///    (>= 8 when set), and memo_byte_limit must be >= 128 KiB (the arena's
@@ -69,10 +67,6 @@ class SearchConfig {
     }
     Builder& branch_and_bound(bool v) {
       options_.branch_and_bound = v;
-      return *this;
-    }
-    Builder& memoize_failures(bool v) {
-      options_.memoize_failures = v;
       return *this;
     }
     Builder& memoize_winners(bool v) {

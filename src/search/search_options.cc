@@ -11,7 +11,7 @@ std::string SearchStats::ToString() const {
   std::ostringstream os;
   os << "FindBestPlan calls: " << find_best_plan_calls
      << ", winner hits: " << memo_winner_hits
-     << ", failure hits: " << memo_failure_hits
+     << ", above-limit hits: " << memo_above_limit_hits
      << ", in-progress hits: " << in_progress_hits << "\n"
      << "classes: " << groups_created << ", expressions: " << mexprs_created
      << ", merges: " << group_merges << "\n"
@@ -39,7 +39,7 @@ std::string SearchStats::ToJson() const {
   w.BeginObject();
   w.Key("find_best_plan_calls").Value(find_best_plan_calls);
   w.Key("memo_winner_hits").Value(memo_winner_hits);
-  w.Key("memo_failure_hits").Value(memo_failure_hits);
+  w.Key("memo_above_limit_hits").Value(memo_above_limit_hits);
   w.Key("in_progress_hits").Value(in_progress_hits);
   w.Key("groups_created").Value(groups_created);
   w.Key("mexprs_created").Value(mexprs_created);

@@ -95,10 +95,6 @@ struct SearchOptions {
   /// incumbent pruning; plans are identical either way.
   bool branch_and_bound = true;
 
-  /// Memoize optimization failures ("failures that can save future
-  /// optimization effort", section 3). Requires winner memoization.
-  bool memoize_failures = true;
-
   /// Reuse winners across subgoals (the dynamic-programming look-up table).
   /// Disabling degrades the search to plain top-down enumeration; used only
   /// by the ablation benches.
@@ -239,7 +235,9 @@ struct OptimizeOutcome {
 struct SearchStats {
   uint64_t find_best_plan_calls = 0;
   uint64_t memo_winner_hits = 0;    ///< goal answered from the look-up table
-  uint64_t memo_failure_hits = 0;   ///< goal failed from a memoized failure
+  /// Goal failed without a search: its memoized winner costs more than the
+  /// goal's limit (a winner is the goal's optimum, so no plan fits).
+  uint64_t memo_above_limit_hits = 0;
   uint64_t in_progress_hits = 0;    ///< cycles cut by the in-progress mark
   uint64_t groups_created = 0;
   uint64_t mexprs_created = 0;

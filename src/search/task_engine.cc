@@ -1,6 +1,7 @@
 #include "search/task_engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -10,31 +11,71 @@
 
 namespace volcano {
 
+namespace {
+
+// The handle a goal frame borrows when its goal has no excluding vector.
+const PhysPropsPtr kNoProps;
+
+// Frame arena block size. A search keeps only as many frames live as it
+// nests deep, so blocks far smaller than the memo's suffice.
+constexpr size_t kFrameBlockBytes = 8 << 10;
+
+/// The child position of a two-level pattern — every child "any" except one
+/// single-node operator pattern — or -1 for any other shape.
+int TwoLevelPosition(const Pattern& pattern) {
+  int pos = -1;
+  const std::vector<Pattern>& kids = pattern.children();
+  for (size_t i = 0; i < kids.size(); ++i) {
+    if (kids[i].is_any()) continue;
+    if (pos >= 0 || !kids[i].IsSingleNode()) return -1;
+    pos = static_cast<int>(i);
+  }
+  return pos;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Matcher
 // ---------------------------------------------------------------------------
 
 void TaskEngine::Matcher::Start(const Pattern& pattern, const MExpr& m,
                                 Memo& memo, std::vector<Binding>* out) {
-  acts_.clear();
-  partial_ = Binding{};
   out_ = out;
+  acts_.clear();
   need_group_ = kInvalidGroup;
-  // Fast path for depth-1 patterns (every child is "any"): identical to
-  // Optimizer::CollectBindings — the single binding is the expression itself
-  // over its input classes, completed synchronously.
-  if (pattern.NumOpNodes() == 1) {
-    if (pattern.op() != m.op()) return;
-    Binding b;
+  mode_ = Mode::kIdle;
+  // Every shape starts like MatchNode: the root operator must match.
+  if (pattern.op() != m.op()) return;
+  // A single-node pattern (every child is "any"), as in
+  // Optimizer::CollectBindings: the one binding is the expression itself
+  // over its input classes, built in place.
+  if (pattern.IsSingleNode()) {
+    Binding& b = out->emplace_back();
     b.mutable_nodes().push_back(&m);
     auto& leaves = b.mutable_leaves();
     leaves.reserve(m.num_inputs());
     for (size_t i = 0; i < m.num_inputs(); ++i) {
       leaves.push_back(memo.Find(m.input(i)));
     }
-    out->push_back(std::move(b));
     return;
   }
+  partial_.mutable_nodes().clear();
+  partial_.mutable_leaves().clear();
+  const int pos = TwoLevelPosition(pattern);
+  if (pos >= 0 && static_cast<size_t>(pos) < m.num_inputs()) {
+    // The "any" positions before the operator position are bound before
+    // its class is explored, as MatchChildren binds them.
+    pattern_ = &pattern;
+    root_ = &m;
+    nested_pos_ = static_cast<uint32_t>(pos);
+    for (uint32_t i = 0; i < nested_pos_; ++i) {
+      partial_.mutable_leaves().push_back(memo.Find(m.input(i)));
+    }
+    mode_ = Mode::kTwoLevelExplore;
+    return;
+  }
+  mode_ = Mode::kGeneral;
   Act root;
   root.kind = Act::Kind::kNode;
   root.p = &pattern;
@@ -43,15 +84,69 @@ void TaskEngine::Matcher::Start(const Pattern& pattern, const MExpr& m,
   acts_.push_back(root);
 }
 
+void TaskEngine::Matcher::PushChildren(const Pattern* p, const MExpr* m,
+                                       uint32_t child, int32_t cont) {
+  Act c;
+  c.kind = Act::Kind::kChildren;
+  c.p = p;
+  c.m = m;
+  c.child = child;
+  c.cont = cont;
+  acts_.push_back(c);
+}
+
+void TaskEngine::Matcher::PopChildren() {
+  for (uint8_t i = acts_.back().leaves; i > 0; --i) {
+    partial_.mutable_leaves().pop_back();
+  }
+  acts_.pop_back();
+}
+
+void TaskEngine::Matcher::BindTwoLevel(Memo& memo) {
+  const Pattern& nested = pattern_->children()[nested_pos_];
+  const Group& grp = memo.group(need_group_);
+  const size_t arity = root_->num_inputs();
+  // Binding only reads the memo, so the class cannot change meanwhile.
+  for (const MExpr* cm : grp.exprs()) {
+    if (cm->dead() || cm->op() != nested.op()) continue;
+    Binding& b = out_->emplace_back();
+    b.mutable_nodes().push_back(root_);
+    b.mutable_nodes().push_back(cm);
+    Binding::Leaves& leaves = b.mutable_leaves();
+    leaves = partial_.leaves();
+    for (size_t j = 0; j < cm->num_inputs(); ++j) {
+      leaves.push_back(memo.Find(cm->input(j)));
+    }
+    for (size_t i = nested_pos_ + 1; i < arity; ++i) {
+      leaves.push_back(memo.Find(root_->input(i)));
+    }
+  }
+}
+
 TaskEngine::Matcher::Status TaskEngine::Matcher::Step(Memo& memo) {
-  // Each Act is one suspended activation of MatchNode (kNode) or
-  // MatchChildren (kChildren) from the recursive matcher; `pc` is the resume
-  // point and `cont` the act index of the MatchChildren call-site whose
-  // continuation runs when a subtree match completes (kEmitCont = emit the
-  // binding). All Act fields are copied to locals before any push: pushes
-  // may reallocate acts_.
+  switch (mode_) {
+    case Mode::kIdle:
+      return Status::kDone;
+    case Mode::kTwoLevelExplore:
+      need_group_ = memo.Find(root_->input(nested_pos_));
+      mode_ = Mode::kTwoLevelBind;
+      return Status::kNeedExplore;
+    case Mode::kTwoLevelBind:
+      BindTwoLevel(memo);
+      mode_ = Mode::kIdle;
+      return Status::kDone;
+    case Mode::kGeneral:
+      break;
+  }
+  // Each Act is one suspended activation of MatchNode (kNode) or of a run of
+  // MatchChildren calls (kChildren) from the recursive matcher; `pc` is the
+  // resume point and `cont` the act index of the MatchChildren call-site
+  // whose continuation runs when a subtree match completes (kEmitCont = emit
+  // the binding). A kChildren act binds consecutive "any" positions itself
+  // and stops at the first specific-operator position. Act fields are read
+  // before any push: pushes may reallocate acts_.
   while (!acts_.empty()) {
-    size_t idx = acts_.size() - 1;
+    const size_t idx = acts_.size() - 1;
     Act& a = acts_[idx];
     if (a.kind == Act::Kind::kNode) {
       if (a.pc == 0) {
@@ -62,16 +157,10 @@ TaskEngine::Matcher::Status TaskEngine::Matcher::Step(Memo& memo) {
         }
         partial_.mutable_nodes().push_back(a.m);
         a.pc = 1;
-        Act c;
-        c.kind = Act::Kind::kChildren;
-        c.p = a.p;
-        c.m = a.m;
-        c.child = 0;
-        c.cont = a.cont;
-        acts_.push_back(c);
+        PushChildren(a.p, a.m, 0, a.cont);
         continue;
       }
-      // pc == 1: MatchChildren returned.
+      // pc == 1: the children matched.
       partial_.mutable_nodes().pop_back();
       acts_.pop_back();
       continue;
@@ -79,40 +168,27 @@ TaskEngine::Matcher::Status TaskEngine::Matcher::Step(Memo& memo) {
     // kChildren.
     switch (a.pc) {
       case 0: {
-        if (a.child == a.m->num_inputs()) {
-          if (a.cont == kEmitCont) {
-            out_->push_back(partial_);
-            acts_.pop_back();
-          } else {
-            // Run the caller MatchChildren's continuation: advance it one
-            // child position. This act waits in pc=2 for it to finish.
-            a.pc = 2;
-            const Act& site = acts_[static_cast<size_t>(a.cont)];
-            Act c;
-            c.kind = Act::Kind::kChildren;
-            c.p = site.p;
-            c.m = site.m;
-            c.child = site.child + 1;
-            c.cont = site.cont;
-            acts_.push_back(c);
-          }
-          continue;
-        }
         // A pattern with fewer children than the operator's arity treats the
         // missing positions as "any".
-        const Pattern* cp = a.child < a.p->children().size()
-                                ? &a.p->children()[a.child]
-                                : nullptr;
-        if (cp == nullptr || cp->is_any()) {
+        const size_t arity = a.m->num_inputs();
+        const std::vector<Pattern>& kids = a.p->children();
+        while (a.child < arity &&
+               (a.child >= kids.size() || kids[a.child].is_any())) {
           partial_.mutable_leaves().push_back(memo.Find(a.m->input(a.child)));
-          a.pc = 1;
-          Act c;
-          c.kind = Act::Kind::kChildren;
-          c.p = a.p;
-          c.m = a.m;
-          c.child = a.child + 1;
-          c.cont = a.cont;
-          acts_.push_back(c);
+          ++a.child;
+          ++a.leaves;
+        }
+        if (a.child == arity) {
+          if (a.cont == kEmitCont) {
+            out_->push_back(partial_);
+            PopChildren();
+            continue;
+          }
+          // Run the caller MatchChildren's continuation: advance it one
+          // child position. This act waits in pc=2 for it to finish.
+          a.pc = 2;
+          const Act& site = acts_[static_cast<size_t>(a.cont)];
+          PushChildren(site.p, site.m, site.child + 1, site.cont);
           continue;
         }
         // Specific operator below: direct the search — the input class must
@@ -123,28 +199,23 @@ TaskEngine::Matcher::Status TaskEngine::Matcher::Step(Memo& memo) {
         need_group_ = a.cg;
         return Status::kNeedExplore;
       }
-      case 1:  // "any" child position finished.
-        partial_.mutable_leaves().pop_back();
-        acts_.pop_back();
-        continue;
       case 2:  // caller continuation finished.
-        acts_.pop_back();
+        PopChildren();
         continue;
       case 3: {
         // Enumerate candidate expressions of the explored input class.
         a.cg = memo.Find(a.cg);
         const Group& grp = memo.group(a.cg);
         if (a.enum_i >= grp.exprs().size()) {
-          acts_.pop_back();
+          PopChildren();
           continue;
         }
         const MExpr* cm = grp.exprs()[a.enum_i];
         ++a.enum_i;
         if (cm->dead()) continue;
-        const Pattern* cp = &a.p->children()[a.child];
         Act c;
         c.kind = Act::Kind::kNode;
-        c.p = cp;
+        c.p = &a.p->children()[a.child];
         c.m = cm;
         c.cont = static_cast<int32_t>(idx);  // completion resumes child+1 here
         acts_.push_back(c);
@@ -152,63 +223,32 @@ TaskEngine::Matcher::Status TaskEngine::Matcher::Step(Memo& memo) {
       }
     }
   }
+  mode_ = Mode::kIdle;
   return Status::kDone;
 }
 
 // ---------------------------------------------------------------------------
-// Frame reuse
+// Frame reuse: release what a frame owns; entry sets the rest.
 // ---------------------------------------------------------------------------
 
 void TaskEngine::GoalFrame::Reuse() {
-  parent = nullptr;
-  required = nullptr;
-  excluded = nullptr;
-  out = nullptr;
-  goal = Goal{};
   marked = false;
   collect_only = false;
   best = Optimizer::Result{};
   logical = nullptr;
   moves.clear();
-  move_idx = 0;
-  collect_before = kInvalidGroup;
-  collect_size_before = 0;
-  sweep_group = kInvalidGroup;
-  sweep_expr_idx = 0;
-  sweep_rule_pos = 0;
-  sweep_expr = nullptr;
-  sweep_rule = nullptr;
-  sweep_next = 0;
   bindings.clear();
   glue_base = Optimizer::Result{};
   tmoves.clear();
-  tmove_idx = 0;
-  trans_rule = nullptr;
   pursued.clear();
-  enforcers_done = false;
 }
 
 void TaskEngine::MoveFrame::Reuse() {
-  parent = nullptr;
-  mv = nullptr;
-  group = kInvalidGroup;
-  logical = nullptr;
-  goal = nullptr;
   children.clear();
-  input_idx = 0;
   child_result = Optimizer::Result{};
 }
 
-void TaskEngine::ExploreFrame::Reuse() {
-  parent = nullptr;
-  group = kInvalidGroup;
-  changed = false;
-  expr_idx = 0;
-  rule_pos = 0;
-  expr = nullptr;
-  rule = nullptr;
-  bindings.clear();
-}
+void TaskEngine::ExploreFrame::Reuse() { bindings.clear(); }
 
 // ---------------------------------------------------------------------------
 // Engine lifecycle
@@ -216,6 +256,9 @@ void TaskEngine::ExploreFrame::Reuse() {
 
 TaskEngine::TaskEngine(Optimizer& opt)
     : opt_(opt),
+      cm_(opt.model_.cost_model()),
+      rules_(opt.model_.rule_set()),
+      arena_(kFrameBlockBytes),
       goal_pool_(&arena_),
       move_pool_(&arena_),
       explore_pool_(&arena_) {}
@@ -235,7 +278,10 @@ Optimizer::Result TaskEngine::Run(GroupId group, const PhysPropsPtr& required,
   VOLCANO_CHECK(stack_.Empty());
   suspended_ = false;
   root_result_ = Optimizer::Result{nullptr, limit};
-  if (EnterGoal(group, required, limit, excluded, &root_result_, nullptr)) {
+  root_required_ = required;
+  root_excluded_ = excluded;
+  if (EnterGoal(group, &root_required_, limit, &root_excluded_, &root_result_,
+                nullptr)) {
     return Loop();
   }
   return std::move(root_result_);
@@ -293,10 +339,25 @@ void TaskEngine::Abandon() {
   }
 }
 
+void TaskEngine::Step(Frame* f) {
+  switch (f->kind) {
+    case Frame::Kind::kGoal:
+      StepGoal(static_cast<GoalFrame*>(f));
+      break;
+    case Frame::Kind::kMove:
+      StepMove(static_cast<MoveFrame*>(f));
+      break;
+    case Frame::Kind::kExplore:
+      StepExplore(static_cast<ExploreFrame*>(f));
+      break;
+  }
+}
+
 Optimizer::Result TaskEngine::Loop() {
-  // Both predicates are loop-invariant (Abandon never runs inside Loop), so
-  // hoist them off the per-task dispatch path.
+  // These predicates are loop-invariant (Abandon never runs inside Loop),
+  // so hoist them off the per-task dispatch path.
   const bool may_park = Parking();
+  const bool timed = opt_.options_.collect_phase_timing;
   // Task count accumulates in a register and lands in the stats at
   // every exit (nothing reads it mid-run; budgets count goals and cost
   // estimates).
@@ -319,16 +380,20 @@ Optimizer::Result TaskEngine::Loop() {
     // loop — so a sampled probe sees the same high water as a per-task one.
     if ((tasks & 63) == 0) opt_.ProbeNativeStack();
     Frame* f = stack_.Top();
-    switch (f->kind) {
-      case Frame::Kind::kGoal:
-        StepGoal(static_cast<GoalFrame*>(f));
-        break;
-      case Frame::Kind::kMove:
-        StepMove(static_cast<MoveFrame*>(f));
-        break;
-      case Frame::Kind::kExplore:
-        StepExplore(static_cast<ExploreFrame*>(f));
-        break;
+    if (timed && f->phase != kPhaseOther) {
+      // Phase timers: the step's wall-clock goes to the phase its frame
+      // runs under (read before the step, which may release the frame).
+      const Phase phase = f->phase;
+      const auto start = std::chrono::steady_clock::now();
+      Step(f);
+      const double s = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+      PhaseTimers& phases = opt_.metrics_.phases;
+      (phase == kPhaseExplore ? phases.explore_seconds
+                              : phases.pursue_seconds) += s;
+    } else {
+      Step(f);
     }
   }
   SearchStats& st = opt_.stats_;
@@ -343,83 +408,90 @@ Optimizer::Result TaskEngine::Loop() {
 // Goal entry/exit (the FindBestPlan prologue and epilogue)
 // ---------------------------------------------------------------------------
 
-bool TaskEngine::EnterGoal(GroupId group, const PhysPropsPtr& required,
-                           Cost limit, const PhysPropsPtr& excluded,
-                           Optimizer::Result* out, Frame* parent) {
+bool TaskEngine::ProbeWinner(GroupId group, Goal goal, Cost limit,
+                             Optimizer::Result* out) {
+  if (!opt_.options_.memoize_winners) return false;
+  const Winner* w = opt_.memo_.FindWinner(group, goal);
+  if (w == nullptr) return false;
+  // A recorded winner is the goal's optimum, so it either answers the goal
+  // or proves it infeasible under this limit.
   SearchStats& st = opt_.stats_;
-  ++st.find_best_plan_calls;
-  const CostModel& cm = opt_.model_.cost_model();
+  ++st.goals_completed;
+  if (cm_.LessEq(w->cost, limit)) {
+    ++st.memo_winner_hits;
+    *out = Optimizer::Result{w->plan, w->cost};
+  } else {
+    ++st.memo_above_limit_hits;
+    *out = Optimizer::Result{nullptr, limit};
+  }
+  return true;
+}
+
+bool TaskEngine::AnswerFromMemo(GroupId group, Goal goal, Cost limit,
+                                Optimizer::Result* out) {
+  if (ProbeWinner(group, goal, limit, out)) return true;
+  // Rule inverses re-derive this very goal; "if a newly formed expression
+  // already exists ... and is marked as 'in progress,' it is ignored".
+  if (opt_.memo_.IsInProgress(group, goal)) {
+    ++opt_.stats_.in_progress_hits;
+    ++opt_.stats_.goals_completed;
+    *out = Optimizer::Result{nullptr, limit};
+    return true;
+  }
+  return false;
+}
+
+TaskEngine::GoalFrame* TaskEngine::NewGoal(GroupId group,
+                                           const PhysPropsPtr* required,
+                                           Cost limit,
+                                           const PhysPropsPtr* excluded,
+                                           Optimizer::Result* out,
+                                           Frame* parent) {
+  GoalFrame* f = goal_pool_.Acquire();
+  f->kind = Frame::Kind::kGoal;
+  f->parent = parent;
+  f->phase = parent != nullptr ? parent->phase : kPhaseOther;
+  f->group = group;
+  f->required = required;
+  f->excluded = excluded != nullptr ? excluded : &kNoProps;
+  f->limit = limit;
+  f->out = out;
+  return f;
+}
+
+void TaskEngine::BeginGoal(GoalFrame* f, GroupId group, Goal goal) {
+  opt_.memo_.MarkInProgress(group, goal);
+  ++opt_.stats_.goals_started;
+  f->group = group;
+  f->goal = goal;
+  f->marked = true;
+  f->best = Optimizer::Result{nullptr, f->limit};
+  f->best_cost = f->limit;
+  f->state = kGoalDispatch;
+}
+
+bool TaskEngine::EnterGoal(GroupId group, const PhysPropsPtr* required,
+                           Cost limit, const PhysPropsPtr* excluded,
+                           Optimizer::Result* out, Frame* parent) {
+  ++opt_.stats_.find_best_plan_calls;
   if (!opt_.CheckBudget()) {
     if (Parking()) {
       // Park exactly at the entry checkpoint: a resumed run re-polls the
       // budget and then runs the memo probes it has not yet done.
-      GoalFrame* f = goal_pool_.Acquire();
-      f->kind = Frame::Kind::kGoal;
+      GoalFrame* f = NewGoal(group, required, limit, excluded, out, parent);
       f->state = kGoalEnter;
-      f->parent = parent;
-      f->group = group;
-      f->required = required;
-      f->excluded = excluded;
-      f->limit = limit;
-      f->out = out;
       stack_.Push(f);
       return true;
     }
     *out = Optimizer::Result{nullptr, limit};
     return false;
   }
-
   group = opt_.memo_.Find(group);
-  Goal goal = opt_.memo_.CanonicalGoal(required, excluded);
-
-  // --- the look-up table part of Figure 2 ---------------------------------
-  if (opt_.options_.memoize_winners) {
-    if (const Winner* w = opt_.memo_.FindWinner(group, goal)) {
-      if (!w->failed()) {
-        if (cm.LessEq(w->cost, limit)) {
-          ++st.memo_winner_hits;
-          ++st.goals_completed;
-          *out = Optimizer::Result{w->plan, w->cost};
-          return false;
-        }
-        ++st.memo_failure_hits;
-        ++st.goals_completed;
-        *out = Optimizer::Result{nullptr, limit};
-        return false;
-      }
-      if (opt_.options_.memoize_failures && cm.LessEq(limit, w->cost)) {
-        ++st.memo_failure_hits;
-        ++st.goals_completed;
-        *out = Optimizer::Result{nullptr, limit};
-        return false;
-      }
-    }
-  }
-
-  // Rule inverses re-derive this very goal; "if a newly formed expression
-  // already exists ... and is marked as 'in progress,' it is ignored".
-  if (opt_.memo_.IsInProgress(group, goal)) {
-    ++st.in_progress_hits;
-    ++st.goals_completed;
-    *out = Optimizer::Result{nullptr, limit};
-    return false;
-  }
-  opt_.memo_.MarkInProgress(group, goal);
-  ++st.goals_started;
-
-  GoalFrame* f = goal_pool_.Acquire();
-  f->kind = Frame::Kind::kGoal;
-  f->state = kGoalDispatch;
-  f->parent = parent;
-  f->group = group;
-  f->required = required;
-  f->excluded = excluded;
-  f->limit = limit;
-  f->out = out;
-  f->goal = goal;
-  f->marked = true;
-  f->best = Optimizer::Result{nullptr, limit};
-  f->best_cost = limit;
+  const Goal goal = opt_.memo_.CanonicalGoal(
+      *required, excluded != nullptr ? *excluded : kNoProps);
+  if (AnswerFromMemo(group, goal, limit, out)) return false;
+  GoalFrame* f = NewGoal(group, required, limit, excluded, out, parent);
+  BeginGoal(f, group, goal);
   stack_.Push(f);
   return true;
 }
@@ -431,16 +503,12 @@ void TaskEngine::FinishGoal(GoalFrame* f) {
 
   // --- maintain the look-up table of explored facts ------------------------
   // Nothing is recorded once the budget has tripped: a truncated search
-  // proves neither optimality nor infeasibility.
-  if (opt_.options_.memoize_winners && !opt_.aborted()) {
-    if (f->best.plan != nullptr) {
+  // proves no plan optimal.
+  if (!opt_.aborted()) {
+    if (opt_.options_.memoize_winners && f->best.plan != nullptr) {
       opt_.memo_.StoreWinner(group, f->goal,
                              Winner{f->best.plan, f->best.cost});
-    } else if (opt_.options_.memoize_failures) {
-      opt_.memo_.StoreWinner(group, f->goal, Winner{nullptr, f->limit});
     }
-  }
-  if (!opt_.aborted()) {
     SearchStats& st = opt_.stats_;
     ++st.goals_completed;
     ++st.goals_finished;
@@ -477,6 +545,8 @@ bool TaskEngine::EnterExplore(GroupId group, Frame* parent) {
   ExploreFrame* f = explore_pool_.Acquire();
   f->kind = Frame::Kind::kExplore;
   f->parent = parent;
+  // Exploration a pursued move triggers is pursue time.
+  f->phase = parent->phase == kPhaseOther ? kPhaseExplore : parent->phase;
   f->group = group;
   opt_.memo_.SetExploring(group, true);
   f->state = kExpRoundStart;
@@ -507,13 +577,8 @@ void TaskEngine::PushMove(const Optimizer::Move* mv, GoalFrame* goal) {
   f->kind = Frame::Kind::kMove;
   f->state = kMoveStart;
   f->parent = goal;
+  f->phase = kPhasePursue;
   f->mv = mv;
-  // The recursive engine pursues all of a goal's moves with the group id it
-  // resolved before the pursue loop (it does not re-resolve between moves,
-  // even if a nested optimization merges the class); use the same id so
-  // trace events match byte for byte.
-  f->group = goal->group;
-  f->logical = goal->logical;
   f->goal = goal;
   stack_.Push(f);
 }
@@ -525,10 +590,11 @@ void TaskEngine::FinishMove(MoveFrame* f) {
 }
 
 // ---------------------------------------------------------------------------
-// Matcher driver
+// Matcher driver and rule application
 // ---------------------------------------------------------------------------
 
 bool TaskEngine::RunMatcher(Matcher& matcher, Frame* frame) {
+  if (matcher.done()) return true;  // a single-node pattern bound in Start
   for (;;) {
     Matcher::Status s = matcher.Step(opt_.memo_);
     if (s == Matcher::Status::kDone) return true;
@@ -539,12 +605,124 @@ bool TaskEngine::RunMatcher(Matcher& matcher, Frame* frame) {
   }
 }
 
+uint32_t TaskEngine::ApplyTransformation(const TransformationRule& rule,
+                                         const std::vector<Binding>& bindings,
+                                         const MExpr& expr,
+                                         [[maybe_unused]] GroupId group) {
+  uint32_t applied = 0;
+  SearchStats& st = opt_.stats_;
+  SearchMetrics& metrics = opt_.metrics_;
+  opt_.memo_.SetProvenance(rule.name().c_str());
+  for (const Binding& b : bindings) {
+    ++st.transformations_matched;
+    if (!rule.Condition(b, opt_.memo_)) continue;
+    if (opt_.options_.fault != nullptr &&
+        opt_.options_.fault->FailRuleApplication()) {
+      continue;  // injected: the rule fails to fire
+    }
+    ++metrics.transformations[rule.id()].fired;
+    RexPtr rex = rule.Apply(b, opt_.memo_);
+    if (rex == nullptr) continue;
+    ++st.transformations_applied;
+    ++opt_.transforms_fired_;
+    ++metrics.transformations[rule.id()].succeeded;
+    ++applied;
+    opt_.memo_.InsertRex(*rex, opt_.memo_.Find(expr.group()));
+  }
+  opt_.memo_.SetProvenance(nullptr);
+  if (!bindings.empty()) {
+    VOLCANO_TRACE(opt_.options_.trace,
+                  {.kind = TraceEventKind::kRuleFired,
+                   .group = opt_.memo_.Find(group),
+                   .rule_id = rule.id(),
+                   .count = applied,
+                   .rule = rule.name().c_str()});
+  }
+  return applied;
+}
+
 // ---------------------------------------------------------------------------
 // Goal stepping
 // ---------------------------------------------------------------------------
 
+void TaskEngine::AddAlgorithmMoves(GoalFrame* f) {
+  const ImplementationRule& rule = *f->sweep_rule;
+  const PhysPropsPtr& required = *f->required;
+  const PhysProps* excluded = f->excluded->get();
+  for (const Binding& b : f->bindings) {
+    if (!rule.Condition(b, opt_.memo_)) continue;
+    if (opt_.options_.fault != nullptr &&
+        opt_.options_.fault->FailRuleApplication()) {
+      continue;  // injected: the implementation rule fails to fire
+    }
+    AlgorithmAlternatives alts =
+        rule.Applicability(b, opt_.memo_, required, excluded);
+    for (AlgorithmAlternative& alt : alts) {
+      VOLCANO_CHECK(alt.input_props.size() == b.num_leaves());
+      VOLCANO_DCHECK(alt.delivered->Covers(*required));
+      if (excluded != nullptr && alt.delivered->Covers(*excluded)) {
+        continue;  // would qualify redundantly below the enforcer
+      }
+      Optimizer::Move& mv = f->moves.emplace_back();
+      mv.rule = &rule;
+      mv.binding = b;
+      mv.alt = std::move(alt);
+      mv.promise = rule.Promise(b, opt_.memo_);
+    }
+  }
+}
+
+bool TaskEngine::Sweep(GoalFrame* f) {
+  // CollectAlgorithmMoves: expressions of the class in order, each with its
+  // implementation rules in order. Only an exploration the matcher needs
+  // leaves the step; the class may grow and merge meanwhile, so it is
+  // re-resolved for every expression.
+  const RuleSet& rules = rules_;
+  for (;;) {
+    switch (f->state) {
+      case kGoalSweepExpr: {
+        f->sweep_group = opt_.memo_.Find(f->sweep_group);
+        const Group& grp = opt_.memo_.group(f->sweep_group);
+        while (f->sweep_expr_idx < grp.exprs().size() &&
+               grp.exprs()[f->sweep_expr_idx]->dead()) {
+          ++f->sweep_expr_idx;
+        }
+        if (f->sweep_expr_idx >= grp.exprs().size()) return true;
+        f->sweep_expr = grp.exprs()[f->sweep_expr_idx];
+        f->sweep_impls = &rules.ImplementationsFor(f->sweep_expr->op());
+        f->sweep_rule_pos = 0;
+        f->state = kGoalSweepRule;
+        [[fallthrough]];
+      }
+      case kGoalSweepRule: {
+        const std::vector<RuleId>& impls = *f->sweep_impls;
+        if (f->sweep_rule_pos >= impls.size()) {
+          ++f->sweep_expr_idx;
+          f->state = kGoalSweepExpr;
+          break;
+        }
+        f->sweep_rule = &rules.implementation(impls[f->sweep_rule_pos]);
+        f->bindings.clear();
+        f->matcher.Start(f->sweep_rule->pattern(), *f->sweep_expr,
+                         opt_.memo_, &f->bindings);
+        f->state = kGoalSweepMatch;
+        [[fallthrough]];
+      }
+      case kGoalSweepMatch: {
+        if (!RunMatcher(f->matcher, f)) return false;  // exploring an input
+        AddAlgorithmMoves(f);
+        ++f->sweep_rule_pos;
+        f->state = kGoalSweepRule;
+        break;
+      }
+      default:
+        VOLCANO_CHECK(false && "not a sweep state");
+    }
+  }
+}
+
 void TaskEngine::StepGoal(GoalFrame* f) {
-  const CostModel& cm = opt_.model_.cost_model();
+  const CostModel& cm = cm_;
   switch (f->state) {
     case kGoalEnter: {
       // Parked at the entry budget checkpoint; re-run the prologue.
@@ -556,66 +734,26 @@ void TaskEngine::StepGoal(GoalFrame* f) {
         goal_pool_.Release(f);
         return;
       }
-      SearchStats& st = opt_.stats_;
       GroupId group = opt_.memo_.Find(f->group);
-      Goal goal = opt_.memo_.CanonicalGoal(f->required, f->excluded);
-      if (opt_.options_.memoize_winners) {
-        if (const Winner* w = opt_.memo_.FindWinner(group, goal)) {
-          if (!w->failed()) {
-            if (cm.LessEq(w->cost, f->limit)) {
-              ++st.memo_winner_hits;
-              ++st.goals_completed;
-              *f->out = Optimizer::Result{w->plan, w->cost};
-            } else {
-              ++st.memo_failure_hits;
-              ++st.goals_completed;
-              *f->out = Optimizer::Result{nullptr, f->limit};
-            }
-            stack_.Pop();
-            f->Reuse();
-            goal_pool_.Release(f);
-            return;
-          }
-          if (opt_.options_.memoize_failures &&
-              cm.LessEq(f->limit, w->cost)) {
-            ++st.memo_failure_hits;
-            ++st.goals_completed;
-            *f->out = Optimizer::Result{nullptr, f->limit};
-            stack_.Pop();
-            f->Reuse();
-            goal_pool_.Release(f);
-            return;
-          }
-        }
-      }
-      if (opt_.memo_.IsInProgress(group, goal)) {
-        ++st.in_progress_hits;
-        ++st.goals_completed;
-        *f->out = Optimizer::Result{nullptr, f->limit};
+      Goal goal = opt_.memo_.CanonicalGoal(*f->required, *f->excluded);
+      if (AnswerFromMemo(group, goal, f->limit, f->out)) {
         stack_.Pop();
         f->Reuse();
         goal_pool_.Release(f);
         return;
       }
-      opt_.memo_.MarkInProgress(group, goal);
-      ++st.goals_started;
-      f->group = group;
-      f->goal = goal;
-      f->marked = true;
-      f->best = Optimizer::Result{nullptr, f->limit};
-      f->best_cost = f->limit;
-      f->state = kGoalDispatch;
+      BeginGoal(f, group, goal);
       return;
     }
 
     case kGoalDispatch: {
       // Canonical pointers make "is this the vacuous requirement?" an
       // identity test.
-      if (opt_.options_.glue_properties && f->excluded == nullptr &&
+      if (opt_.options_.glue_properties && *f->excluded == nullptr &&
           f->goal.required != opt_.any_props_.get()) {
         f->state = kGoalGlueDone;
         f->glue_base = Optimizer::Result{};
-        EnterGoal(f->group, opt_.model_.AnyProps(), f->limit, nullptr,
+        EnterGoal(f->group, &opt_.any_props_, f->limit, nullptr,
                   &f->glue_base, f);
         return;
       }
@@ -627,8 +765,8 @@ void TaskEngine::StepGoal(GoalFrame* f) {
       }
       // --- derive all equivalent logical expressions ----------------------
       f->state = kGoalCollectInit;
-      EnterExplore(f->group, f);
-      return;
+      if (EnterExplore(f->group, f)) return;
+      [[fallthrough]];
     }
 
     case kGoalCollectInit: {
@@ -644,78 +782,16 @@ void TaskEngine::StepGoal(GoalFrame* f) {
       f->sweep_expr_idx = 0;
       f->sweep_next = kGoalCollectCheck;
       f->state = kGoalSweepExpr;
-      return;
+      [[fallthrough]];
     }
 
-    case kGoalSweepExpr: {
-      // CollectAlgorithmMoves: next expression in the class (the vector may
-      // grow and the class may merge while we sweep; re-resolve each step).
-      f->sweep_group = opt_.memo_.Find(f->sweep_group);
-      const Group& grp = opt_.memo_.group(f->sweep_group);
-      // Skipping dead expressions mutates nothing, so it needs no dispatch
-      // round-trips.
-      while (f->sweep_expr_idx < grp.exprs().size() &&
-             grp.exprs()[f->sweep_expr_idx]->dead()) {
-        ++f->sweep_expr_idx;
-      }
-      if (f->sweep_expr_idx >= grp.exprs().size()) {
-        f->state = f->sweep_next;
-        return;
-      }
-      f->sweep_expr = grp.exprs()[f->sweep_expr_idx];
-      f->sweep_rule_pos = 0;
-      f->state = kGoalSweepRule;
-      return;
-    }
-
-    case kGoalSweepRule: {
-      const RuleSet& rules = opt_.model_.rule_set();
-      const std::vector<RuleId>& impls =
-          rules.ImplementationsFor(f->sweep_expr->op());
-      if (f->sweep_rule_pos >= impls.size()) {
-        ++f->sweep_expr_idx;
-        f->state = kGoalSweepExpr;
-        return;
-      }
-      f->sweep_rule = &rules.implementation(impls[f->sweep_rule_pos]);
-      f->bindings.clear();
-      f->matcher.Start(f->sweep_rule->pattern(), *f->sweep_expr, opt_.memo_,
-                       &f->bindings);
-      f->state = kGoalSweepMatch;
-      return;
-    }
-
+    case kGoalSweepExpr:
+    case kGoalSweepRule:
     case kGoalSweepMatch: {
-      if (!RunMatcher(f->matcher, f)) return;  // exploring an input class
-      // Matching finished: turn the bindings into algorithm moves.
-      const ImplementationRule& rule = *f->sweep_rule;
-      for (Binding& b : f->bindings) {
-        if (!rule.Condition(b, opt_.memo_)) continue;
-        if (opt_.options_.fault != nullptr &&
-            opt_.options_.fault->FailRuleApplication()) {
-          continue;  // injected: the implementation rule fails to fire
-        }
-        std::vector<AlgorithmAlternative> alts = rule.Applicability(
-            b, opt_.memo_, f->required,
-            f->excluded == nullptr ? nullptr : f->excluded.get());
-        for (AlgorithmAlternative& alt : alts) {
-          VOLCANO_CHECK(alt.input_props.size() == b.num_leaves());
-          VOLCANO_DCHECK(alt.delivered->Covers(*f->required));
-          if (f->excluded != nullptr &&
-              alt.delivered->Covers(*f->excluded)) {
-            continue;  // would qualify redundantly below the enforcer
-          }
-          Optimizer::Move mv;
-          mv.rule = &rule;
-          mv.binding = b;
-          mv.alt = std::move(alt);
-          mv.promise = rule.Promise(b, opt_.memo_);
-          f->moves.push_back(std::move(mv));
-        }
-      }
-      ++f->sweep_rule_pos;
-      f->state = kGoalSweepRule;
-      return;
+      if (!Sweep(f)) return;
+      f->state = f->sweep_next;
+      if (f->state != kGoalCollectCheck) return;
+      [[fallthrough]];
     }
 
     case kGoalCollectCheck: {
@@ -727,8 +803,8 @@ void TaskEngine::StepGoal(GoalFrame* f) {
         f->state = kGoalCollectInit;
         return;
       }
-      f->logical = opt_.memo_.LogicalOf(f->group);
-      opt_.CollectEnforcerMoves(f->required, f->excluded, *f->logical,
+      f->logical = &opt_.memo_.LogicalOf(f->group);
+      opt_.CollectEnforcerMoves(*f->required, *f->excluded, **f->logical,
                                 &f->moves);
       if (f->collect_only) {
         // Best-first expansion: order (and trim) the moves exactly as the
@@ -779,7 +855,7 @@ void TaskEngine::StepGoal(GoalFrame* f) {
       }
       f->move_idx = 0;
       f->state = kGoalPursueNext;
-      return;
+      [[fallthrough]];
     }
 
     case kGoalPursueNext: {
@@ -806,7 +882,7 @@ void TaskEngine::StepGoal(GoalFrame* f) {
         FinishGoal(f);
         return;
       }
-      if (f->glue_base.plan->props()->Covers(*f->required)) {
+      if (f->glue_base.plan->props()->Covers(**f->required)) {
         f->best = f->glue_base;
         f->best_cost = f->best.cost;
         FinishGoal(f);
@@ -815,9 +891,9 @@ void TaskEngine::StepGoal(GoalFrame* f) {
       GroupId group = opt_.memo_.Find(f->group);
       const LogicalPropsPtr& logical = opt_.memo_.LogicalOf(group);
       Optimizer::Result best{nullptr, f->limit};
-      for (const auto& enf : opt_.model_.rule_set().enforcers()) {
+      for (const auto& enf : rules_.enforcers()) {
         std::optional<EnforcerApplication> app =
-            enf->Enforce(f->required, *logical);
+            enf->Enforce(*f->required, *logical);
         if (!app.has_value()) continue;
         ++opt_.stats_.enforcer_moves;
         ++opt_.stats_.cost_estimates;
@@ -848,8 +924,8 @@ void TaskEngine::StepGoal(GoalFrame* f) {
         return;
       }
       f->group = opt_.memo_.Find(f->group);
-      f->logical = opt_.memo_.LogicalOf(f->group);
-      const RuleSet& rules = opt_.model_.rule_set();
+      f->logical = &opt_.memo_.LogicalOf(f->group);
+      const RuleSet& rules = rules_;
       f->tmoves.clear();
       for (size_t i = 0;; ++i) {
         f->group = opt_.memo_.Find(f->group);
@@ -881,7 +957,7 @@ void TaskEngine::StepGoal(GoalFrame* f) {
                          }),
           f->moves.end());
       if (!f->enforcers_done) {
-        opt_.CollectEnforcerMoves(f->required, f->excluded, *f->logical,
+        opt_.CollectEnforcerMoves(*f->required, *f->excluded, **f->logical,
                                   &f->moves);
       }
       if (f->tmoves.empty() && f->moves.empty()) {
@@ -918,42 +994,13 @@ void TaskEngine::StepGoal(GoalFrame* f) {
       f->matcher.Start(tm.rule->pattern(), *tm.expr, opt_.memo_,
                        &f->bindings);
       f->state = kGoalInterMatch;
-      return;
+      [[fallthrough]];
     }
 
     case kGoalInterMatch: {
       if (!RunMatcher(f->matcher, f)) return;
       const GoalFrame::TransMove& tm = f->tmoves[f->tmove_idx];
-      const TransformationRule& rule = *f->trans_rule;
-      uint32_t applied = 0;
-      opt_.memo_.SetProvenance(rule.name().c_str());
-      SearchStats& st = opt_.stats_;
-      SearchMetrics& metrics = opt_.metrics_;
-      for (const Binding& b : f->bindings) {
-        ++st.transformations_matched;
-        if (!rule.Condition(b, opt_.memo_)) continue;
-        if (opt_.options_.fault != nullptr &&
-            opt_.options_.fault->FailRuleApplication()) {
-          continue;  // injected: the rule fails to fire
-        }
-        ++metrics.transformations[rule.id()].fired;
-        RexPtr rex = rule.Apply(b, opt_.memo_);
-        if (rex == nullptr) continue;
-        ++st.transformations_applied;
-        ++opt_.transforms_fired_;
-        ++metrics.transformations[rule.id()].succeeded;
-        ++applied;
-        opt_.memo_.InsertRex(*rex, opt_.memo_.Find(tm.expr->group()));
-      }
-      opt_.memo_.SetProvenance(nullptr);
-      if (!f->bindings.empty()) {
-        VOLCANO_TRACE(opt_.options_.trace,
-                      {.kind = TraceEventKind::kRuleFired,
-                       .group = opt_.memo_.Find(f->group),
-                       .rule_id = rule.id(),
-                       .count = applied,
-                       .rule = rule.name().c_str()});
-      }
+      ApplyTransformation(*f->trans_rule, f->bindings, *tm.expr, f->group);
       ++f->tmove_idx;
       f->state = kGoalInterTrans;
       return;
@@ -986,177 +1033,179 @@ void TaskEngine::StepGoal(GoalFrame* f) {
 // Move stepping (PursueMove)
 // ---------------------------------------------------------------------------
 
-void TaskEngine::StepMove(MoveFrame* f) {
-  const CostModel& cm = opt_.model_.cost_model();
+bool TaskEngine::TakeInput(MoveFrame* f) {
+  if (f->child_result.plan == nullptr) {
+    FinishMove(f);
+    return false;
+  }
+  f->total = cm_.Add(f->total, f->child_result.cost);
+  f->children.push_back(std::move(f->child_result.plan));
+  ++f->input_idx;
+  return true;
+}
+
+void TaskEngine::FinishEnforcer(MoveFrame* f) {
+  const CostModel& cm = cm_;
   const Optimizer::Move& mv = *f->mv;
+  GoalFrame* goal = f->goal;
+  if (f->child_result.plan == nullptr) {
+    FinishMove(f);
+    return;
+  }
+  Cost total = cm.Add(f->total, f->child_result.cost);
+  if (!cm.LessEq(total, goal->best_cost) ||
+      (goal->best.plan != nullptr && !cm.Less(total, goal->best_cost))) {
+    FinishMove(f);
+    return;
+  }
+  VOLCANO_TRACE(opt_.options_.trace,
+                {.kind = goal->best.plan == nullptr
+                             ? TraceEventKind::kWinnerInstalled
+                             : TraceEventKind::kWinnerImproved,
+                 .group = goal->group,
+                 .rule_id = mv.enforcer_id,
+                 .rule = mv.enforcer->name().c_str(),
+                 .cost = cm.Total(total)});
+  goal->best.plan = PlanNode::Make(
+      mv.enforcer->enforcer(), mv.enforcer->PlanArg(*mv.app.delivered),
+      {f->child_result.plan}, mv.app.delivered, *goal->logical, total,
+      mv.enforcer->name().c_str(), /*from_enforcer=*/true);
+  goal->best.cost = total;
+  goal->best_cost = total;
+  ++opt_.metrics_.enforcers[mv.enforcer_id].succeeded;
+  FinishMove(f);
+}
+
+void TaskEngine::StepMove(MoveFrame* f) {
+  const CostModel& cm = cm_;
+  const Optimizer::Move& mv = *f->mv;
+  GoalFrame* goal = f->goal;
   switch (f->state) {
     case kMoveStart: {
       SearchStats& st = opt_.stats_;
-      if (mv.rule != nullptr) {
-        ++st.algorithm_moves;
+      if (mv.rule == nullptr) {
+        ++st.enforcer_moves;
         ++st.cost_estimates;
-        ++opt_.metrics_.implementations[mv.rule->id()].fired;
+        ++opt_.metrics_.enforcers[mv.enforcer_id].fired;
         VOLCANO_TRACE(opt_.options_.trace,
-                      {.kind = TraceEventKind::kAlgorithmPursued,
-                       .group = f->group,
-                       .rule_id = mv.rule->id(),
-                       .rule = mv.rule->name().c_str(),
-                       .promise = mv.promise});
-        f->total = mv.rule->LocalCost(mv.binding, opt_.memo_);
-        if (!opt_.AdmitLocalCost(&f->total)) {  // NaN: invalid cost, reject
-          FinishMove(f);
-          return;
-        }
-        if (std::isinf(cm.Total(f->total))) {  // model says: impossible
-          FinishMove(f);
-          return;
-        }
-        f->children.clear();
-        f->children.reserve(mv.binding.num_leaves());
-        f->input_idx = 0;
-        f->state = kMoveInput;
-        return;
-      }
-      ++st.enforcer_moves;
-      ++st.cost_estimates;
-      ++opt_.metrics_.enforcers[mv.enforcer_id].fired;
-      VOLCANO_TRACE(opt_.options_.trace,
-                    {.kind = TraceEventKind::kEnforcerPursued,
-                     .group = f->group,
-                     .rule_id = mv.enforcer_id,
-                     .rule = mv.enforcer->name().c_str(),
-                     .promise = mv.promise});
-      Cost local = mv.enforcer->LocalCost(*f->logical, *mv.app.delivered);
-      if (!opt_.AdmitLocalCost(&local)) {
-        FinishMove(f);
-        return;
-      }
-      if (std::isinf(cm.Total(local))) {
-        FinishMove(f);
-        return;
-      }
-      if (opt_.options_.branch_and_bound &&
-          !cm.LessEq(local, f->goal->best_cost)) {
-        ++st.moves_pruned;
-        VOLCANO_TRACE(opt_.options_.trace,
-                      {.kind = TraceEventKind::kMovePruned,
-                       .group = f->group,
+                      {.kind = TraceEventKind::kEnforcerPursued,
+                       .group = goal->group,
                        .rule_id = mv.enforcer_id,
                        .rule = mv.enforcer->name().c_str(),
-                       .cost = cm.Total(f->goal->best_cost)});
-        FinishMove(f);
-        return;
-      }
-      f->total = local;
-      // "The original logical expression is optimized ... with a suitably
-      // modified (i.e., relaxed) physical property vector" (section 6). The
-      // relaxed goal is entered without a limit, like every input goal:
-      // its memoized winner is then its optimum, and the incumbent test in
-      // kMoveEnforcerDone does the pruning.
-      f->state = kMoveEnforcerDone;
-      EnterGoal(f->group, mv.app.input_required, cm.Infinity(),
-                mv.app.excluded, &f->child_result, f);
-      return;
-    }
-
-    case kMoveInput: {
-      if (f->input_idx == mv.binding.num_leaves()) {
-        // All inputs planned: install if the move beats the incumbent.
-        if (!cm.LessEq(f->total, f->goal->best_cost)) {
+                       .promise = mv.promise});
+        Cost local =
+            mv.enforcer->LocalCost(**goal->logical, *mv.app.delivered);
+        if (!opt_.AdmitLocalCost(&local) || std::isinf(cm.Total(local))) {
           FinishMove(f);
           return;
         }
-        if (f->goal->best.plan != nullptr &&
-            !cm.Less(f->total, f->goal->best_cost)) {
+        if (opt_.options_.branch_and_bound &&
+            !cm.LessEq(local, goal->best_cost)) {
+          ++st.moves_pruned;
+          VOLCANO_TRACE(opt_.options_.trace,
+                        {.kind = TraceEventKind::kMovePruned,
+                         .group = goal->group,
+                         .rule_id = mv.enforcer_id,
+                         .rule = mv.enforcer->name().c_str(),
+                         .cost = cm.Total(goal->best_cost)});
           FinishMove(f);
           return;
         }
-        VOLCANO_TRACE(opt_.options_.trace,
-                      {.kind = f->goal->best.plan == nullptr
-                                   ? TraceEventKind::kWinnerInstalled
-                                   : TraceEventKind::kWinnerImproved,
-                       .group = f->group,
-                       .rule_id = mv.rule->id(),
-                       .rule = mv.rule->name().c_str(),
-                       .cost = cm.Total(f->total)});
-        f->goal->best.plan = PlanNode::Make(
-            mv.rule->algorithm(), mv.rule->PlanArg(mv.binding, opt_.memo_),
-            std::move(f->children), mv.alt.delivered, f->logical, f->total,
-            mv.rule->name().c_str(), /*from_enforcer=*/false);
-        f->goal->best.cost = f->total;
-        f->goal->best_cost = f->total;
-        ++opt_.metrics_.implementations[mv.rule->id()].succeeded;
-        FinishMove(f);
+        f->total = local;
+        // "The original logical expression is optimized ... with a suitably
+        // modified (i.e., relaxed) physical property vector" (section 6).
+        // The relaxed goal is entered without a limit, like every input
+        // goal: its memoized winner is then its optimum, and the incumbent
+        // test in FinishEnforcer does the pruning.
+        f->state = kMoveEnforcerDone;
+        if (EnterGoal(goal->group, &mv.app.input_required, cm.Infinity(),
+                      &mv.app.excluded, &f->child_result, f)) {
+          return;
+        }
+        FinishEnforcer(f);
         return;
       }
-      if (opt_.options_.branch_and_bound &&
-          !cm.LessEq(f->total, f->goal->best_cost)) {
-        ++opt_.stats_.moves_pruned;
-        VOLCANO_TRACE(opt_.options_.trace,
-                      {.kind = TraceEventKind::kMovePruned,
-                       .group = f->group,
-                       .rule_id = mv.rule->id(),
-                       .rule = mv.rule->name().c_str(),
-                       .cost = cm.Total(f->goal->best_cost)});
-        FinishMove(f);
-        return;
-      }
-      // Input goals are entered without a limit, so each is searched once
-      // and never fails under a tight limit only to be reopened under a
-      // looser one; the incumbent test above prunes this move instead.
-      f->state = kMoveInputDone;
-      EnterGoal(mv.binding.leaf(f->input_idx),
-                mv.alt.input_props[f->input_idx], cm.Infinity(), nullptr,
-                &f->child_result, f);
-      return;
-    }
-
-    case kMoveInputDone: {
-      if (f->child_result.plan == nullptr) {
-        FinishMove(f);
-        return;
-      }
-      f->total = cm.Add(f->total, f->child_result.cost);
-      f->children.push_back(std::move(f->child_result.plan));
-      ++f->input_idx;
-      f->state = kMoveInput;
-      return;
-    }
-
-    case kMoveEnforcerDone: {
-      if (f->child_result.plan == nullptr) {
-        FinishMove(f);
-        return;
-      }
-      Cost total = cm.Add(f->total, f->child_result.cost);
-      if (!cm.LessEq(total, f->goal->best_cost)) {
-        FinishMove(f);
-        return;
-      }
-      if (f->goal->best.plan != nullptr &&
-          !cm.Less(total, f->goal->best_cost)) {
-        FinishMove(f);
-        return;
-      }
+      ++st.algorithm_moves;
+      ++st.cost_estimates;
+      ++opt_.metrics_.implementations[mv.rule->id()].fired;
       VOLCANO_TRACE(opt_.options_.trace,
-                    {.kind = f->goal->best.plan == nullptr
-                                 ? TraceEventKind::kWinnerInstalled
-                                 : TraceEventKind::kWinnerImproved,
-                     .group = f->group,
-                     .rule_id = mv.enforcer_id,
-                     .rule = mv.enforcer->name().c_str(),
-                     .cost = cm.Total(total)});
-      f->goal->best.plan = PlanNode::Make(
-          mv.enforcer->enforcer(), mv.enforcer->PlanArg(*mv.app.delivered),
-          {f->child_result.plan}, mv.app.delivered, f->logical, total,
-          mv.enforcer->name().c_str(), /*from_enforcer=*/true);
-      f->goal->best.cost = total;
-      f->goal->best_cost = total;
-      ++opt_.metrics_.enforcers[mv.enforcer_id].succeeded;
+                    {.kind = TraceEventKind::kAlgorithmPursued,
+                     .group = goal->group,
+                     .rule_id = mv.rule->id(),
+                     .rule = mv.rule->name().c_str(),
+                     .promise = mv.promise});
+      f->total = mv.rule->LocalCost(mv.binding, opt_.memo_);
+      // NaN: invalid cost, reject; infinite: the model says impossible.
+      if (!opt_.AdmitLocalCost(&f->total) || std::isinf(cm.Total(f->total))) {
+        FinishMove(f);
+        return;
+      }
+      f->children.clear();
+      f->children.reserve(mv.binding.num_leaves());
+      f->input_idx = 0;
+      break;
+    }
+
+    case kMoveInputDone:
+      if (!TakeInput(f)) return;
+      break;
+
+    case kMoveEnforcerDone:
+      FinishEnforcer(f);
+      return;
+  }
+
+  // Optimize the algorithm's inputs in order. An input the memo answers is
+  // taken without leaving this step; a searched one resumes it in
+  // kMoveInputDone.
+  for (;;) {
+    if (f->input_idx == mv.binding.num_leaves()) break;
+    if (opt_.options_.branch_and_bound &&
+        !cm.LessEq(f->total, goal->best_cost)) {
+      ++opt_.stats_.moves_pruned;
+      VOLCANO_TRACE(opt_.options_.trace,
+                    {.kind = TraceEventKind::kMovePruned,
+                     .group = goal->group,
+                     .rule_id = mv.rule->id(),
+                     .rule = mv.rule->name().c_str(),
+                     .cost = cm.Total(goal->best_cost)});
       FinishMove(f);
       return;
     }
+    // Input goals are entered without a limit, so each is searched once
+    // and never fails under a tight limit only to be reopened under a
+    // looser one; the incumbent test above prunes this move instead.
+    f->state = kMoveInputDone;
+    if (EnterGoal(mv.binding.leaf(f->input_idx),
+                  &mv.alt.input_props[f->input_idx], cm.Infinity(), nullptr,
+                  &f->child_result, f)) {
+      return;
+    }
+    if (!TakeInput(f)) return;
   }
+
+  // All inputs planned: install if the move beats the incumbent.
+  if (!cm.LessEq(f->total, goal->best_cost) ||
+      (goal->best.plan != nullptr && !cm.Less(f->total, goal->best_cost))) {
+    FinishMove(f);
+    return;
+  }
+  VOLCANO_TRACE(opt_.options_.trace,
+                {.kind = goal->best.plan == nullptr
+                             ? TraceEventKind::kWinnerInstalled
+                             : TraceEventKind::kWinnerImproved,
+                 .group = goal->group,
+                 .rule_id = mv.rule->id(),
+                 .rule = mv.rule->name().c_str(),
+                 .cost = cm.Total(f->total)});
+  goal->best.plan = PlanNode::Make(
+      mv.rule->algorithm(), mv.rule->PlanArg(mv.binding, opt_.memo_),
+      std::move(f->children), mv.alt.delivered, *goal->logical, f->total,
+      mv.rule->name().c_str(), /*from_enforcer=*/false);
+  goal->best.cost = f->total;
+  goal->best_cost = f->total;
+  ++opt_.metrics_.implementations[mv.rule->id()].succeeded;
+  FinishMove(f);
 }
 
 // ---------------------------------------------------------------------------
@@ -1164,122 +1213,98 @@ void TaskEngine::StepMove(MoveFrame* f) {
 // ---------------------------------------------------------------------------
 
 void TaskEngine::StepExplore(ExploreFrame* f) {
-  switch (f->state) {
-    case kExpRoundStart: {
-      f->changed = false;
-      f->expr_idx = 0;
-      f->state = kExpSweepExpr;
-      return;
-    }
-
-    case kExpSweepExpr: {
-      if (!opt_.CheckBudget()) {
-        if (Parking()) return;
-        FinishExplore(f);
-        return;
-      }
-      if (opt_.ExploreCapReached()) {
-        FinishExplore(f);
-        return;
-      }
-      if (bf_active_ && BfMemoGate()) {
-        // Memo cap reached mid-exploration: stop growing the arena.
-        bf_degraded_ = true;
-        FinishExplore(f);
-        return;
-      }
-      f->group = opt_.memo_.Find(f->group);
-      Group& grp = opt_.memo_.group(f->group);
-      if (f->expr_idx >= grp.exprs().size()) {
-        f->state = kExpRoundEnd;
-        return;
-      }
-      MExpr* m = grp.exprs()[f->expr_idx];
-      if (m->dead()) {
-        ++f->expr_idx;
-        return;
-      }
-      f->expr = m;
-      f->rule_pos = 0;
-      f->state = kExpRuleNext;
-      return;
-    }
-
-    case kExpRuleNext: {
-      const RuleSet& rules = opt_.model_.rule_set();
-      const std::vector<RuleId>& trans =
-          rules.TransformationsFor(f->expr->op());
-      if (f->rule_pos >= trans.size()) {
-        ++f->expr_idx;
+  const RuleSet& rules = rules_;
+  for (;;) {
+    switch (f->state) {
+      case kExpRoundStart:
+        f->changed = false;
+        f->expr_idx = 0;
         f->state = kExpSweepExpr;
-        return;
-      }
-      RuleId rid = trans[f->rule_pos];
-      if (f->expr->HasFired(rid)) {
-        ++f->rule_pos;
-        return;
-      }
-      f->expr->MarkFired(rid);
-      f->rule = &rules.transformation(rid);
-      f->bindings.clear();
-      f->matcher.Start(f->rule->pattern(), *f->expr, opt_.memo_,
-                       &f->bindings);
-      f->state = kExpMatch;
-      return;
-    }
+        [[fallthrough]];
 
-    case kExpMatch: {
-      if (!RunMatcher(f->matcher, f)) return;
-      const TransformationRule& rule = *f->rule;
-      uint32_t applied = 0;
-      SearchStats& st = opt_.stats_;
-      SearchMetrics& metrics = opt_.metrics_;
-      opt_.memo_.SetProvenance(rule.name().c_str());
-      for (const Binding& b : f->bindings) {
-        ++st.transformations_matched;
-        if (!rule.Condition(b, opt_.memo_)) continue;
-        if (opt_.options_.fault != nullptr &&
-            opt_.options_.fault->FailRuleApplication()) {
-          continue;  // injected: the rule fails to fire
+      case kExpSweepExpr: {
+        // One budget checkpoint per expression, dead ones included, as in
+        // the recursive sweep.
+        if (!opt_.CheckBudget()) {
+          if (Parking()) return;
+          FinishExplore(f);
+          return;
         }
-        ++metrics.transformations[rule.id()].fired;
-        RexPtr rex = rule.Apply(b, opt_.memo_);
-        if (rex == nullptr) continue;
-        ++st.transformations_applied;
-        ++opt_.transforms_fired_;
-        ++metrics.transformations[rule.id()].succeeded;
-        ++applied;
-        opt_.memo_.InsertRex(*rex, opt_.memo_.Find(f->expr->group()));
-        f->changed = true;
+        if (opt_.ExploreCapReached()) {
+          FinishExplore(f);
+          return;
+        }
+        if (bf_active_ && BfMemoGate()) {
+          // Memo cap reached mid-exploration: stop growing the arena.
+          bf_degraded_ = true;
+          FinishExplore(f);
+          return;
+        }
+        f->group = opt_.memo_.Find(f->group);
+        Group& grp = opt_.memo_.group(f->group);
+        if (f->expr_idx >= grp.exprs().size()) {
+          f->state = kExpRoundEnd;
+          break;
+        }
+        MExpr* m = grp.exprs()[f->expr_idx];
+        if (m->dead()) {
+          ++f->expr_idx;
+          break;
+        }
+        f->expr = m;
+        f->trans = &rules.TransformationsFor(m->op());
+        f->rule_pos = 0;
+        f->state = kExpRuleNext;
+        [[fallthrough]];
       }
-      opt_.memo_.SetProvenance(nullptr);
-      if (!f->bindings.empty()) {
-        VOLCANO_TRACE(opt_.options_.trace,
-                      {.kind = TraceEventKind::kRuleFired,
-                       .group = opt_.memo_.Find(f->group),
-                       .rule_id = rule.id(),
-                       .count = applied,
-                       .rule = rule.name().c_str()});
-      }
-      ++f->rule_pos;
-      f->state = kExpRuleNext;
-      return;
-    }
 
-    case kExpRoundEnd: {
-      // Mirrors the recursive engine's trailing `if (!CheckBudget()) break;`
-      // after each fixpoint round.
-      if (!opt_.CheckBudget()) {
-        if (Parking()) return;
+      case kExpRuleNext: {
+        const std::vector<RuleId>& trans = *f->trans;
+        while (f->rule_pos < trans.size() &&
+               f->expr->HasFired(trans[f->rule_pos])) {
+          ++f->rule_pos;
+        }
+        if (f->rule_pos >= trans.size()) {
+          ++f->expr_idx;
+          f->state = kExpSweepExpr;
+          break;
+        }
+        const RuleId rid = trans[f->rule_pos];
+        f->expr->MarkFired(rid);
+        f->rule = &rules.transformation(rid);
+        f->bindings.clear();
+        f->matcher.Start(f->rule->pattern(), *f->expr, opt_.memo_,
+                         &f->bindings);
+        f->state = kExpMatch;
+        [[fallthrough]];
+      }
+
+      case kExpMatch: {
+        if (!RunMatcher(f->matcher, f)) return;  // exploring an input class
+        if (ApplyTransformation(*f->rule, f->bindings, *f->expr, f->group) >
+            0) {
+          f->changed = true;
+        }
+        ++f->rule_pos;
+        f->state = kExpRuleNext;
+        break;
+      }
+
+      case kExpRoundEnd: {
+        // Mirrors the recursive engine's trailing `if (!CheckBudget())
+        // break;` after each fixpoint round.
+        if (!opt_.CheckBudget()) {
+          if (Parking()) return;
+          FinishExplore(f);
+          return;
+        }
+        if (f->changed && !opt_.ExploreCapReached()) {
+          f->state = kExpRoundStart;
+          break;
+        }
         FinishExplore(f);
         return;
       }
-      if (f->changed && !opt_.ExploreCapReached()) {
-        f->state = kExpRoundStart;
-        return;
-      }
-      FinishExplore(f);
-      return;
     }
   }
 }
@@ -1373,7 +1398,7 @@ Optimizer::Result TaskEngine::BfLoop() {
                                               bf_root_->required,
                                               bf_root_->excluded, 0);
         opt_.greedy_mode_ = false;
-        const CostModel& cm = opt_.model_.cost_model();
+        const CostModel& cm = cm_;
         if (g.plan != nullptr && cm.LessEq(g.cost, bf_root_->limit)) {
           r = std::move(g);
         }
@@ -1399,9 +1424,7 @@ TaskEngine::BfGoalRec* TaskEngine::BfIntern(GroupId group,
                                             const PhysPropsPtr& excluded,
                                             BfGoalRec* creator,
                                             double priority) {
-  SearchStats& st = opt_.stats_;
-  ++st.find_best_plan_calls;  // every demand mirrors one FindBestPlan call
-  const CostModel& cm = opt_.model_.cost_model();
+  ++opt_.stats_.find_best_plan_calls;  // every demand mirrors one call
   group = opt_.memo_.Find(group);
   Goal goal = opt_.memo_.CanonicalGoal(required, excluded);
   auto it = bf_index_.find(BfKey{group, goal});
@@ -1429,30 +1452,13 @@ TaskEngine::BfGoalRec* TaskEngine::BfIntern(GroupId group,
   rec->creator = creator;
   bf_index_.emplace(BfKey{group, goal}, rec);
   // The look-up table part of Figure 2, mirroring EnterGoal byte for byte.
-  if (opt_.options_.memoize_winners) {
-    if (const Winner* w = opt_.memo_.FindWinner(group, goal)) {
-      if (!w->failed()) {
-        if (cm.LessEq(w->cost, limit)) {
-          ++st.memo_winner_hits;
-          ++st.goals_completed;
-          rec->state = BfGoalRec::State::kDone;
-          rec->done_ok = true;
-          rec->plan = w->plan;
-          rec->cost = w->cost;
-          return rec;
-        }
-        ++st.memo_failure_hits;
-        ++st.goals_completed;
-        rec->state = BfGoalRec::State::kDone;
-        return rec;
-      }
-      if (opt_.options_.memoize_failures && cm.LessEq(limit, w->cost)) {
-        ++st.memo_failure_hits;
-        ++st.goals_completed;
-        rec->state = BfGoalRec::State::kDone;
-        return rec;
-      }
-    }
+  Optimizer::Result answer;
+  if (ProbeWinner(group, goal, limit, &answer)) {
+    rec->state = BfGoalRec::State::kDone;
+    rec->done_ok = answer.plan != nullptr;
+    rec->plan = std::move(answer.plan);
+    rec->cost = answer.cost;
+    return rec;
   }
   rec->state = BfGoalRec::State::kReady;
   BfPushFrontier(rec);
@@ -1482,7 +1488,7 @@ void TaskEngine::BfExpand(BfGoalRec* rec) {
     Optimizer::Result g =
         opt_.GreedyPlan(rec->group, rec->required, rec->excluded, 0);
     opt_.greedy_mode_ = false;
-    const CostModel& cm = opt_.model_.cost_model();
+    const CostModel& cm = cm_;
     const bool ok = g.plan != nullptr && cm.LessEq(g.cost, rec->limit);
     BfSettle(rec,
              ok ? std::move(g) : Optimizer::Result{nullptr, rec->limit}, ok);
@@ -1494,15 +1500,9 @@ void TaskEngine::BfExpand(BfGoalRec* rec) {
   // Reuse the goal state machine's explore + collect phases (collect_only
   // short-circuits at kGoalCollectCheck into BfHarvest). Mirrors
   // kGoalDispatch: enter the group's transformation closure first.
-  GoalFrame* f = goal_pool_.Acquire();
-  f->kind = Frame::Kind::kGoal;
+  GoalFrame* f = NewGoal(rec->group, &rec->required, rec->limit,
+                         &rec->excluded, &bf_scratch_result_, nullptr);
   f->state = kGoalCollectInit;
-  f->parent = nullptr;
-  f->group = rec->group;
-  f->required = rec->required;
-  f->excluded = rec->excluded;
-  f->limit = rec->limit;
-  f->out = &bf_scratch_result_;
   f->goal = rec->goal;
   f->collect_only = true;
   f->best = Optimizer::Result{nullptr, rec->limit};
@@ -1516,7 +1516,7 @@ void TaskEngine::BfHarvest(GoalFrame* f) {
   BfGoalRec* rec = bf_expanding_;
   VOLCANO_CHECK(rec != nullptr);
   bf_expanding_ = nullptr;
-  rec->logical = f->logical;
+  rec->logical = *f->logical;
   rec->moves = std::move(f->moves);
   // Exploration may have merged the class; keep the resolved id (the record
   // stays indexed under its interning key — BfReduce re-probes on merges).
@@ -1529,7 +1529,7 @@ void TaskEngine::BfHarvest(GoalFrame* f) {
 
 void TaskEngine::BfRegisterChildren(BfGoalRec* rec) {
   rec->state = BfGoalRec::State::kWaiting;
-  const CostModel& cm = opt_.model_.cost_model();
+  const CostModel& cm = cm_;
   const Cost inf = cm.Infinity();
   SearchStats& st = opt_.stats_;
   rec->inputs.clear();
@@ -1612,32 +1612,16 @@ double TaskEngine::BfMoveScore(const BfGoalRec* rec,
 }
 
 void TaskEngine::BfReduce(BfGoalRec* rec) {
-  const CostModel& cm = opt_.model_.cost_model();
+  const CostModel& cm = cm_;
   SearchStats& st = opt_.stats_;
   const GroupId group = opt_.memo_.Find(rec->group);
   // Re-probe the winner table first: a class merge (or a duplicate record
   // that finished while this one waited) may have settled this goal already.
-  if (opt_.options_.memoize_winners) {
-    if (const Winner* w = opt_.memo_.FindWinner(group, rec->goal)) {
-      if (!w->failed()) {
-        if (cm.LessEq(w->cost, rec->limit)) {
-          ++st.memo_winner_hits;
-          ++st.goals_completed;
-          BfSettle(rec, Optimizer::Result{w->plan, w->cost}, true);
-          return;
-        }
-        ++st.memo_failure_hits;
-        ++st.goals_completed;
-        BfSettle(rec, Optimizer::Result{nullptr, rec->limit}, false);
-        return;
-      }
-      if (opt_.options_.memoize_failures && cm.LessEq(rec->limit, w->cost)) {
-        ++st.memo_failure_hits;
-        ++st.goals_completed;
-        BfSettle(rec, Optimizer::Result{nullptr, rec->limit}, false);
-        return;
-      }
-    }
+  Optimizer::Result answer;
+  if (ProbeWinner(group, rec->goal, rec->limit, &answer)) {
+    const bool ok = answer.plan != nullptr;
+    BfSettle(rec, std::move(answer), ok);
+    return;
   }
   // Canonical-order reduce with the serial install semantics: within the
   // limit, strictly cheaper than the incumbent, ties to the earlier move.
@@ -1719,14 +1703,10 @@ void TaskEngine::BfReduce(BfGoalRec* rec) {
     best_cost = total;
   }
   // Maintain the look-up table of explored facts, exactly like FinishGoal.
-  if (opt_.options_.memoize_winners && !opt_.aborted()) {
-    if (best.plan != nullptr) {
-      opt_.memo_.StoreWinner(group, rec->goal, Winner{best.plan, best.cost});
-    } else if (opt_.options_.memoize_failures) {
-      opt_.memo_.StoreWinner(group, rec->goal, Winner{nullptr, rec->limit});
-    }
-  }
   if (!opt_.aborted()) {
+    if (opt_.options_.memoize_winners && best.plan != nullptr) {
+      opt_.memo_.StoreWinner(group, rec->goal, Winner{best.plan, best.cost});
+    }
     ++st.goals_completed;
     ++st.goals_finished;
     if (best.plan != nullptr) opt_.CreditWinner(*best.plan);
@@ -1798,7 +1778,7 @@ Optimizer::Result TaskEngine::BfIncumbent() const {
   // assembled so far, with the reduce's install semantics but none of its
   // side effects (no stats, no trace, no StoreWinner — and no
   // AdmitLocalCost, whose fault hook must not fire on this emergency path).
-  const CostModel& cm = opt_.model_.cost_model();
+  const CostModel& cm = cm_;
   Optimizer::Result best{nullptr, bf_root_->limit};
   Cost best_cost = bf_root_->limit;
   for (size_t i = 0; i < bf_root_->moves.size(); ++i) {

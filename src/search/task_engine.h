@@ -14,6 +14,15 @@
 //      freezes the frames in place and Optimizer::Resume() continues from
 //      the exact preemption point.
 //
+// A step runs its frame until the frame must wait for a child frame (a
+// subgoal, a move, an on-demand exploration) or is done: a subgoal the memo
+// answers, a rule the matcher binds without exploring, a fired rule or a
+// dead expression costs no return to the dispatch loop. Frames hold no
+// ownership of interned properties: a goal frame points at its required
+// and excluding vectors (owned by the parent move, the best-first record or
+// the engine's root slots) and at its class's logical properties (owned by
+// the memo), and a move frame reads both through its goal.
+//
 // The engine replicates the recursive control flow site for site — budget
 // checkpoints, move collection and ordering, branch-and-bound limits,
 // in-progress cycle detection, enforcer glue, winner memoization — and is
@@ -77,12 +86,15 @@ class TaskEngine {
   // with an explicit activation stack. Suspends with kNeedExplore when a
   // specific-operator child position requires its input class explored,
   // mirroring the on-demand ExploreGroup call in the recursive matcher.
+  // The two shapes every rule of the shipped models has take shortcuts: a
+  // single-node pattern binds inside Start, and a two-level pattern (one
+  // child position names a single-node operator) asks for one exploration
+  // and then binds that class's expressions in a loop.
   class Matcher {
    public:
     enum class Status : uint8_t { kDone, kNeedExplore };
 
-    /// Mirrors Optimizer::CollectBindings (including the depth-1 fast path,
-    /// which completes synchronously inside Start).
+    /// Mirrors Optimizer::CollectBindings.
     void Start(const Pattern& pattern, const MExpr& m, Memo& memo,
                std::vector<Binding>* out);
 
@@ -93,11 +105,25 @@ class TaskEngine {
 
     GroupId need_group() const { return need_group_; }
 
+    /// True when no match is pending (Step would return kDone at once).
+    bool done() const { return mode_ == Mode::kIdle; }
+
    private:
+    enum class Mode : uint8_t {
+      kIdle,
+      kGeneral,          // the activation stack below
+      kTwoLevelExplore,  // two-level pattern: request the exploration
+      kTwoLevelBind,     // two-level pattern: bind the explored class
+    };
+
+    /// Binds every expression of the explored class at nested_pos_.
+    void BindTwoLevel(Memo& memo);
+
     struct Act {
       enum class Kind : uint8_t { kNode, kChildren };
       Kind kind;
       uint8_t pc = 0;
+      uint8_t leaves = 0;   // kChildren: "any" leaves bound by this act
       const Pattern* p = nullptr;
       const MExpr* m = nullptr;
       uint32_t child = 0;   // kChildren: child position being matched
@@ -107,29 +133,48 @@ class TaskEngine {
     };
     static constexpr int32_t kEmitCont = -1;
 
+    void PushChildren(const Pattern* p, const MExpr* m, uint32_t child,
+                      int32_t cont);
+    /// Unbinds a kChildren act's leaves and pops it.
+    void PopChildren();
+
     std::vector<Act> acts_;
     Binding partial_;
     std::vector<Binding>* out_ = nullptr;
     GroupId need_group_ = kInvalidGroup;
+    Mode mode_ = Mode::kIdle;
+    // Two-level pattern state: the pattern, the matched root, and the
+    // position whose child pattern names an operator.
+    const Pattern* pattern_ = nullptr;
+    const MExpr* root_ = nullptr;
+    uint32_t nested_pos_ = 0;
   };
 
   // --- frames --------------------------------------------------------------
 
   struct GoalFrame;
 
+  /// The search phase a frame's steps are timed under
+  /// (SearchOptions::collect_phase_timing): everything below a pursued move
+  /// is pursue time, exploration outside a move is explore time, as in the
+  /// recursive engine's nested phase scopes.
+  enum Phase : uint8_t { kPhaseOther, kPhaseExplore, kPhasePursue };
+
   struct Frame {
     enum class Kind : uint8_t { kGoal, kMove, kExplore };
     Kind kind{};
     uint8_t state = 0;
+    Phase phase = kPhaseOther;
     Frame* parent = nullptr;
   };
 
   /// One FindBestPlan activation past its memo-probe prologue.
   struct GoalFrame : Frame {
-    // Goal inputs.
+    // Goal inputs. The property handles are borrowed (see EnterGoal);
+    // `excluded` points at a null handle when there is no exclusion.
     GroupId group = kInvalidGroup;
-    PhysPropsPtr required;
-    PhysPropsPtr excluded;
+    const PhysPropsPtr* required = nullptr;
+    const PhysPropsPtr* excluded = nullptr;
     Cost limit;
     Optimizer::Result* out = nullptr;
     /// Best-first expansion: run only the explore + collect + order phases,
@@ -142,7 +187,7 @@ class TaskEngine {
     bool marked = false;  ///< MarkInProgress done (Abandon must undo)
     Optimizer::Result best;
     Cost best_cost;
-    LogicalPropsPtr logical;
+    const LogicalPropsPtr* logical = nullptr;  ///< the class's, in the memo
     std::vector<Optimizer::Move> moves;
     size_t move_idx = 0;
 
@@ -155,6 +200,7 @@ class TaskEngine {
     size_t sweep_expr_idx = 0;
     size_t sweep_rule_pos = 0;
     const MExpr* sweep_expr = nullptr;
+    const std::vector<RuleId>* sweep_impls = nullptr;  ///< sweep_expr's rules
     const ImplementationRule* sweep_rule = nullptr;
     uint8_t sweep_next = 0;  ///< state entered when the sweep completes
     std::vector<Binding> bindings;
@@ -177,11 +223,11 @@ class TaskEngine {
     void Reuse();
   };
 
-  /// One PursueMove activation (algorithm or enforcer move).
+  /// One PursueMove activation (algorithm or enforcer move). The goal's
+  /// group and logical properties stay fixed while its moves run, so the
+  /// frame reads them through `goal`.
   struct MoveFrame : Frame {
     const Optimizer::Move* mv = nullptr;
-    GroupId group = kInvalidGroup;
-    LogicalPropsPtr logical;
     GoalFrame* goal = nullptr;  ///< incumbent lives in the owning goal
     Cost total;
     std::vector<PlanPtr> children;
@@ -198,6 +244,7 @@ class TaskEngine {
     size_t expr_idx = 0;
     size_t rule_pos = 0;
     MExpr* expr = nullptr;
+    const std::vector<RuleId>* trans = nullptr;  ///< expr's rules
     const TransformationRule* rule = nullptr;
     std::vector<Binding> bindings;
     Matcher matcher;
@@ -212,7 +259,7 @@ class TaskEngine {
     kGoalCollectInit,  // start one round of the stable-collection loop
     kGoalSweepExpr,    // CollectAlgorithmMoves: next expression
     kGoalSweepRule,    // CollectAlgorithmMoves: next implementation rule
-    kGoalSweepMatch,   // CollectAlgorithmMoves: matcher running
+    kGoalSweepMatch,   // CollectAlgorithmMoves: matcher waits on exploration
     kGoalCollectCheck, // class stable? then enforcers + sort + trim
     kGoalPursueNext,   // pursue moves in promise order
     kGoalGlueDone,     // glue base goal answered; patch with enforcers
@@ -225,24 +272,24 @@ class TaskEngine {
 
   // Move frame states.
   enum MoveState : uint8_t {
-    kMoveStart,         // local cost, admission, trace
-    kMoveInput,         // prune check + optimize next algorithm input
-    kMoveInputDone,     // input subgoal answered
+    kMoveStart,         // local cost, admission, trace; then the inputs
+    kMoveInputDone,     // input subgoal answered; then the next inputs
     kMoveEnforcerDone,  // enforcer input subgoal answered
   };
 
   // Explore frame states.
   enum ExploreState : uint8_t {
     kExpRoundStart,  // begin one fixpoint round
-    kExpSweepExpr,   // next expression in the class
-    kExpRuleNext,    // next transformation rule for the expression
-    kExpMatch,       // matcher running; then apply bindings
+    kExpSweepExpr,   // next expression in the class (budget checkpoint)
+    kExpRuleNext,    // next unfired transformation rule for the expression
+    kExpMatch,       // matcher waits on exploration; then apply bindings
     kExpRoundEnd,    // round done: repeat if anything changed
   };
 
   // --- engine core ---------------------------------------------------------
 
   Optimizer::Result Loop();
+  void Step(Frame* f);
   void StepGoal(GoalFrame* f);
   void StepMove(MoveFrame* f);
   void StepExplore(ExploreFrame* f);
@@ -250,10 +297,47 @@ class TaskEngine {
   /// Mirrors the FindBestPlan prologue: counts the call, polls the budget,
   /// probes the winner / in-progress tables. Returns true when a frame was
   /// pushed (result delivered later into *out), false when *out was answered
-  /// inline.
-  bool EnterGoal(GroupId group, const PhysPropsPtr& required, Cost limit,
-                 const PhysPropsPtr& excluded, Optimizer::Result* out,
+  /// inline. The frame borrows `required` and `excluded` (null: none), which
+  /// must outlive it.
+  bool EnterGoal(GroupId group, const PhysPropsPtr* required, Cost limit,
+                 const PhysPropsPtr* excluded, Optimizer::Result* out,
                  Frame* parent);
+
+  /// The winner-table probe of Figure 2's look-up: true when a memoized
+  /// winner answers the goal (*out: the winner, or a failure when it costs
+  /// more than `limit`).
+  bool ProbeWinner(GroupId group, Goal goal, Cost limit,
+                   Optimizer::Result* out);
+
+  /// ProbeWinner, then the in-progress check that cuts re-derivation
+  /// cycles. True when *out was answered.
+  bool AnswerFromMemo(GroupId group, Goal goal, Cost limit,
+                      Optimizer::Result* out);
+
+  GoalFrame* NewGoal(GroupId group, const PhysPropsPtr* required, Cost limit,
+                     const PhysPropsPtr* excluded, Optimizer::Result* out,
+                     Frame* parent);
+
+  /// Marks a probed goal in progress and readies its frame for dispatch.
+  void BeginGoal(GoalFrame* f, GroupId group, Goal goal);
+
+  /// CollectAlgorithmMoves as a resumable sweep. Returns true when the
+  /// sweep is complete, false when it waits on an exploration frame.
+  bool Sweep(GoalFrame* f);
+  /// Turns the matched bindings of f->sweep_rule into algorithm moves.
+  void AddAlgorithmMoves(GoalFrame* f);
+
+  /// Applies a transformation rule to its bindings (expression `expr`, in
+  /// the class `group` names for tracing); returns how many applied.
+  uint32_t ApplyTransformation(const TransformationRule& rule,
+                               const std::vector<Binding>& bindings,
+                               const MExpr& expr, GroupId group);
+
+  /// Takes an answered algorithm input into the move; false (and the move
+  /// finished) when the input has no plan.
+  bool TakeInput(MoveFrame* f);
+  /// Installs an enforcer move whose input goal was answered.
+  void FinishEnforcer(MoveFrame* f);
 
   /// Mirrors the ExploreGroup prologue. Returns true when an ExploreFrame
   /// was pushed, false when the class is already explored / exploring.
@@ -375,6 +459,12 @@ class TaskEngine {
   bool BfMemoGate() const;
 
   Optimizer& opt_;
+  const CostModel& cm_;  // the model's, looked up once
+  const RuleSet& rules_;
+  // The root goal's property handles, borrowed by its frame for the whole
+  // run (a suspended run outlives the caller's handles).
+  PhysPropsPtr root_required_;
+  PhysPropsPtr root_excluded_;
   Arena arena_;
   FramePool<GoalFrame> goal_pool_;
   FramePool<MoveFrame> move_pool_;

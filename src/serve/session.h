@@ -84,36 +84,6 @@ class Session {
   Result OptimizeSql(std::string_view sql, const OptimizationBudget& budget,
                      bool exodus_fallback);
 
-  // --- interleaved suspend/resume serving ---------------------------------
-  // Many requests' suspended searches share one memory budget: each admitted
-  // request gets its own slot optimizer with suspend_on_trip set, and — when
-  // the session's engine is kBestFirst — a per-slot memo_byte_limit of
-  // memory_budget_bytes / max_concurrent, so the slots' combined arenas stay
-  // under the budget no matter how the searches interleave.
-
-  /// Sets the shared memory budget (0 = uncapped slots) and the admission
-  /// limit. Safe to call only while no interleaved search is active.
-  void ConfigureInterleaving(size_t memory_budget_bytes, int max_concurrent);
-
-  /// Admits one request: parses it, runs the first budget slice, and parks
-  /// the search in a slot. Returns the slot ticket for StepInterleaved, or
-  /// ResourceExhausted when all max_concurrent slots are taken.
-  StatusOr<uint64_t> BeginInterleaved(std::string_view sql,
-                                      const OptimizationBudget& budget);
-
-  /// Runs one more budget slice of the ticketed search. While it suspends
-  /// again the Result carries the ResourceExhausted/suspended status and the
-  /// slot stays; on completion the rendered Result is returned and the slot
-  /// is freed. InvalidArgument for an unknown (or already-finished) ticket.
-  Result StepInterleaved(uint64_t ticket);
-
-  /// Active (admitted, unfinished) interleaved searches.
-  size_t interleaved_active() const { return slots_.size(); }
-
-  /// Combined memo arena bytes across all active slots — the quantity the
-  /// shared memory budget bounds.
-  size_t interleaved_arena_bytes() const;
-
   /// Catalog version the current model was derived from.
   uint64_t model_version() const { return model_version_; }
 
@@ -128,17 +98,6 @@ class Session {
   Optimizer& optimizer() { return *optimizer_; }
 
  private:
-  /// One parked interleaved search. The slot optimizer borrows the session
-  /// model, so a SyncCatalog rebuild drops every slot.
-  struct InterleavedSlot {
-    uint64_t ticket = 0;
-    std::unique_ptr<Optimizer> optimizer;
-    std::string algebra;
-    std::string required;
-    bool finished = false;  ///< completed during Begin; Result pre-rendered
-    Result final;
-  };
-
   void Rebuild();
 
   /// Fills plan/cost/source/degraded from a successful optimization. A plan
@@ -155,11 +114,6 @@ class Session {
   std::unique_ptr<Optimizer> optimizer_;
   uint64_t model_version_ = 0;
   uint64_t model_rebuilds_ = 0;
-
-  std::vector<std::unique_ptr<InterleavedSlot>> slots_;
-  size_t interleave_budget_bytes_ = 0;
-  int interleave_max_ = 4;
-  uint64_t next_ticket_ = 1;
 };
 
 }  // namespace volcano::serve

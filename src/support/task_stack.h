@@ -27,7 +27,12 @@ namespace volcano {
 template <typename T>
 class FramePool {
  public:
-  explicit FramePool(Arena* arena) : arena_(arena) {}
+  explicit FramePool(Arena* arena) : arena_(arena) {
+    // A search keeps about as many frames live as it nests deep; room for
+    // that many saves a fresh engine the bookkeeping's regrowth.
+    all_.reserve(16);
+    free_.reserve(16);
+  }
 
   FramePool(const FramePool&) = delete;
   FramePool& operator=(const FramePool&) = delete;
@@ -64,6 +69,8 @@ class FramePool {
 template <typename FrameT>
 class TaskStack {
  public:
+  TaskStack() { frames_.reserve(64); }
+
   void Push(FrameT* f) {
     frames_.push_back(f);
     if (frames_.size() > high_water_) high_water_ = frames_.size();

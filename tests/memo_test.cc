@@ -198,28 +198,6 @@ TEST(Memo, WinnerStorageKeepsBetterPlan) {
   EXPECT_EQ(memo.FindWinner(g, key)->plan, plan2);
 }
 
-TEST(Memo, FailureRecordsKeepHighestLimit) {
-  Fixture f;
-  Memo memo(*f.model);
-  GroupId g = memo.InsertQuery(*f.model->Get("A"));
-  GoalKey key{f.model->Sorted({f.Attr("A.a0")}), nullptr};
-
-  memo.StoreWinner(g, key, Winner{nullptr, Cost::Scalar(1.0)});
-  memo.StoreWinner(g, key, Winner{nullptr, Cost::Scalar(5.0)});
-  memo.StoreWinner(g, key, Winner{nullptr, Cost::Scalar(2.0)});
-  const Winner* w = memo.FindWinner(g, key);
-  ASSERT_NE(w, nullptr);
-  EXPECT_TRUE(w->failed());
-  EXPECT_DOUBLE_EQ(w->cost[0], 5.0);
-
-  // A real plan displaces the failure.
-  PlanPtr plan = PlanNode::Make(f.model->ops().file_scan, nullptr, {},
-                                f.model->AnyProps(), memo.LogicalOf(g),
-                                Cost::Scalar(9.0));
-  memo.StoreWinner(g, key, Winner{plan, plan->cost()});
-  EXPECT_FALSE(memo.FindWinner(g, key)->failed());
-}
-
 TEST(Memo, WinnersAreKeyedByPropertyVector) {
   Fixture f;
   Memo memo(*f.model);
@@ -237,7 +215,7 @@ TEST(Memo, WinnersAreKeyedByPropertyVector) {
   EXPECT_EQ(memo.FindWinner(g, sorted), nullptr);
   EXPECT_EQ(memo.FindWinner(g, sorted_excl), nullptr);
 
-  memo.StoreWinner(g, sorted_excl, Winner{nullptr, Cost::Scalar(3.0)});
+  memo.StoreWinner(g, sorted_excl, Winner{plan, plan->cost()});
   EXPECT_EQ(memo.FindWinner(g, sorted), nullptr);
   EXPECT_NE(memo.FindWinner(g, sorted_excl), nullptr);
 }
@@ -294,7 +272,7 @@ TEST(Memo, MergeRecanonicalizesSignaturesAndPreservesWinners) {
   p2->MarkFired(5);
 
   // Winners on the to-be-merged level-1 classes: same goal with different
-  // costs, plus a memoized failure under a second goal.
+  // costs, plus a winner under a second goal on one class only.
   GoalKey any{f.model->AnyProps(), nullptr};
   GoalKey sorted{f.model->Sorted({f.Attr("A.a0")}), nullptr};
   PlanPtr costly = PlanNode::Make(f.model->ops().file_scan, nullptr, {},
@@ -307,7 +285,11 @@ TEST(Memo, MergeRecanonicalizesSignaturesAndPreservesWinners) {
                                  Cost::Scalar(1.0));
   memo.StoreWinner(p1->group(), any, Winner{costly, costly->cost()});
   memo.StoreWinner(p2->group(), any, Winner{cheap, cheap->cost()});
-  memo.StoreWinner(p2->group(), sorted, Winner{nullptr, Cost::Scalar(7.0)});
+  PlanPtr ordered = PlanNode::Make(f.model->ops().file_scan, nullptr, {},
+                                   sorted.required,
+                                   memo.LogicalOf(p2->group()),
+                                   Cost::Scalar(7.0));
+  memo.StoreWinner(p2->group(), sorted, Winner{ordered, ordered->cost()});
 
   size_t exprs_before = memo.num_exprs();
   size_t merges_before = memo.num_merges();
@@ -352,14 +334,14 @@ TEST(Memo, MergeRecanonicalizesSignaturesAndPreservesWinners) {
   EXPECT_EQ(live_count, 1u);
 
   // Winner tables survived the merge: the cheaper plan won under `any`, the
-  // memoized failure under `sorted` carried over, and both remain reachable
-  // through the canonical-goal probe (cached hashes stayed consistent).
+  // winner under `sorted` carried over, and both remain reachable through
+  // the canonical-goal probe (cached hashes stayed consistent).
   const Winner* w = memo.FindWinner(merged, any);
   ASSERT_NE(w, nullptr);
   EXPECT_EQ(w->plan, cheap);
   const Winner* wf = memo.FindWinner(merged, sorted);
   ASSERT_NE(wf, nullptr);
-  EXPECT_TRUE(wf->failed());
+  EXPECT_EQ(wf->plan, ordered);
   EXPECT_DOUBLE_EQ(wf->cost[0], 7.0);
   EXPECT_EQ(memo.group(merged).num_winners(), 2u);
 }

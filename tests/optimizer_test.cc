@@ -90,8 +90,8 @@ TEST(Exploration, NoCrossProductClassesForChains) {
 }
 
 TEST(Optimality, InvariantAcrossSearchOptions) {
-  // Branch-and-bound pruning and memoization are pure accelerations: they
-  // must never change the cost of the returned plan.
+  // Branch-and-bound pruning is a pure acceleration: it must never change
+  // the cost of the returned plan.
   for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     rel::WorkloadOptions wopts;
     wopts.num_relations = 5;
@@ -111,13 +111,6 @@ TEST(Optimality, InvariantAcrossSearchOptions) {
     StatusOr<PlanPtr> pa = a.Optimize(*w.query, w.required);
     ASSERT_TRUE(pa.ok());
     EXPECT_NEAR(cm.Total((*pa)->cost()), ref_cost, 1e-9 * ref_cost);
-
-    SearchOptions no_fail_memo;
-    no_fail_memo.memoize_failures = false;
-    Optimizer b(*w.model, SearchConfig::FromOptions(no_fail_memo).value());
-    StatusOr<PlanPtr> pb = b.Optimize(*w.query, w.required);
-    ASSERT_TRUE(pb.ok());
-    EXPECT_NEAR(cm.Total((*pb)->cost()), ref_cost, 1e-9 * ref_cost);
   }
 }
 
@@ -262,22 +255,23 @@ TEST(Failures, UnsatisfiableRequirementReturnsNotFound) {
   EXPECT_EQ(plan.status().code(), Status::Code::kNotFound);
 }
 
-TEST(Failures, MemoizedFailureIsReused) {
-  Catalog catalog;
-  ASSERT_TRUE(catalog.AddRelation("A", 1000, 100, 2).ok());
-  RelModel model(catalog);
-  ExprPtr q = model.Get("A");
-  // Unsatisfiable: sort on an attribute A does not have.
-  SymbolTable& syms = const_cast<Catalog&>(catalog).symbols();
-  PhysPropsPtr impossible = model.Sorted({syms.Intern("ghost")});
-
-  Optimizer opt(model);
-  GroupId g = opt.AddQuery(*q);
-  ASSERT_FALSE(opt.OptimizeGroup(g, impossible).ok());
+TEST(Failures, WinnerAboveLimitFailsWithoutSearch) {
+  // A memoized winner is its goal's optimum, so a later call whose limit it
+  // exceeds fails from the look-up table without searching again.
+  Chain c(3);
+  Optimizer opt(*c.model);
+  GroupId g = opt.AddQuery(*c.expr);
+  StatusOr<PlanPtr> plan = opt.OptimizeGroup(g, nullptr);
+  ASSERT_TRUE(plan.ok());
+  const CostModel& cm = c.model->cost_model();
   SearchStats before = opt.stats();
-  ASSERT_FALSE(opt.OptimizeGroup(g, impossible).ok());
+  StatusOr<PlanPtr> tight = opt.OptimizeGroup(
+      g, nullptr, Cost::Scalar(cm.Total((*plan)->cost()) / 2));
+  ASSERT_FALSE(tight.ok());
+  EXPECT_EQ(tight.status().code(), Status::Code::kNotFound);
   SearchStats after = opt.stats();
-  EXPECT_GT(after.memo_failure_hits, before.memo_failure_hits);
+  EXPECT_EQ(after.memo_above_limit_hits, before.memo_above_limit_hits + 1);
+  EXPECT_EQ(after.goals_started, before.goals_started);
 }
 
 TEST(Failures, WinnerIsReusedAcrossCalls) {

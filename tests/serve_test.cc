@@ -424,79 +424,6 @@ TEST(Serve, ExploreCapTrippedPlansAreCacheIneligible) {
   EXPECT_GE(stats.degraded, 2u);
 }
 
-// Interleaved serving: many admitted requests' suspended best-first searches
-// share one memory budget. Each slot gets memo_byte_limit = budget / max,
-// so the combined arenas stay under the budget however the searches
-// interleave; requests beyond max_concurrent are shed with
-// RESOURCE_EXHAUSTED at admission.
-TEST(Serve, InterleavedSearchesShareOneMemoryBudget) {
-  rel::Catalog catalog;
-  FillCatalog(&catalog);
-  SearchOptions search;
-  search.engine = SearchOptions::Engine::kBestFirst;
-  Session session(catalog, SearchConfig::FromOptions(search).value());
-  constexpr size_t kBudget = 3u * (128u << 10);
-  session.ConfigureInterleaving(kBudget, /*max_concurrent=*/3);
-
-  OptimizationBudget slice;
-  slice.max_find_best_plan_calls = 5;  // forces suspension on any join
-  const char* sqls[] = {
-      "SELECT * FROM emp, dept, loc "
-      "WHERE emp.a1 = dept.a0 AND dept.a1 = loc.a0 ORDER BY emp.a1",
-      "SELECT * FROM emp, dept WHERE emp.a1 = dept.a0 ORDER BY emp.a2",
-      "SELECT * FROM emp, loc WHERE emp.a2 = loc.a0",
-  };
-  std::vector<uint64_t> tickets;
-  for (const char* sql : sqls) {
-    StatusOr<uint64_t> t = session.BeginInterleaved(sql, slice);
-    ASSERT_TRUE(t.ok()) << t.status().ToString();
-    tickets.push_back(*t);
-  }
-  EXPECT_EQ(session.interleaved_active(), 3u);
-  // The fourth request is shed at admission, not queued past the budget.
-  StatusOr<uint64_t> overflow =
-      session.BeginInterleaved(sqls[0], slice);
-  ASSERT_FALSE(overflow.ok());
-  EXPECT_EQ(overflow.status().code(), Status::Code::kResourceExhausted);
-
-  // Drive the three searches round-robin; the shared budget holds at every
-  // step no matter whose slice runs.
-  std::vector<Session::Result> results(tickets.size());
-  std::vector<bool> done(tickets.size(), false);
-  for (int round = 0; round < 2000; ++round) {
-    bool all = true;
-    for (size_t i = 0; i < tickets.size(); ++i) {
-      if (done[i]) continue;
-      all = false;
-      Session::Result r = session.StepInterleaved(tickets[i]);
-      EXPECT_LE(session.interleaved_arena_bytes(), kBudget)
-          << "round " << round;
-      if (r.status.ok() || r.status.code() != Status::Code::kResourceExhausted
-          || !r.outcome.suspended) {
-        results[i] = std::move(r);
-        done[i] = true;
-      }
-    }
-    if (all) break;
-  }
-  for (size_t i = 0; i < results.size(); ++i) {
-    ASSERT_TRUE(done[i]) << "search " << i << " never completed";
-    ASSERT_TRUE(results[i].status.ok())
-        << "search " << i << ": " << results[i].status.ToString();
-    EXPECT_FALSE(results[i].plan.empty()) << "search " << i;
-  }
-  EXPECT_EQ(session.interleaved_active(), 0u);
-  // Freed slots admit again.
-  StatusOr<uint64_t> again = session.BeginInterleaved(sqls[1], slice);
-  ASSERT_TRUE(again.ok()) << again.status().ToString();
-  for (int step = 0; step < 2000; ++step) {
-    Session::Result r = session.StepInterleaved(*again);
-    if (r.status.ok()) break;
-    ASSERT_EQ(r.status.code(), Status::Code::kResourceExhausted);
-  }
-  EXPECT_EQ(session.interleaved_active(), 0u);
-}
-
 // The serve-layer fault injector only perturbs requests; every response is
 // still well-formed and accounted.
 TEST(Serve, FaultInjectedRequestsStayAccounted) {

@@ -131,6 +131,9 @@ TEST(Trace, MetricsCountRuleWorkAndWinners) {
 
   ASSERT_TRUE(m.phases.enabled);
   EXPECT_GT(m.phases.total_seconds, 0.0);
+  // The default (task) engine times both phases.
+  EXPECT_GT(m.phases.explore_seconds, 0.0);
+  EXPECT_GT(m.phases.pursue_seconds, 0.0);
   // Explore under pursue accrues to pursue, so the parts never exceed the
   // whole (the "other" residue in MetricsToJson stays non-negative).
   EXPECT_LE(m.phases.explore_seconds + m.phases.pursue_seconds,
