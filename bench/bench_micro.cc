@@ -109,23 +109,6 @@ void BM_OptimizeOrderBy(benchmark::State& state) {
 BENCHMARK(BM_OptimizeOrderBy)->DenseRange(2, 8, 2)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_OptimizeEngine(benchmark::State& state) {
-  // The explicit task engine (arg=1) against the recursive Figure-2 baseline
-  // (arg=0) on the same end-to-end search: the cost of frame dispatch and
-  // pooling versus native call frames. The two must stay within noise of
-  // each other — the task engine replicates the recursive control flow site
-  // for site.
-  rel::Workload w = MakeChain(8, 6);
-  SearchOptions options;
-  options.engine = state.range(0) == 0 ? SearchOptions::Engine::kRecursive
-                                       : SearchOptions::Engine::kTask;
-  for (auto _ : state) {
-    Optimizer opt(*w.model, SearchConfig::FromOptions(options).value());
-    benchmark::DoNotOptimize(opt.Optimize(*w.query, w.required).ok());
-  }
-}
-BENCHMARK(BM_OptimizeEngine)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
-
 void BM_OptimizeTraced(benchmark::State& state) {
   // Tracing overhead: the same end-to-end optimization as BM_Exploration's
   // shape with (arg=1) and without (arg=0) a minimal sink attached. The

@@ -1,9 +1,10 @@
-// Shared move-ordering helper for the search engines (internal).
+// Move-ordering helpers for the search engine (internal).
 //
-// "the moves are sorted by their promise" (paper, section 3). Both the
-// recursive engine (optimizer.cc) and the task engine (task_engine.cc) must
-// order moves identically — the differential tests compare their plans
-// byte for byte — so the sort lives in one place.
+// "the moves are sorted by their promise" (paper, section 3). The task
+// engine (task_engine.cc) orders each goal's moves with these before
+// pursuing them, and the greedy descent (optimizer.cc) orders its moves
+// the same way. The sorts are stable, so the committed plan digests depend
+// on collection order among equal keys.
 
 #ifndef VOLCANO_SEARCH_MOVE_ORDER_H_
 #define VOLCANO_SEARCH_MOVE_ORDER_H_
@@ -60,9 +61,9 @@ void SortMovesByPromiseAndKey(std::vector<MoveT>& moves) {
   }
 }
 
-/// Stable descending sort by order_key alone. The best-first engine's
-/// adaptive ordering folds promise, observed win rate, and a cardinality
-/// discount into one score stored in order_key (see
+/// Stable descending sort by order_key alone. The big-join path's adaptive
+/// ordering folds promise, observed win rate, and a cardinality discount
+/// into one score stored in order_key (see
 /// Optimizer::AssignAdaptiveOrderKeys); equal scores keep collection order.
 template <typename MoveT>
 void SortMovesByScore(std::vector<MoveT>& moves) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <utility>
 
 #include "search/move_order.h"
@@ -76,33 +75,24 @@ Optimizer::~Optimizer() = default;
 
 namespace {
 
-using search_internal::SortMovesByPromise;
-using search_internal::SortMovesByPromiseAndKey;
-
-/// Accumulates wall-clock into `acc` for the outermost activation of a phase
-/// (depth-guarded; the search is mutually recursive). Does nothing — and
-/// never touches the clock — unless `enabled`.
+/// Accumulates the wall-clock of one top-level call into `acc`. Does
+/// nothing — and never touches the clock — unless `enabled`.
 class PhaseScope {
  public:
-  PhaseScope(bool enabled, int* depth, double* acc)
-      : enabled_(enabled), depth_(depth), acc_(acc) {
-    if (!enabled_) return;
-    if ((*depth_)++ == 0) start_ = std::chrono::steady_clock::now();
+  PhaseScope(bool enabled, double* acc) : enabled_(enabled), acc_(acc) {
+    if (enabled_) start_ = std::chrono::steady_clock::now();
   }
   ~PhaseScope() {
     if (!enabled_) return;
-    if (--(*depth_) == 0) {
-      *acc_ += std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start_)
-                   .count();
-    }
+    *acc_ += std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           start_)
+                 .count();
   }
   PhaseScope(const PhaseScope&) = delete;
   PhaseScope& operator=(const PhaseScope&) = delete;
 
  private:
   bool enabled_;
-  int* depth_;
   double* acc_;
   std::chrono::steady_clock::time_point start_{};
 };
@@ -111,9 +101,6 @@ class PhaseScope {
 
 bool Optimizer::CheckBudget() {
   if (aborted()) return false;
-  // The greedy fallback runs *after* budget exhaustion; it is bounded by
-  // construction (frozen memo, in-progress marks) and must not re-trip.
-  if (greedy_mode_) return true;
   ++stats_.budget_checkpoints;
   const OptimizationBudget& b = options_.budget;
   BudgetTrip t = BudgetTrip::kNone;
@@ -194,7 +181,6 @@ void Optimizer::ResetForReuse() {
   stats_ = SearchStats{};
   outcome_ = OptimizeOutcome{};
   trip_ = BudgetTrip::kNone;
-  greedy_mode_ = false;
   // The seed plan references logical properties and groups of the memo era
   // being discarded; a reused optimizer must re-seed per query.
   seed_ = Result{};
@@ -307,7 +293,7 @@ StatusOr<PlanPtr> Optimizer::OptimizeGroup(GroupId group,
   }
   char base;
   stack_base_ = &base;
-  PhaseScope total_scope(options_.collect_phase_timing, &total_depth_,
+  PhaseScope total_scope(options_.collect_phase_timing,
                          &metrics_.phases.total_seconds);
   const CostModel& cm = model_.cost_model();
   // Greedy join seed (PrepareJoinSeed): the seed plan is a proven upper
@@ -322,37 +308,24 @@ StatusOr<PlanPtr> Optimizer::OptimizeGroup(GroupId group,
                  memo_.Find(seed_group_) == memo_.Find(group) &&
                  seed_required_.get() == required.get();
   const bool tightened = seed_active_ && cm.Less(seed_.cost, limit);
-  const Cost search_limit = tightened ? seed_.cost : limit;
-  Result r;
-  if (options_.engine == SearchOptions::Engine::kRecursive) {
-    r = FindBestPlan(group, required, search_limit, nullptr);
-    if (r.plan == nullptr && tightened && !aborted() && !big_join_mode_) {
-      // The optimum sits on the tightened boundary (the greedy seed was
-      // already optimal, modulo cost-accumulation rounding): prove it out
-      // under the caller's limit so the returned plan always comes from the
-      // search itself and seeding stays digest-preserving. Winners memoized
-      // by the first pass are true subgoal optima and are reused; only
-      // boundary failures are re-searched.
-      r = FindBestPlan(group, required, limit, nullptr);
-    }
-  } else {
-    if (engine_ == nullptr) engine_ = std::make_unique<TaskEngine>(*this);
-    r = engine_->Run(group, required, search_limit);
-    if (engine_->suspended()) {
-      resume_group_ = group;
-      resume_required_ = required;
-      resume_limit_ = search_limit;
-      return SuspendedStatus();
-    }
-    if (r.plan == nullptr && tightened && !aborted() && !big_join_mode_) {
-      r = engine_->Run(group, required, limit);
-      if (engine_->suspended()) {
-        resume_group_ = group;
-        resume_required_ = required;
-        resume_limit_ = limit;
-        return SuspendedStatus();
-      }
-    }
+  Cost run_limit = tightened ? seed_.cost : limit;
+  if (engine_ == nullptr) engine_ = std::make_unique<TaskEngine>(*this);
+  Result r = engine_->Run(group, required, run_limit);
+  if (!engine_->suspended() && r.plan == nullptr && tightened && !aborted() &&
+      !big_join_mode_) {
+    // The optimum sits on the tightened boundary (the greedy seed was
+    // already optimal, modulo cost-accumulation rounding): prove it out
+    // under the caller's limit so the returned plan always comes from the
+    // search itself and seeding stays digest-preserving. Winners memoized
+    // by the first pass are true subgoal optima and are reused.
+    run_limit = limit;
+    r = engine_->Run(group, required, run_limit);
+  }
+  if (engine_->suspended()) {
+    resume_group_ = group;
+    resume_required_ = required;
+    resume_limit_ = run_limit;
+    return SuspendedStatus();
   }
   return FinalizeTopLevel(std::move(r), group, required, limit);
 }
@@ -389,7 +362,7 @@ StatusOr<PlanPtr> Optimizer::Resume() {
   ArmBudget();
   char base;
   stack_base_ = &base;
-  PhaseScope total_scope(options_.collect_phase_timing, &total_depth_,
+  PhaseScope total_scope(options_.collect_phase_timing,
                          &metrics_.phases.total_seconds);
   Result r = engine_->Continue();
   if (engine_->suspended()) return SuspendedStatus();
@@ -443,8 +416,8 @@ StatusOr<PlanPtr> Optimizer::FinalizeTopLevel(Result r, GroupId group,
       return ExhaustedStatus();
     }
     // Ladder step 1 — anytime mode: the root goal's incumbent, if any, is a
-    // complete, executable plan within the cost limit (PursueMove installs
-    // only fully planned moves); return it tagged approximate.
+    // complete, executable plan within the cost limit (a move installs only
+    // once all its inputs are planned); return it tagged approximate.
     if (r.plan != nullptr) {
       VOLCANO_CHECK(r.plan->props().get() == required.get() ||
                     r.plan->props()->Covers(*required));
@@ -466,9 +439,7 @@ StatusOr<PlanPtr> Optimizer::FinalizeTopLevel(Result r, GroupId group,
     }
     // Ladder step 2 — bounded greedy heuristic over the frozen memo.
     if (options_.heuristic_fallback) {
-      greedy_mode_ = true;
       Result g = GreedyPlan(group, required, nullptr, 0);
-      greedy_mode_ = false;
       if (g.plan != nullptr && cm.LessEq(g.cost, limit)) {
         VOLCANO_CHECK(g.plan->props().get() == required.get() ||
                       g.plan->props()->Covers(*required));
@@ -480,14 +451,9 @@ StatusOr<PlanPtr> Optimizer::FinalizeTopLevel(Result r, GroupId group,
     return ExhaustedStatus();
   }
   // A search that completed under a tripped exploration cap enumerated a
-  // cut-down transformation closure, and a best-first search that evicted
-  // frontier entries or hit its memo byte cap skipped parts of the plan
-  // space: either way the plan is usable but must not be treated — or
-  // cached by the serving layer — as proven optimal.
+  // cut-down transformation closure: the plan is usable but must not be
+  // treated — or cached by the serving layer — as proven optimal.
   if (ExploreCapReached()) outcome_.approximate = true;
-  if (engine_ != nullptr && engine_->best_first_degraded()) {
-    outcome_.approximate = true;
-  }
   if (r.plan == nullptr) {
     // A seeded search that completes empty proved no plan beats the seed
     // under the tightened limit — the seed itself is then the optimum
@@ -499,7 +465,7 @@ StatusOr<PlanPtr> Optimizer::FinalizeTopLevel(Result r, GroupId group,
       outcome_.source = PlanSource::kGreedySeed;
       // A guided (big-join) search skips moves, so completing empty under
       // the tightened limit does not prove the seed optimal. OR-preserving:
-      // the explore-cap / best-first-degradation flags above must survive.
+      // the explore-cap flag above must survive.
       if (big_join_mode_) outcome_.approximate = true;
       return seed_.plan;
     }
@@ -601,152 +567,30 @@ bool Optimizer::HasMoveStats() const {
   return false;
 }
 
-void Optimizer::ExploreGroup(GroupId group) {
-  // The greedy fallback plans over the memo as-is; deriving new expressions
-  // would make its running time proportional to the transformation closure
-  // it is trying to avoid. physical_only (the join-seed costing mode) makes
-  // the same trade for the whole search.
-  if (greedy_mode_ || options_.physical_only || ExploreCapReached()) return;
-  ProbeNativeStack();
-  group = memo_.Find(group);
-  {
-    Group& grp = memo_.group(group);
-    if (grp.explored() || grp.exploring()) return;
-  }
-  memo_.SetExploring(group, true);
-  const RuleSet& rules = model_.rule_set();
-  // Exploration triggered from inside a pursued move is accounted as pursue
-  // time, not explore time, so the phase report's explore + pursue <= total.
-  PhaseScope explore_scope(
-      options_.collect_phase_timing && pursue_depth_ == 0, &explore_depth_,
-      &metrics_.phases.explore_seconds);
-
-  // Sweep expressions (the vector may grow and the class may merge while we
-  // iterate; re-resolve on every step). The per-expression fired mask makes
-  // repeated sweeps cheap and guarantees termination together with memo
-  // deduplication.
-  ScratchLease<Binding> bindings_lease(binding_pool_);
-  std::vector<Binding>& bindings = *bindings_lease;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (size_t i = 0;; ++i) {
-      if (!CheckBudget() || ExploreCapReached()) break;
-      group = memo_.Find(group);
-      Group& grp = memo_.group(group);
-      if (i >= grp.exprs().size()) break;
-      MExpr* m = grp.exprs()[i];
-      if (m->dead()) continue;
-      for (RuleId rid : rules.TransformationsFor(m->op())) {
-        if (m->HasFired(rid)) continue;
-        m->MarkFired(rid);
-        const TransformationRule& rule = rules.transformation(rid);
-        bindings.clear();
-        CollectBindings(rule.pattern(), *m, &bindings);
-        uint32_t applied = 0;
-        memo_.SetProvenance(rule.name().c_str());
-        for (const Binding& b : bindings) {
-          ++stats_.transformations_matched;
-          if (!rule.Condition(b, memo_)) continue;
-          if (options_.fault != nullptr &&
-              options_.fault->FailRuleApplication()) {
-            continue;  // injected: the rule fails to fire
-          }
-          ++metrics_.transformations[rid].fired;
-          RexPtr rex = rule.Apply(b, memo_);
-          if (rex == nullptr) continue;
-          ++stats_.transformations_applied;
-          ++transforms_fired_;
-          ++metrics_.transformations[rid].succeeded;
-          ++applied;
-          memo_.InsertRex(*rex, memo_.Find(m->group()));
-          changed = true;
-        }
-        memo_.SetProvenance(nullptr);
-        if (!bindings.empty()) {
-          VOLCANO_TRACE(options_.trace,
-                        {.kind = TraceEventKind::kRuleFired,
-                         .group = memo_.Find(group),
-                         .rule_id = rid,
-                         .count = applied,
-                         .rule = rule.name().c_str()});
-        }
+void Optimizer::AddAlgorithmMoves(const ImplementationRule& rule,
+                                  const std::vector<Binding>& bindings,
+                                  const PhysPropsPtr& required,
+                                  const PhysProps* excluded,
+                                  std::vector<Move>* moves) {
+  for (const Binding& b : bindings) {
+    if (!rule.Condition(b, memo_)) continue;
+    if (options_.fault != nullptr && options_.fault->FailRuleApplication()) {
+      continue;  // injected: the implementation rule fails to fire
+    }
+    AlgorithmAlternatives alts =
+        rule.Applicability(b, memo_, required, excluded);
+    for (AlgorithmAlternative& alt : alts) {
+      VOLCANO_CHECK(alt.input_props.size() == b.num_leaves());
+      VOLCANO_DCHECK(alt.delivered->Covers(*required));
+      if (excluded != nullptr && alt.delivered->Covers(*excluded)) {
+        continue;  // would qualify redundantly below the enforcer
       }
+      Move& mv = moves->emplace_back();
+      mv.rule = &rule;
+      mv.binding = b;
+      mv.alt = std::move(alt);
+      mv.promise = rule.Promise(b, memo_);
     }
-    if (!CheckBudget()) break;
-  }
-
-  group = memo_.Find(group);
-  memo_.SetExploring(group, false);
-  // An exploration cut short by the budget or the transformation cap must
-  // not masquerade as complete: a later re-armed (or uncapped) call on this
-  // optimizer would silently skip the rest of the closure.
-  if (!aborted() && !ExploreCapReached()) memo_.SetExplored(group, true);
-}
-
-void Optimizer::CollectBindings(const Pattern& pattern, const MExpr& m,
-                                std::vector<Binding>* out) {
-  // Fast path for depth-1 patterns (every child is "any"): the single
-  // binding is the expression itself over its input classes. This covers
-  // most implementation rules and commutativity, and avoids the generic
-  // matcher's std::function recursion on the hot path.
-  if (pattern.NumOpNodes() == 1) {
-    if (pattern.op() != m.op()) return;
-    Binding b;
-    b.mutable_nodes().push_back(&m);
-    auto& leaves = b.mutable_leaves();
-    leaves.reserve(m.num_inputs());
-    for (size_t i = 0; i < m.num_inputs(); ++i) {
-      leaves.push_back(memo_.Find(m.input(i)));
-    }
-    out->push_back(std::move(b));
-    return;
-  }
-  Binding partial;
-  MatchNode(pattern, m, &partial, [&]() { out->push_back(partial); });
-}
-
-void Optimizer::MatchNode(const Pattern& pattern, const MExpr& m,
-                          Binding* partial,
-                          const std::function<void()>& emit) {
-  VOLCANO_DCHECK(!pattern.is_any());
-  if (pattern.op() != m.op()) return;
-  partial->mutable_nodes().push_back(&m);
-  MatchChildren(pattern, m, 0, partial, emit);
-  partial->mutable_nodes().pop_back();
-}
-
-void Optimizer::MatchChildren(const Pattern& pattern, const MExpr& m,
-                              size_t child, Binding* partial,
-                              const std::function<void()>& emit) {
-  ProbeNativeStack();
-  if (child == m.num_inputs()) {
-    emit();
-    return;
-  }
-  // A pattern with fewer children than the operator's arity treats the
-  // missing positions as "any".
-  const Pattern* cp =
-      child < pattern.children().size() ? &pattern.children()[child] : nullptr;
-  if (cp == nullptr || cp->is_any()) {
-    partial->mutable_leaves().push_back(memo_.Find(m.input(child)));
-    MatchChildren(pattern, m, child + 1, partial, emit);
-    partial->mutable_leaves().pop_back();
-    return;
-  }
-  // The pattern names a specific operator below: this is where the search is
-  // directed — only classes in such positions are explored.
-  GroupId cg = memo_.Find(m.input(child));
-  ExploreGroup(cg);
-  for (size_t i = 0;; ++i) {
-    cg = memo_.Find(cg);
-    const Group& grp = memo_.group(cg);
-    if (i >= grp.exprs().size()) break;
-    const MExpr* cm = grp.exprs()[i];
-    if (cm->dead()) continue;
-    MatchNode(*cp, *cm, partial, [&]() {
-      MatchChildren(pattern, m, child + 1, partial, emit);
-    });
   }
 }
 
@@ -757,173 +601,21 @@ void Optimizer::CollectAlgorithmMoves(GroupId group,
   const RuleSet& rules = model_.rule_set();
   ScratchLease<Binding> bindings_lease(binding_pool_);
   std::vector<Binding>& bindings = *bindings_lease;
-  for (size_t i = 0;; ++i) {
-    group = memo_.Find(group);
-    const Group& grp = memo_.group(group);
-    if (i >= grp.exprs().size()) break;
-    const MExpr* m = grp.exprs()[i];
+  using MatchStatus = TaskEngine::Matcher::Status;
+  TaskEngine::Matcher matcher;
+  for (const MExpr* m : memo_.group(memo_.Find(group)).exprs()) {
     if (m->dead()) continue;
     for (RuleId rid : rules.ImplementationsFor(m->op())) {
       const ImplementationRule& rule = rules.implementation(rid);
       bindings.clear();
-      CollectBindings(rule.pattern(), *m, &bindings);
-      for (Binding& b : bindings) {
-        if (!rule.Condition(b, memo_)) continue;
-        if (options_.fault != nullptr &&
-            options_.fault->FailRuleApplication()) {
-          continue;  // injected: the implementation rule fails to fire
-        }
-        AlgorithmAlternatives alts = rule.Applicability(
-            b, memo_, required,
-            excluded == nullptr ? nullptr : excluded.get());
-        for (AlgorithmAlternative& alt : alts) {
-          VOLCANO_CHECK(alt.input_props.size() == b.num_leaves());
-          VOLCANO_DCHECK(alt.delivered->Covers(*required));
-          if (excluded != nullptr && alt.delivered->Covers(*excluded)) {
-            continue;  // would qualify redundantly below the enforcer
-          }
-          Move mv;
-          mv.rule = &rule;
-          mv.binding = b;
-          mv.alt = std::move(alt);
-          mv.promise = rule.Promise(b, memo_);
-          moves->push_back(std::move(mv));
-        }
+      matcher.Start(rule.pattern(), *m, memo_, &bindings);
+      // An exploration request is answered by matching the class as it
+      // stands: the memo stays frozen.
+      while (matcher.Step(memo_) == MatchStatus::kNeedExplore) {
       }
+      AddAlgorithmMoves(rule, bindings, required, excluded.get(), moves);
     }
   }
-}
-
-Optimizer::Result Optimizer::FindBestPlan(GroupId group,
-                                          const PhysPropsPtr& required,
-                                          Cost limit,
-                                          const PhysPropsPtr& excluded) {
-  ++stats_.find_best_plan_calls;
-  ProbeNativeStack();
-  const CostModel& cm = model_.cost_model();
-  Result failure{nullptr, limit};
-  if (!CheckBudget()) return failure;
-
-  group = memo_.Find(group);
-  // One canonicalization per goal; every table operation below is a pointer
-  // probe with a precomputed hash.
-  Goal goal = memo_.CanonicalGoal(required, excluded);
-
-  // --- the look-up table part of Figure 2 ---------------------------------
-  if (options_.memoize_winners) {
-    if (const Winner* w = memo_.FindWinner(group, goal)) {
-      // A recorded winner is the goal's optimum (branch-and-bound never
-      // discards a plan cheaper than the best known one), so it either
-      // answers the goal or proves it infeasible under this limit.
-      ++stats_.goals_completed;
-      if (cm.LessEq(w->cost, limit)) {
-        ++stats_.memo_winner_hits;
-        return {w->plan, w->cost};
-      }
-      ++stats_.memo_above_limit_hits;
-      return failure;
-    }
-  }
-
-  // Rule inverses (commutativity applied twice, etc.) re-derive this very
-  // goal; "if a newly formed expression already exists ... and is marked as
-  // 'in progress,' it is ignored" (section 3).
-  if (memo_.IsInProgress(group, goal)) {
-    ++stats_.in_progress_hits;
-    ++stats_.goals_completed;
-    return failure;
-  }
-  memo_.MarkInProgress(group, goal);
-  // Only calls that reach this point start a real search; winner-table hits
-  // and in-progress re-entries above answered without searching and must not
-  // dilute (or inflate) the search_completed fraction.
-  ++stats_.goals_started;
-
-  Result best = failure;
-  Cost best_cost = limit;
-
-  // Canonical pointers make "is this the vacuous requirement?" an identity
-  // test (was: AnyProps()->Equals(*required)).
-  if (options_.glue_properties && excluded == nullptr &&
-      goal.required != any_props_.get()) {
-    best = FindBestPlanWithGlue(group, required, limit);
-    if (best.plan != nullptr) best_cost = best.cost;
-  } else if (options_.strategy == SearchOptions::Strategy::kInterleaved) {
-    RunInterleaved(&group, required, excluded, &best, &best_cost);
-  } else {
-    // --- derive all equivalent logical expressions ------------------------
-    ExploreGroup(group);
-    group = memo_.Find(group);
-
-    // --- create the set of possible moves ----------------------------------
-    // Matching multi-level patterns explores input classes, which can merge
-    // this class with another mid-sweep; restart the collection until the
-    // class is stable so no expression is missed.
-    ScratchLease<Move> moves_lease(move_pool_);
-    std::vector<Move>& moves = *moves_lease;
-    bool stable = false;
-    while (!stable) {
-      moves.clear();
-      GroupId before = memo_.Find(group);
-      size_t size_before = memo_.group(before).exprs().size();
-      CollectAlgorithmMoves(before, required, excluded, &moves);
-      group = memo_.Find(group);
-      stable = group == before &&
-               memo_.group(group).exprs().size() == size_before;
-    }
-    const LogicalPropsPtr logical = memo_.LogicalOf(group);
-    CollectEnforcerMoves(required, excluded, *logical, &moves);
-
-    // --- order the set of moves by promise ---------------------------------
-    if (big_join_mode_) {
-      // Big-join escalation: among equal-promise moves, pursue the ones
-      // with the smallest input cardinalities first, so a cheap incumbent
-      // exists early and the incumbent test prunes the expensive orders
-      // instead of costing them. The seeded bound is the incumbent of the
-      // root goal only: input goals (an ORDER BY's relaxed goal too) are
-      // searched without a limit and prune against their own first
-      // winners. Once
-      // the cumulative rule tables have recorded winners, the learned
-      // ordering (promise × win rate × cardinality discount — the
-      // best-first engine's expansion key) replaces the static one.
-      if (HasMoveStats()) {
-        AssignAdaptiveOrderKeys(&moves);
-        search_internal::SortMovesByScore(moves);
-      } else {
-        AssignMoveOrderKeys(&moves);
-        SortMovesByPromiseAndKey(moves);
-      }
-    } else {
-      SortMovesByPromise(moves);
-    }
-    if (options_.move_limit > 0 &&
-        moves.size() > static_cast<size_t>(options_.move_limit)) {
-      stats_.moves_skipped += moves.size() - options_.move_limit;
-      moves.resize(options_.move_limit);
-    }
-
-    // --- pursue the moves ---------------------------------------------------
-    for (const Move& mv : moves) {
-      if (!CheckBudget()) break;
-      PursueMove(mv, group, logical, &best, &best_cost);
-    }
-  }
-
-  group = memo_.Find(group);
-  memo_.UnmarkInProgress(group, goal);
-
-  // --- maintain the look-up table of explored facts ------------------------
-  // Nothing is recorded once the budget has tripped: a truncated search
-  // proves neither optimality nor infeasibility.
-  if (options_.memoize_winners && !aborted() && best.plan != nullptr) {
-    memo_.StoreWinner(group, goal, Winner{best.plan, best.cost});
-  }
-  if (!aborted()) {
-    ++stats_.goals_completed;
-    ++stats_.goals_finished;
-    if (best.plan != nullptr) CreditWinner(*best.plan);
-  }
-  return best;
 }
 
 void Optimizer::CreditWinner(const PlanNode& plan) {
@@ -961,254 +653,6 @@ void Optimizer::CollectEnforcerMoves(const PhysPropsPtr& required,
   }
 }
 
-void Optimizer::PursueMove(const Move& mv, GroupId group,
-                           const LogicalPropsPtr& logical, Result* best,
-                           Cost* best_cost) {
-  const CostModel& cm = model_.cost_model();
-  PhaseScope pursue_scope(options_.collect_phase_timing, &pursue_depth_,
-                          &metrics_.phases.pursue_seconds);
-  if (mv.rule != nullptr) {
-    ++stats_.algorithm_moves;
-    ++stats_.cost_estimates;
-    ++metrics_.implementations[mv.rule->id()].fired;
-    VOLCANO_TRACE(options_.trace,
-                  {.kind = TraceEventKind::kAlgorithmPursued,
-                   .group = group,
-                   .rule_id = mv.rule->id(),
-                   .rule = mv.rule->name().c_str(),
-                   .promise = mv.promise});
-    Cost total = mv.rule->LocalCost(mv.binding, memo_);
-    if (!AdmitLocalCost(&total)) return;      // NaN: invalid cost, reject
-    if (std::isinf(cm.Total(total))) return;  // model says: impossible
-    std::vector<PlanPtr> children;
-    children.reserve(mv.binding.num_leaves());
-    for (size_t i = 0; i < mv.binding.num_leaves(); ++i) {
-      if (options_.branch_and_bound && !cm.LessEq(total, *best_cost)) {
-        ++stats_.moves_pruned;
-        VOLCANO_TRACE(options_.trace,
-                      {.kind = TraceEventKind::kMovePruned,
-                       .group = group,
-                       .rule_id = mv.rule->id(),
-                       .rule = mv.rule->name().c_str(),
-                       .cost = cm.Total(*best_cost)});
-        return;
-      }
-      // Unlimited input goal: searched once, its winner is its optimum.
-      Result r = FindBestPlan(mv.binding.leaf(i), mv.alt.input_props[i],
-                              cm.Infinity(), nullptr);
-      if (r.plan == nullptr) return;
-      total = cm.Add(total, r.cost);
-      children.push_back(std::move(r.plan));
-    }
-    if (!cm.LessEq(total, *best_cost)) return;
-    if (best->plan != nullptr && !cm.Less(total, *best_cost)) return;
-    VOLCANO_TRACE(options_.trace,
-                  {.kind = best->plan == nullptr
-                               ? TraceEventKind::kWinnerInstalled
-                               : TraceEventKind::kWinnerImproved,
-                   .group = group,
-                   .rule_id = mv.rule->id(),
-                   .rule = mv.rule->name().c_str(),
-                   .cost = cm.Total(total)});
-    best->plan = PlanNode::Make(mv.rule->algorithm(),
-                                mv.rule->PlanArg(mv.binding, memo_),
-                                std::move(children), mv.alt.delivered,
-                                logical, total, mv.rule->name().c_str(),
-                                /*from_enforcer=*/false);
-    best->cost = total;
-    *best_cost = total;
-    ++metrics_.implementations[mv.rule->id()].succeeded;
-    return;
-  }
-
-  ++stats_.enforcer_moves;
-  ++stats_.cost_estimates;
-  ++metrics_.enforcers[mv.enforcer_id].fired;
-  VOLCANO_TRACE(options_.trace,
-                {.kind = TraceEventKind::kEnforcerPursued,
-                 .group = group,
-                 .rule_id = mv.enforcer_id,
-                 .rule = mv.enforcer->name().c_str(),
-                 .promise = mv.promise});
-  Cost local = mv.enforcer->LocalCost(*logical, *mv.app.delivered);
-  if (!AdmitLocalCost(&local)) return;
-  if (std::isinf(cm.Total(local))) return;
-  if (options_.branch_and_bound && !cm.LessEq(local, *best_cost)) {
-    ++stats_.moves_pruned;
-    VOLCANO_TRACE(options_.trace,
-                  {.kind = TraceEventKind::kMovePruned,
-                   .group = group,
-                   .rule_id = mv.enforcer_id,
-                   .rule = mv.enforcer->name().c_str(),
-                   .cost = cm.Total(*best_cost)});
-    return;
-  }
-  // "The original logical expression is optimized ... with a suitably
-  // modified (i.e., relaxed) physical property vector" (section 6), without
-  // a limit, like every input goal; the incumbent test below prunes.
-  Result r = FindBestPlan(group, mv.app.input_required, cm.Infinity(),
-                          mv.app.excluded);
-  if (r.plan == nullptr) return;
-  Cost total = cm.Add(local, r.cost);
-  if (!cm.LessEq(total, *best_cost)) return;
-  if (best->plan != nullptr && !cm.Less(total, *best_cost)) return;
-  VOLCANO_TRACE(options_.trace,
-                {.kind = best->plan == nullptr
-                             ? TraceEventKind::kWinnerInstalled
-                             : TraceEventKind::kWinnerImproved,
-                 .group = group,
-                 .rule_id = mv.enforcer_id,
-                 .rule = mv.enforcer->name().c_str(),
-                 .cost = cm.Total(total)});
-  best->plan = PlanNode::Make(mv.enforcer->enforcer(),
-                              mv.enforcer->PlanArg(*mv.app.delivered),
-                              {r.plan}, mv.app.delivered, logical, total,
-                              mv.enforcer->name().c_str(),
-                              /*from_enforcer=*/true);
-  best->cost = total;
-  *best_cost = total;
-  ++metrics_.enforcers[mv.enforcer_id].succeeded;
-}
-
-void Optimizer::RunInterleaved(GroupId* group, const PhysPropsPtr& required,
-                               const PhysPropsPtr& excluded, Result* best,
-                               Cost* best_cost) {
-  // Figure 2 verbatim: transformations are moves of this goal, interleaved
-  // with algorithms and enforcers. Each round collects the currently
-  // available moves (unfired transformations, algorithm moves for
-  // expressions not yet pursued under this goal, enforcers once), pursues
-  // them in promise order, and repeats — newly derived expressions feed the
-  // next round. Per-expression fired masks and memo deduplication bound the
-  // transformation moves, so the loop terminates.
-  const RuleSet& rules = model_.rule_set();
-  std::set<std::pair<const MExpr*, const ImplementationRule*>> pursued;
-  bool enforcers_done = false;
-
-  struct TransformationMove {
-    MExpr* expr;
-    const TransformationRule* rule;
-  };
-
-  while (CheckBudget()) {
-    *group = memo_.Find(*group);
-    const LogicalPropsPtr logical = memo_.LogicalOf(*group);
-
-    // Transformation moves: unfired (expression, rule) pairs.
-    std::vector<TransformationMove> tmoves;
-    for (size_t i = 0;; ++i) {
-      *group = memo_.Find(*group);
-      const Group& grp = memo_.group(*group);
-      if (i >= grp.exprs().size()) break;
-      MExpr* m = grp.exprs()[i];
-      if (m->dead()) continue;
-      for (RuleId rid : rules.TransformationsFor(m->op())) {
-        if (!m->HasFired(rid)) {
-          tmoves.push_back({m, &rules.transformation(rid)});
-        }
-      }
-    }
-
-    // Algorithm moves for expressions not pursued under this goal yet.
-    ScratchLease<Move> moves_lease(move_pool_);
-    std::vector<Move>& moves = *moves_lease;
-    CollectAlgorithmMoves(*group, required, excluded, &moves);
-    moves.erase(std::remove_if(moves.begin(), moves.end(),
-                               [&](const Move& mv) {
-                                 return pursued.count(
-                                            {&mv.binding.root(), mv.rule}) >
-                                        0;
-                               }),
-                moves.end());
-
-    if (!enforcers_done) {
-      CollectEnforcerMoves(required, excluded, *logical, &moves);
-    }
-
-    if (tmoves.empty() && moves.empty()) break;
-
-    // Pursue: transformations first within a round (their results enlarge
-    // the next round's move set), then implementation moves by promise.
-    for (const TransformationMove& tm : tmoves) {
-      if (!CheckBudget() || ExploreCapReached()) return;
-      if (tm.expr->dead() || tm.expr->HasFired(tm.rule->id())) continue;
-      tm.expr->MarkFired(tm.rule->id());
-      std::vector<Binding> bindings;
-      CollectBindings(tm.rule->pattern(), *tm.expr, &bindings);
-      uint32_t applied = 0;
-      memo_.SetProvenance(tm.rule->name().c_str());
-      for (const Binding& b : bindings) {
-        ++stats_.transformations_matched;
-        if (!tm.rule->Condition(b, memo_)) continue;
-        if (options_.fault != nullptr &&
-            options_.fault->FailRuleApplication()) {
-          continue;  // injected: the rule fails to fire
-        }
-        ++metrics_.transformations[tm.rule->id()].fired;
-        RexPtr rex = tm.rule->Apply(b, memo_);
-        if (rex == nullptr) continue;
-        ++stats_.transformations_applied;
-        ++transforms_fired_;
-        ++metrics_.transformations[tm.rule->id()].succeeded;
-        ++applied;
-        memo_.InsertRex(*rex, memo_.Find(tm.expr->group()));
-      }
-      memo_.SetProvenance(nullptr);
-      if (!bindings.empty()) {
-        VOLCANO_TRACE(options_.trace,
-                      {.kind = TraceEventKind::kRuleFired,
-                       .group = memo_.Find(*group),
-                       .rule_id = tm.rule->id(),
-                       .count = applied,
-                       .rule = tm.rule->name().c_str()});
-      }
-    }
-
-    SortMovesByPromise(moves);
-    for (const Move& mv : moves) {
-      if (!CheckBudget()) return;
-      if (mv.rule != nullptr) {
-        pursued.insert({&mv.binding.root(), mv.rule});
-      } else {
-        enforcers_done = true;
-      }
-      PursueMove(mv, *group, logical, best, best_cost);
-    }
-  }
-}
-
-Optimizer::Result Optimizer::FindBestPlanWithGlue(GroupId group,
-                                                  const PhysPropsPtr& required,
-                                                  Cost limit) {
-  // Starburst-style two-phase handling of physical properties (ablation
-  // mode): choose the best plan with no property requirement, then patch it
-  // with "glue" enforcers. This loses interesting-order opportunities; see
-  // bench_ablation_properties.
-  const CostModel& cm = model_.cost_model();
-  Result base = FindBestPlan(group, model_.AnyProps(), limit, nullptr);
-  if (base.plan == nullptr) return {nullptr, limit};
-  if (base.plan->props()->Covers(*required)) return base;
-
-  group = memo_.Find(group);
-  const LogicalPropsPtr& logical = memo_.LogicalOf(group);
-  Result best{nullptr, limit};
-  for (const auto& enf : model_.rule_set().enforcers()) {
-    std::optional<EnforcerApplication> app = enf->Enforce(required, *logical);
-    if (!app.has_value()) continue;
-    ++stats_.enforcer_moves;
-    ++stats_.cost_estimates;
-    Cost local = enf->LocalCost(*logical, *app->delivered);
-    if (!AdmitLocalCost(&local)) continue;
-    Cost total = cm.Add(base.cost, local);
-    if (!cm.LessEq(total, limit)) continue;
-    if (best.plan != nullptr && !cm.Less(total, best.cost)) continue;
-    best.plan = PlanNode::Make(enf->enforcer(), enf->PlanArg(*app->delivered),
-                               {base.plan}, app->delivered, logical, total,
-                               enf->name().c_str(), /*from_enforcer=*/true);
-    best.cost = total;
-  }
-  return best;
-}
-
 Optimizer::Result Optimizer::GreedyPlan(GroupId group,
                                         const PhysPropsPtr& required,
                                         const PhysPropsPtr& excluded,
@@ -1228,15 +672,15 @@ Optimizer::Result Optimizer::GreedyPlan(GroupId group,
   if (memo_.IsInProgress(group, goal)) return failure;
   memo_.MarkInProgress(group, goal);
 
-  // Moves over the memo as it stands: no transformations, no exploration
-  // (ExploreGroup is suppressed in greedy mode), hence no memo growth.
+  // Moves over the memo as it stands: no transformations, no exploration,
+  // hence no memo growth.
   ScratchLease<Move> moves_lease(move_pool_);
   std::vector<Move>& moves = *moves_lease;
   CollectAlgorithmMoves(group, required, excluded, &moves);
   group = memo_.Find(group);
   const LogicalPropsPtr logical = memo_.LogicalOf(group);
   CollectEnforcerMoves(required, excluded, *logical, &moves);
-  SortMovesByPromise(moves);
+  search_internal::SortMovesByPromise(moves);
 
   // Greedy descent: the first move in promise order whose inputs can all be
   // planned wins; later moves are only tried when earlier ones fail.

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -81,8 +80,8 @@ class Optimizer {
                                   Cost limit);
 
   /// True when the previous Optimize/OptimizeGroup call suspended on a
-  /// budget trip (SearchOptions::suspend_on_trip with the task engine): the
-  /// task stack is frozen and Resume() can continue it.
+  /// budget trip (SearchOptions::suspend_on_trip): the task stack is frozen
+  /// and Resume() can continue it.
   bool CanResume() const;
 
   /// Continues a suspended optimization from the exact preemption point. The
@@ -136,10 +135,10 @@ class Optimizer {
   const SearchMetrics& metrics() const { return metrics_; }
 
  private:
-  // The task engine (search/task_engine.h) runs the same search as the
-  // recursive methods below on an explicit frame stack; it reuses the
-  // shared helpers (budget checkpoints, move collection, winner crediting)
-  // and the private Result/Move types directly.
+  // The task engine (search/task_engine.h) runs Figure 2's FindBestPlan on
+  // an explicit frame stack; it uses the helpers below (budget checkpoints,
+  // move collection, winner crediting) and the private Result/Move types
+  // directly.
   friend class TaskEngine;
 
   // Common constructor body; the public constructors delegate here.
@@ -173,8 +172,17 @@ class Optimizer {
     double order_key = 0.0;
   };
 
+  /// Turns one implementation rule's bindings into algorithm moves for the
+  /// goal: the rule's condition, the fault hook, and one move per
+  /// applicable input-property alternative.
+  void AddAlgorithmMoves(const ImplementationRule& rule,
+                         const std::vector<Binding>& bindings,
+                         const PhysPropsPtr& required,
+                         const PhysProps* excluded, std::vector<Move>* moves);
+
   /// Sweeps the class's expressions and collects all algorithm moves for the
-  /// given goal.
+  /// given goal over the memo as it stands: input classes a pattern names
+  /// are matched without being explored. Used by the greedy descent.
   void CollectAlgorithmMoves(GroupId group, const PhysPropsPtr& required,
                              const PhysPropsPtr& excluded,
                              std::vector<Move>* moves);
@@ -184,42 +192,6 @@ class Optimizer {
                             const PhysPropsPtr& excluded,
                             const LogicalProps& logical,
                             std::vector<Move>* moves);
-
-  /// Pursues one algorithm/enforcer move, updating the incumbent.
-  void PursueMove(const Move& mv, GroupId group,
-                  const LogicalPropsPtr& logical, Result* best,
-                  Cost* best_cost);
-
-  /// The kInterleaved strategy: Figure 2 verbatim — transformations are
-  /// moves, pursued together with algorithms and enforcers.
-  void RunInterleaved(GroupId* group, const PhysPropsPtr& required,
-                      const PhysPropsPtr& excluded, Result* best,
-                      Cost* best_cost);
-
-  /// Figure 2's FindBestPlan. `excluded` is the excluding physical property
-  /// vector, non-null only when optimizing the input of an enforcer.
-  Result FindBestPlan(GroupId group, const PhysPropsPtr& required, Cost limit,
-                      const PhysPropsPtr& excluded);
-
-  /// Applies all transformation rules reachable in this class to fixpoint
-  /// (directed exploration: sub-classes are only expanded where a pattern
-  /// requires a specific operator).
-  void ExploreGroup(GroupId group);
-
-  /// Enumerates all matches of `pattern` rooted at `m` into `out`. Explores
-  /// input classes on demand for multi-level patterns.
-  void CollectBindings(const Pattern& pattern, const MExpr& m,
-                       std::vector<Binding>* out);
-
-  void MatchNode(const Pattern& pattern, const MExpr& m, Binding* partial,
-                 const std::function<void()>& emit);
-  void MatchChildren(const Pattern& pattern, const MExpr& m, size_t child,
-                     Binding* partial, const std::function<void()>& emit);
-
-  /// Starburst-style ablation path: optimize for "any" properties, then glue
-  /// an enforcer on top if the requirement is not met.
-  Result FindBestPlanWithGlue(GroupId group, const PhysPropsPtr& required,
-                              Cost limit);
 
   /// Cooperative budget checkpoint: returns false once any budget (deadline,
   /// memo cap, call cap, cancellation, injected fault) has tripped. The
@@ -258,9 +230,8 @@ class Optimizer {
   double SearchCompletedFraction() const;
 
   /// Records the peak native-stack consumption below the top-level entry
-  /// point in stats_.native_stack_high_water. The recursive engine calls
-  /// this on its recursion paths (where it grows with plan depth); the task
-  /// engine calls it per step (where it stays flat).
+  /// point in stats_.native_stack_high_water. The task engine samples it
+  /// from its dispatch loop, where it stays flat in plan depth.
   void ProbeNativeStack() {
     if (stack_base_ == nullptr) return;
     char probe;
@@ -284,9 +255,9 @@ class Optimizer {
   /// algorithm/enforcer moves over expressions already in the memo (no
   /// transformations, no exploration, no memo growth), takes the first move
   /// in promise order whose inputs can be planned, and reuses memoized
-  /// winners opportunistically. Runs after the budget has tripped, so it
-  /// deliberately ignores the budget; it terminates because the memo is
-  /// frozen and (group, goal) re-entry is cut by the in-progress marks.
+  /// winners opportunistically. Runs after the budget has tripped and polls
+  /// no budget; it terminates because the memo is frozen and (group, goal)
+  /// re-entry is cut by the in-progress marks.
   Result GreedyPlan(GroupId group, const PhysPropsPtr& required,
                     const PhysPropsPtr& excluded, int depth);
 
@@ -311,10 +282,10 @@ class Optimizer {
   double MoveWinRate(const Move& mv) const;
 
   /// Assigns Move::order_key = promise × MoveWinRate × a cardinality
-  /// discount (1 / (1 + log1p(summed input cardinality))) — the best-first
-  /// engine's adaptive move ordering above the join threshold, replacing
-  /// the static cardinality key of AssignMoveOrderKeys. Sorted descending
-  /// by search_internal::SortMovesByScore.
+  /// discount (1 / (1 + log1p(summed input cardinality))) — the adaptive
+  /// move ordering above the join threshold, replacing the static
+  /// cardinality key of AssignMoveOrderKeys once rule statistics exist.
+  /// Sorted descending by search_internal::SortMovesByScore.
   void AssignAdaptiveOrderKeys(std::vector<Move>* moves);
 
   /// True once the cumulative per-rule tables have recorded at least one
@@ -331,10 +302,9 @@ class Optimizer {
   /// Canonical (interned) "no requirement" vector: the FindBestPlan glue
   /// gate compares goal pointers against this instead of calling Equals.
   PhysPropsPtr any_props_;
-  // Scratch pools for move/binding collection. FindBestPlan and exploration
-  // are mutually recursive, so each nesting level leases its own buffer;
-  // released buffers keep their capacity, making steady-state collection
-  // allocation-free.
+  // Scratch pools for the greedy descent's move/binding collection: each
+  // recursion level leases its own buffer, and released buffers keep their
+  // capacity.
   ScratchPool<Move> move_pool_;
   ScratchPool<Binding> binding_pool_;
   SearchStats stats_;
@@ -343,7 +313,6 @@ class Optimizer {
   OptimizeOutcome outcome_;
   // Budget-trip latch: the first trip of a top-level call.
   BudgetTrip trip_ = BudgetTrip::kNone;
-  bool greedy_mode_ = false;
   // Join-order seeding state for the current top-level call (set by
   // Optimize(Expr) via PrepareJoinSeed, consumed by OptimizeGroup and
   // FinalizeTopLevel). seed_ is valid only for the (group, required) pair
@@ -378,12 +347,6 @@ class Optimizer {
   // Transformation applications this top-level call, against
   // options_.explore_limit.
   uint64_t transforms_fired_ = 0;
-  // Phase-timer nesting depths: only the outermost activation of each phase
-  // accumulates (the search is mutually recursive), and exploration nested
-  // under a pursued move counts as pursue time, not explore time.
-  int total_depth_ = 0;
-  int explore_depth_ = 0;
-  int pursue_depth_ = 0;
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_{};
   size_t mexpr_cap_ = 0;
@@ -391,8 +354,8 @@ class Optimizer {
   // budget really is "per top-level call" (as documented) and a resumed run
   // gets a fresh allowance.
   uint64_t call_budget_base_ = 0;
-  // Task engine (created lazily on the first kTask optimization; owns the
-  // frame arena and, when suspended, the frozen task stack).
+  // Task engine (created lazily on the first optimization; owns the frame
+  // arena and, when suspended, the frozen task stack).
   std::unique_ptr<TaskEngine> engine_;
   // Saved context for Resume(): the goal of the suspended top-level call.
   GroupId resume_group_ = kInvalidGroup;

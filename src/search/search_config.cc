@@ -29,38 +29,6 @@ Status ValidateSearchOptions(const SearchOptions& options) {
                    "physical_only disables the transformations a join seed "
                    "exists to avoid; enable at most one");
   }
-  const bool best_first = options.engine == SearchOptions::Engine::kBestFirst;
-  if (options.frontier_limit != 0 && !best_first) {
-    return Invalid("frontier_limit",
-                   "frontier_limit requires Engine::kBestFirst; no other "
-                   "engine keeps a global frontier");
-  }
-  if (options.memo_byte_limit != 0 && !best_first) {
-    return Invalid("memo_byte_limit",
-                   "memo_byte_limit requires Engine::kBestFirst; no other "
-                   "engine enforces a memo byte cap");
-  }
-  if (options.frontier_limit != 0 && options.frontier_limit < 8) {
-    return Invalid("frontier_limit",
-                   "frontier_limit must be 0 (unbounded) or >= 8; a smaller "
-                   "frontier cannot hold one goal's fan-out");
-  }
-  if (options.memo_byte_limit != 0 && options.memo_byte_limit < (128u << 10)) {
-    return Invalid("memo_byte_limit",
-                   "memo_byte_limit must be 0 (unbounded) or >= 131072; the "
-                   "arena's first block plus expansion slack need 128 KiB");
-  }
-  if (best_first &&
-      options.strategy == SearchOptions::Strategy::kInterleaved) {
-    return Invalid("strategy",
-                   "Engine::kBestFirst implements the kExploreFirst strategy "
-                   "only; interleaved transformation moves are not jobified");
-  }
-  if (best_first && options.glue_properties) {
-    return Invalid("glue_properties",
-                   "glue_properties is not implemented by the best-first "
-                   "engine; use kTask or kRecursive for the glue ablation");
-  }
   return Status::OK();
 }
 

@@ -1,9 +1,9 @@
 // Validated search configuration.
 //
-// SearchOptions has one knob per search choice — engine, strategy,
-// suspend-on-trip, budgets, degradation — and with them come cross-knob
-// invariants ("frontier_limit requires the best-first engine") that would
-// otherwise live in comments or be silently ignored. The SearchConfig
+// SearchOptions has one knob per search choice — strategy, suspend-on-trip,
+// budgets, degradation, join seeding — and with them come cross-knob
+// invariants ("physical_only excludes join_seed") that would otherwise live
+// in comments or be silently ignored. The SearchConfig
 // builder makes those invariants construction-time Status errors: a
 // SearchConfig that exists is valid by construction, and the Optimizer
 // constructor taking one cannot be misconfigured.
@@ -27,12 +27,8 @@ namespace volcano {
 /// Checks the cross-knob invariants a raw SearchOptions can violate. OK iff
 /// the combination is one the engine actually implements:
 ///  * move_limit must be >= 0;
-///  * frontier_limit / memo_byte_limit require Engine::kBestFirst (no other
-///    engine reads them), frontier_limit must leave room for real fan-out
-///    (>= 8 when set), and memo_byte_limit must be >= 128 KiB (the arena's
-///    first block plus expansion slack);
-///  * Engine::kBestFirst runs the kExploreFirst strategy only and does not
-///    implement glue_properties.
+///  * join_seed_threshold must be >= 2 and join_budget_ms > 0;
+///  * physical_only and join_seed are exclusive.
 Status ValidateSearchOptions(const SearchOptions& options);
 
 /// An immutable, validated search configuration. Only obtainable through
@@ -47,18 +43,6 @@ class SearchConfig {
    public:
     Builder& strategy(SearchOptions::Strategy v) {
       options_.strategy = v;
-      return *this;
-    }
-    Builder& engine(SearchOptions::Engine v) {
-      options_.engine = v;
-      return *this;
-    }
-    Builder& frontier_limit(size_t v) {
-      options_.frontier_limit = v;
-      return *this;
-    }
-    Builder& memo_byte_limit(size_t v) {
-      options_.memo_byte_limit = v;
       return *this;
     }
     Builder& suspend_on_trip(bool v) {

@@ -40,49 +40,11 @@ struct SearchOptions {
 
   Strategy strategy = Strategy::kExploreFirst;
 
-  /// Which search core executes FindBestPlan.
-  enum class Engine {
-    /// Explicit task engine: the Figure-2 recursion is run as a stack of
-    /// small state-machine tasks whose pending state lives on the heap, so
-    /// search depth is independent of the native call stack and a tripped
-    /// budget can freeze the stack for Resume(). Default; plan-for-plan
-    /// identical to kRecursive.
-    kTask,
-    /// The literal recursive descent of Figure 2 (the pre-task-engine
-    /// implementation). Kept as a compatibility path for differential
-    /// testing; cannot suspend.
-    kRecursive,
-    /// Memory-bounded global best-first search (DESIGN.md §13): goals wait
-    /// in one frontier ordered by adaptive promise (rule promise × observed
-    /// win rate × a cardinality discount) and are expanded best-first; every
-    /// subgoal is searched at an infinite cost limit so its memoized winner
-    /// is schedule-independent, and each goal's moves are reduced in
-    /// canonical order, which makes the uncapped search plan-for-plan
-    /// identical to kTask. frontier_limit / memo_byte_limit bound the live
-    /// frontier and the memo arena; capped runs stay anytime (greedy
-    /// completion under the memo gate, eviction of the least promising
-    /// goals) and are flagged approximate. Supports suspend_on_trip.
-    kBestFirst,
-  };
-  Engine engine = Engine::kTask;
-
-  /// Maximum live entries in the kBestFirst frontier; admitting a goal
-  /// beyond the cap evicts the least promising entry (which then fails and
-  /// marks the result approximate). 0 = unbounded. Ignored by other engines.
-  size_t frontier_limit = 0;
-
-  /// Hard cap on Memo::arena_bytes() under kBestFirst. Once the arena
-  /// approaches the cap, goals stop expanding (they complete through the
-  /// greedy descent instead, never memoized) and exploration stops deriving
-  /// new expressions, so the memo cannot grow past the cap; the result is
-  /// flagged approximate. 0 = unbounded. Ignored by other engines.
-  size_t memo_byte_limit = 0;
-
-  /// When true (task engine only), a tripped OptimizationBudget freezes the
-  /// task stack instead of unwinding it: Optimize returns ResourceExhausted
-  /// with detail suspended=true, and Optimizer::Resume() re-arms the budget
-  /// and continues from the exact preemption point. When false, a trip
-  /// degrades per `degradation` exactly like the recursive engine.
+  /// When true, a tripped OptimizationBudget freezes the task stack instead
+  /// of unwinding it: Optimize returns ResourceExhausted with detail
+  /// suspended=true, and Optimizer::Resume() re-arms the budget and
+  /// continues from the exact preemption point. When false, a trip degrades
+  /// per `degradation`.
   bool suspend_on_trip = false;
 
   /// Branch-and-bound: abandon an algorithm or enforcer move as soon as its
@@ -258,13 +220,13 @@ struct SearchStats {
   uint64_t invalid_costs = 0;       ///< NaN cost estimates rejected
   uint64_t seed_plans = 0;          ///< greedy join seeds planned (join_seed)
 
-  // Task-engine counters (zero under SearchOptions::Engine::kRecursive).
+  // Task-engine counters.
   uint64_t tasks_executed = 0;          ///< task state-machine steps run
   uint64_t task_stack_high_water = 0;   ///< max concurrent task frames
   uint64_t suspensions = 0;             ///< budget trips frozen for Resume()
   /// Peak native C++ stack consumption observed inside the search (bytes
   /// below the top-level entry point). The task engine keeps this flat in
-  /// plan depth; the recursive engine grows it linearly.
+  /// plan depth.
   uint64_t native_stack_high_water = 0;
 
   std::string ToString() const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "search/move_order.h"
@@ -45,11 +44,10 @@ void TaskEngine::Matcher::Start(const Pattern& pattern, const MExpr& m,
   acts_.clear();
   need_group_ = kInvalidGroup;
   mode_ = Mode::kIdle;
-  // Every shape starts like MatchNode: the root operator must match.
+  // The root operator must match.
   if (pattern.op() != m.op()) return;
-  // A single-node pattern (every child is "any"), as in
-  // Optimizer::CollectBindings: the one binding is the expression itself
-  // over its input classes, built in place.
+  // A single-node pattern (every child is "any"): the one binding is the
+  // expression itself over its input classes, built in place.
   if (pattern.IsSingleNode()) {
     Binding& b = out->emplace_back();
     b.mutable_nodes().push_back(&m);
@@ -65,7 +63,7 @@ void TaskEngine::Matcher::Start(const Pattern& pattern, const MExpr& m,
   const int pos = TwoLevelPosition(pattern);
   if (pos >= 0 && static_cast<size_t>(pos) < m.num_inputs()) {
     // The "any" positions before the operator position are bound before
-    // its class is explored, as MatchChildren binds them.
+    // its class is explored.
     pattern_ = &pattern;
     root_ = &m;
     nested_pos_ = static_cast<uint32_t>(pos);
@@ -138,13 +136,14 @@ TaskEngine::Matcher::Status TaskEngine::Matcher::Step(Memo& memo) {
     case Mode::kGeneral:
       break;
   }
-  // Each Act is one suspended activation of MatchNode (kNode) or of a run of
-  // MatchChildren calls (kChildren) from the recursive matcher; `pc` is the
-  // resume point and `cont` the act index of the MatchChildren call-site
-  // whose continuation runs when a subtree match completes (kEmitCont = emit
-  // the binding). A kChildren act binds consecutive "any" positions itself
-  // and stops at the first specific-operator position. Act fields are read
-  // before any push: pushes may reallocate acts_.
+  // Each Act is one suspended activation: kNode matches one pattern node
+  // against one expression, kChildren matches that node's child positions
+  // from `child` on. `pc` is the resume point and `cont` the act index of
+  // the kChildren call-site whose continuation runs when a subtree match
+  // completes (kEmitCont = emit the binding). A kChildren act binds
+  // consecutive "any" positions itself and stops at the first
+  // specific-operator position. Act fields are read before any push:
+  // pushes may reallocate acts_.
   while (!acts_.empty()) {
     const size_t idx = acts_.size() - 1;
     Act& a = acts_[idx];
@@ -184,8 +183,8 @@ TaskEngine::Matcher::Status TaskEngine::Matcher::Step(Memo& memo) {
             PopChildren();
             continue;
           }
-          // Run the caller MatchChildren's continuation: advance it one
-          // child position. This act waits in pc=2 for it to finish.
+          // Run the call-site's continuation: advance it one child
+          // position. This act waits in pc=2 for it to finish.
           a.pc = 2;
           const Act& site = acts_[static_cast<size_t>(a.cont)];
           PushChildren(site.p, site.m, site.child + 1, site.cont);
@@ -233,7 +232,6 @@ TaskEngine::Matcher::Status TaskEngine::Matcher::Step(Memo& memo) {
 
 void TaskEngine::GoalFrame::Reuse() {
   marked = false;
-  collect_only = false;
   best = Optimizer::Result{};
   logical = nullptr;
   moves.clear();
@@ -270,17 +268,12 @@ bool TaskEngine::Parking() const {
 }
 
 Optimizer::Result TaskEngine::Run(GroupId group, const PhysPropsPtr& required,
-                                  Cost limit, const PhysPropsPtr& excluded) {
-  // The best-first engine replaces the depth-first scheduler wholesale.
-  if (opt_.options_.engine == SearchOptions::Engine::kBestFirst) {
-    return RunBestFirst(group, required, limit, excluded);
-  }
+                                  Cost limit) {
   VOLCANO_CHECK(stack_.Empty());
   suspended_ = false;
   root_result_ = Optimizer::Result{nullptr, limit};
   root_required_ = required;
-  root_excluded_ = excluded;
-  if (EnterGoal(group, &root_required_, limit, &root_excluded_, &root_result_,
+  if (EnterGoal(group, &root_required_, limit, nullptr, &root_result_,
                 nullptr)) {
     return Loop();
   }
@@ -290,7 +283,6 @@ Optimizer::Result TaskEngine::Run(GroupId group, const PhysPropsPtr& required,
 Optimizer::Result TaskEngine::Continue() {
   VOLCANO_CHECK(suspended_);
   suspended_ = false;
-  if (bf_active_) return BfLoop();
   return Loop();
 }
 
@@ -330,13 +322,6 @@ void TaskEngine::Abandon() {
   stack_.Clear();
   suspended_ = false;
   abandoning_ = false;
-  if (bf_active_) {
-    // A suspended best-first run freezes at most one collect_only frame
-    // (unmarked — handled by the walk above); the frontier and its records
-    // are engine-private, so dropping them leaves the memo consistent.
-    BfClear();
-    bf_active_ = false;
-  }
 }
 
 void TaskEngine::Step(Frame* f) {
@@ -525,18 +510,8 @@ void TaskEngine::FinishGoal(GoalFrame* f) {
 // ---------------------------------------------------------------------------
 
 bool TaskEngine::EnterExplore(GroupId group, Frame* parent) {
-  // The greedy fallback never runs on the task stack (GreedyPlan stays
-  // recursive and bounded), so no greedy_mode_ gate is needed here — but
-  // the physical-only mode (join-seed costing) suppresses exploration on
-  // every engine.
+  // The physical-only mode (join-seed costing) suppresses exploration.
   if (opt_.options_.physical_only || opt_.ExploreCapReached()) return false;
-  // Best-first memo cap: once the arena nears memo_byte_limit no new
-  // exploration starts — remaining goals plan over the expressions already
-  // derived (and complete greedily when even collection is too expensive).
-  if (bf_active_ && BfMemoGate()) {
-    bf_degraded_ = true;
-    return false;
-  }
   group = opt_.memo_.Find(group);
   {
     Group& grp = opt_.memo_.group(group);
@@ -557,10 +532,10 @@ bool TaskEngine::EnterExplore(GroupId group, Frame* parent) {
 void TaskEngine::FinishExplore(ExploreFrame* f) {
   GroupId group = opt_.memo_.Find(f->group);
   opt_.memo_.SetExploring(group, false);
-  // An exploration cut short by the budget, the transformation cap, or the
-  // best-first memo cap must not masquerade as complete.
-  if (!opt_.aborted() && !opt_.ExploreCapReached() &&
-      !(bf_active_ && BfMemoGate())) {
+  // An exploration cut short by the budget or the transformation cap must
+  // not masquerade as complete: a later re-armed (or uncapped) call on this
+  // optimizer would silently skip the rest of the closure.
+  if (!opt_.aborted() && !opt_.ExploreCapReached()) {
     opt_.memo_.SetExplored(group, true);
   }
   stack_.Pop();
@@ -645,33 +620,6 @@ uint32_t TaskEngine::ApplyTransformation(const TransformationRule& rule,
 // Goal stepping
 // ---------------------------------------------------------------------------
 
-void TaskEngine::AddAlgorithmMoves(GoalFrame* f) {
-  const ImplementationRule& rule = *f->sweep_rule;
-  const PhysPropsPtr& required = *f->required;
-  const PhysProps* excluded = f->excluded->get();
-  for (const Binding& b : f->bindings) {
-    if (!rule.Condition(b, opt_.memo_)) continue;
-    if (opt_.options_.fault != nullptr &&
-        opt_.options_.fault->FailRuleApplication()) {
-      continue;  // injected: the implementation rule fails to fire
-    }
-    AlgorithmAlternatives alts =
-        rule.Applicability(b, opt_.memo_, required, excluded);
-    for (AlgorithmAlternative& alt : alts) {
-      VOLCANO_CHECK(alt.input_props.size() == b.num_leaves());
-      VOLCANO_DCHECK(alt.delivered->Covers(*required));
-      if (excluded != nullptr && alt.delivered->Covers(*excluded)) {
-        continue;  // would qualify redundantly below the enforcer
-      }
-      Optimizer::Move& mv = f->moves.emplace_back();
-      mv.rule = &rule;
-      mv.binding = b;
-      mv.alt = std::move(alt);
-      mv.promise = rule.Promise(b, opt_.memo_);
-    }
-  }
-}
-
 bool TaskEngine::Sweep(GoalFrame* f) {
   // CollectAlgorithmMoves: expressions of the class in order, each with its
   // implementation rules in order. Only an exploration the matcher needs
@@ -710,7 +658,8 @@ bool TaskEngine::Sweep(GoalFrame* f) {
       }
       case kGoalSweepMatch: {
         if (!RunMatcher(f->matcher, f)) return false;  // exploring an input
-        AddAlgorithmMoves(f);
+        opt_.AddAlgorithmMoves(*f->sweep_rule, f->bindings, *f->required,
+                               f->excluded->get(), &f->moves);
         ++f->sweep_rule_pos;
         f->state = kGoalSweepRule;
         break;
@@ -806,36 +755,15 @@ void TaskEngine::StepGoal(GoalFrame* f) {
       f->logical = &opt_.memo_.LogicalOf(f->group);
       opt_.CollectEnforcerMoves(*f->required, *f->excluded, **f->logical,
                                 &f->moves);
-      if (f->collect_only) {
-        // Best-first expansion: order (and trim) the moves exactly as the
-        // pursue path would, then hand them to the frontier record instead
-        // of pursuing. Above the join threshold the static cardinality key
-        // is replaced by the adaptive promise (win rate × cardinality
-        // discount); below it the ordering is byte-identical to the serial
-        // engine — the uncapped digest depends on that.
-        if (opt_.big_join_mode_) {
-          opt_.AssignAdaptiveOrderKeys(&f->moves);
-          search_internal::SortMovesByScore(f->moves);
-        } else {
-          search_internal::SortMovesByPromise(f->moves);
-        }
-        if (opt_.options_.move_limit > 0 &&
-            f->moves.size() >
-                static_cast<size_t>(opt_.options_.move_limit)) {
-          opt_.stats_.moves_skipped +=
-              f->moves.size() - opt_.options_.move_limit;
-          f->moves.resize(opt_.options_.move_limit);
-        }
-        BfHarvest(f);
-        return;
-      }
       // --- order the set of moves by promise -------------------------------
       if (opt_.big_join_mode_) {
-        // Big-join escalation: equal-promise moves pursue the smallest
-        // input cardinalities first (see Optimizer::AssignMoveOrderKeys) —
+        // Big-join escalation: among equal-promise moves, pursue the ones
+        // with the smallest input cardinalities first, so a cheap incumbent
+        // exists early and the incumbent test prunes the expensive orders
+        // instead of costing them (see Optimizer::AssignMoveOrderKeys) —
         // until the cumulative rule tables have recorded winners, at which
-        // point the learned key (promise × win rate × cardinality
-        // discount, the best-first expansion ordering above) takes over.
+        // point the learned key (promise × win rate × cardinality discount,
+        // Optimizer::AssignAdaptiveOrderKeys) takes over.
         if (opt_.HasMoveStats()) {
           opt_.AssignAdaptiveOrderKeys(&f->moves);
           search_internal::SortMovesByScore(f->moves);
@@ -875,7 +803,7 @@ void TaskEngine::StepGoal(GoalFrame* f) {
     }
 
     case kGoalGlueDone: {
-      // FindBestPlanWithGlue's tail: the base "any properties" goal has been
+      // The glue ablation's tail: the base "any properties" goal has been
       // answered into glue_base; patch it with glue enforcers if needed.
       if (f->glue_base.plan == nullptr) {
         f->best = Optimizer::Result{nullptr, f->limit};
@@ -1223,20 +1151,13 @@ void TaskEngine::StepExplore(ExploreFrame* f) {
         [[fallthrough]];
 
       case kExpSweepExpr: {
-        // One budget checkpoint per expression, dead ones included, as in
-        // the recursive sweep.
+        // One budget checkpoint per expression, dead ones included.
         if (!opt_.CheckBudget()) {
           if (Parking()) return;
           FinishExplore(f);
           return;
         }
         if (opt_.ExploreCapReached()) {
-          FinishExplore(f);
-          return;
-        }
-        if (bf_active_ && BfMemoGate()) {
-          // Memo cap reached mid-exploration: stop growing the arena.
-          bf_degraded_ = true;
           FinishExplore(f);
           return;
         }
@@ -1291,8 +1212,7 @@ void TaskEngine::StepExplore(ExploreFrame* f) {
       }
 
       case kExpRoundEnd: {
-        // Mirrors the recursive engine's trailing `if (!CheckBudget())
-        // break;` after each fixpoint round.
+        // A budget checkpoint after each fixpoint round.
         if (!opt_.CheckBudget()) {
           if (Parking()) return;
           FinishExplore(f);
@@ -1307,533 +1227,6 @@ void TaskEngine::StepExplore(ExploreFrame* f) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Best-first engine (SearchOptions::Engine::kBestFirst; DESIGN.md §13)
-// ---------------------------------------------------------------------------
-
-namespace {
-// Arena headroom kept under memo_byte_limit: the gate closes while at most
-// this much growth can still happen before the next gate check (two 64 KiB
-// arena blocks), so arena_bytes() never exceeds the cap.
-constexpr size_t kBfArenaSlack = 128u << 10;
-}  // namespace
-
-bool TaskEngine::BfMemoGate() const {
-  const size_t cap = opt_.options_.memo_byte_limit;
-  return cap != 0 && opt_.memo_.arena_bytes() + kBfArenaSlack > cap;
-}
-
-Optimizer::Result TaskEngine::RunBestFirst(GroupId group,
-                                           const PhysPropsPtr& required,
-                                           Cost limit,
-                                           const PhysPropsPtr& excluded) {
-  VOLCANO_CHECK(stack_.Empty());
-  VOLCANO_CHECK(bf_recs_.empty());
-  suspended_ = false;
-  bf_active_ = true;
-  bf_degraded_ = false;
-  bf_frontier_.set_capacity(opt_.options_.frontier_limit);
-  root_result_ = Optimizer::Result{nullptr, limit};
-  // The root rides at infinite priority: no child's path-min score can reach
-  // it, and a bounded frontier therefore never evicts it.
-  BfGoalRec* root = BfIntern(group, required, limit, excluded, nullptr,
-                             std::numeric_limits<double>::infinity());
-  if (root->state == BfGoalRec::State::kDone) {
-    Optimizer::Result r = root->done_ok
-                              ? Optimizer::Result{root->plan, root->cost}
-                              : Optimizer::Result{nullptr, limit};
-    BfClear();
-    bf_active_ = false;
-    return r;
-  }
-  bf_root_ = root;
-  return BfLoop();
-}
-
-Optimizer::Result TaskEngine::BfLoop() {
-  for (;;) {
-    if (!opt_.CheckBudget()) {
-      if (Parking()) {
-        // Freeze in place (the stack, when non-empty, holds one collect_only
-        // frame mid-expansion); Continue() re-enters this loop.
-        suspended_ = true;
-        ++opt_.stats_.suspensions;
-        return Optimizer::Result{};
-      }
-      // Budget tripped for good: drain the in-flight expansion (aborted
-      // frames finish fast), then emit the anytime incumbent so the
-      // degradation ladder sees a partial result instead of nothing.
-      if (!stack_.Empty()) Loop();
-      Optimizer::Result inc = BfIncumbent();
-      BfClear();
-      bf_active_ = false;
-      return inc;
-    }
-    if (!stack_.Empty()) {
-      // Resume path: a frozen mid-expansion collect frame finishes first.
-      Loop();
-      if (suspended_) return Optimizer::Result{};
-      continue;
-    }
-    if (bf_ripe_cursor_ < bf_ripe_.size()) {
-      // Reduce ripe records in settle order (FIFO keeps it deterministic).
-      BfGoalRec* rec = bf_ripe_[bf_ripe_cursor_++];
-      if (rec->state == BfGoalRec::State::kWaiting) BfReduce(rec);
-      continue;
-    }
-    if (bf_root_->state == BfGoalRec::State::kDone) {
-      Optimizer::Result r =
-          bf_root_->done_ok
-              ? Optimizer::Result{bf_root_->plan, bf_root_->cost}
-              : Optimizer::Result{nullptr, bf_root_->limit};
-      if (!bf_root_->done_ok && bf_degraded_ && !opt_.aborted()) {
-        // The root failed only because a cap evicted (or gated) goals it
-        // needed — that is a memory artifact, not a proven infeasibility.
-        // Stay anytime: finish through the greedy descent, still flagged
-        // degraded/approximate.
-        opt_.greedy_mode_ = true;
-        Optimizer::Result g = opt_.GreedyPlan(bf_root_->group,
-                                              bf_root_->required,
-                                              bf_root_->excluded, 0);
-        opt_.greedy_mode_ = false;
-        const CostModel& cm = cm_;
-        if (g.plan != nullptr && cm.LessEq(g.cost, bf_root_->limit)) {
-          r = std::move(g);
-        }
-      }
-      BfClear();
-      bf_active_ = false;
-      return r;
-    }
-    BfGoalRec* next = nullptr;
-    if (bf_frontier_.PopBest(&next)) {
-      next->in_frontier = false;
-      BfExpand(next);
-      if (suspended_) return Optimizer::Result{};
-      continue;
-    }
-    BfBreakStall();
-  }
-}
-
-TaskEngine::BfGoalRec* TaskEngine::BfIntern(GroupId group,
-                                            const PhysPropsPtr& required,
-                                            Cost limit,
-                                            const PhysPropsPtr& excluded,
-                                            BfGoalRec* creator,
-                                            double priority) {
-  ++opt_.stats_.find_best_plan_calls;  // every demand mirrors one call
-  group = opt_.memo_.Find(group);
-  Goal goal = opt_.memo_.CanonicalGoal(required, excluded);
-  auto it = bf_index_.find(BfKey{group, goal});
-  if (it != bf_index_.end()) {
-    // Deduplicated demand. A higher-priority demander promotes the record
-    // within the frontier (never demotes: the old demand is still live).
-    BfGoalRec* rec = it->second;
-    if (rec->in_frontier && priority > rec->priority) {
-      bf_frontier_.Erase(rec->priority, rec->seq);
-      rec->in_frontier = false;
-      rec->priority = priority;
-      BfPushFrontier(rec);
-    }
-    return rec;
-  }
-  bf_recs_.push_back(std::make_unique<BfGoalRec>());
-  BfGoalRec* rec = bf_recs_.back().get();
-  rec->seq = static_cast<uint32_t>(bf_recs_.size() - 1);
-  rec->group = group;
-  rec->required = required;
-  rec->excluded = excluded;
-  rec->goal = goal;
-  rec->limit = limit;
-  rec->priority = priority;
-  rec->creator = creator;
-  bf_index_.emplace(BfKey{group, goal}, rec);
-  // The look-up table part of Figure 2, mirroring EnterGoal byte for byte.
-  Optimizer::Result answer;
-  if (ProbeWinner(group, goal, limit, &answer)) {
-    rec->state = BfGoalRec::State::kDone;
-    rec->done_ok = answer.plan != nullptr;
-    rec->plan = std::move(answer.plan);
-    rec->cost = answer.cost;
-    return rec;
-  }
-  rec->state = BfGoalRec::State::kReady;
-  BfPushFrontier(rec);
-  return rec;
-}
-
-void TaskEngine::BfPushFrontier(BfGoalRec* rec) {
-  rec->in_frontier = true;
-  BfGoalRec* evicted = nullptr;
-  if (bf_frontier_.Push(rec->priority, rec->seq, rec, &evicted)) {
-    // Capacity eviction: the least promising goal fails outright (possibly
-    // the one just pushed). Evictions never store failure records — the
-    // memo must not memoize a cap artifact as a proven infeasibility.
-    evicted->in_frontier = false;
-    bf_degraded_ = true;
-    BfSettle(evicted, Optimizer::Result{nullptr, evicted->limit}, false);
-  }
-}
-
-void TaskEngine::BfExpand(BfGoalRec* rec) {
-  if (BfMemoGate()) {
-    // Memo cap: finish this goal through the greedy descent over the
-    // expressions already in the memo. The result is never memoized as a
-    // winner (it is not a proven optimum) and flags the search degraded.
-    bf_degraded_ = true;
-    opt_.greedy_mode_ = true;
-    Optimizer::Result g =
-        opt_.GreedyPlan(rec->group, rec->required, rec->excluded, 0);
-    opt_.greedy_mode_ = false;
-    const CostModel& cm = cm_;
-    const bool ok = g.plan != nullptr && cm.LessEq(g.cost, rec->limit);
-    BfSettle(rec,
-             ok ? std::move(g) : Optimizer::Result{nullptr, rec->limit}, ok);
-    return;
-  }
-  rec->state = BfGoalRec::State::kExpanding;
-  ++opt_.stats_.goals_started;
-  bf_expanding_ = rec;
-  // Reuse the goal state machine's explore + collect phases (collect_only
-  // short-circuits at kGoalCollectCheck into BfHarvest). Mirrors
-  // kGoalDispatch: enter the group's transformation closure first.
-  GoalFrame* f = NewGoal(rec->group, &rec->required, rec->limit,
-                         &rec->excluded, &bf_scratch_result_, nullptr);
-  f->state = kGoalCollectInit;
-  f->goal = rec->goal;
-  f->collect_only = true;
-  f->best = Optimizer::Result{nullptr, rec->limit};
-  f->best_cost = rec->limit;
-  stack_.Push(f);
-  EnterExplore(rec->group, f);
-  Loop();
-}
-
-void TaskEngine::BfHarvest(GoalFrame* f) {
-  BfGoalRec* rec = bf_expanding_;
-  VOLCANO_CHECK(rec != nullptr);
-  bf_expanding_ = nullptr;
-  rec->logical = *f->logical;
-  rec->moves = std::move(f->moves);
-  // Exploration may have merged the class; keep the resolved id (the record
-  // stays indexed under its interning key — BfReduce re-probes on merges).
-  rec->group = opt_.memo_.Find(f->group);
-  stack_.Pop();
-  f->Reuse();
-  goal_pool_.Release(f);
-  BfRegisterChildren(rec);
-}
-
-void TaskEngine::BfRegisterChildren(BfGoalRec* rec) {
-  rec->state = BfGoalRec::State::kWaiting;
-  const CostModel& cm = cm_;
-  const Cost inf = cm.Infinity();
-  SearchStats& st = opt_.stats_;
-  rec->inputs.clear();
-  rec->inputs.resize(rec->moves.size());
-  for (size_t i = 0; i < rec->moves.size(); ++i) {
-    const Optimizer::Move& mv = rec->moves[i];
-    BfGoalRec::MoveIn& in = rec->inputs[i];
-    const double prio = BfMoveScore(rec, mv);
-    // Children are demanded at infinite cost limits, as in the depth-first
-    // engines: a subgoal's winner is its schedule-independent optimum, and
-    // the reduce step's incumbent test rejects what they prune.
-    const size_t n = mv.rule != nullptr ? mv.binding.num_leaves() : 1;
-    for (size_t k = 0; k < n; ++k) {
-      GroupId cg;
-      PhysPropsPtr creq;
-      PhysPropsPtr cexcl;
-      if (mv.rule != nullptr) {
-        cg = mv.binding.leaf(k);
-        creq = mv.alt.input_props[k];
-        cexcl = nullptr;
-      } else {
-        cg = rec->group;
-        creq = mv.app.input_required;
-        cexcl = mv.app.excluded;
-      }
-      // The demand chain stands in for the in-progress marks: a child goal
-      // equal to any ancestor demand would deadlock the frontier — fail the
-      // move instead, exactly where the serial engine's mark check cuts it.
-      const GroupId rg = opt_.memo_.Find(cg);
-      const Goal cgoal = opt_.memo_.CanonicalGoal(creq, cexcl);
-      bool cycle = false;
-      for (BfGoalRec* a = rec; a != nullptr; a = a->creator) {
-        if (a->goal == cgoal && opt_.memo_.Find(a->group) == rg) {
-          cycle = true;
-          break;
-        }
-      }
-      if (cycle) {
-        ++st.find_best_plan_calls;
-        ++st.in_progress_hits;
-        ++st.goals_completed;
-        in.failed = true;
-        break;
-      }
-      in.children.push_back(BfIntern(cg, creq, inf, cexcl, rec, prio));
-    }
-  }
-  // Count waiter edges only after all interning: a frontier eviction during
-  // registration settles its victim immediately, and a victim that is a
-  // child of this very record must not leave a dangling pending count.
-  // Duplicate edges are deliberate — BfSettle decrements per occurrence.
-  rec->pending = 0;
-  for (BfGoalRec::MoveIn& in : rec->inputs) {
-    if (in.failed) continue;
-    for (BfGoalRec* c : in.children) {
-      if (c->state == BfGoalRec::State::kDone) continue;
-      c->waiters.push_back(rec);
-      ++rec->pending;
-    }
-  }
-  if (rec->pending == 0) bf_ripe_.push_back(rec);
-}
-
-double TaskEngine::BfMoveScore(const BfGoalRec* rec,
-                               const Optimizer::Move& mv) const {
-  double card = 0.0;
-  if (mv.rule != nullptr) {
-    for (size_t k = 0; k < mv.binding.num_leaves(); ++k) {
-      const LogicalPropsPtr& lp =
-          opt_.memo_.LogicalOf(opt_.memo_.Find(mv.binding.leaf(k)));
-      if (lp != nullptr) card += lp->EstimatedCardinality();
-    }
-  }
-  // Adaptive promise (ISSUE: win-rate metrics × estimated benefit), capped
-  // at the demander's own priority so a deep subgoal never outranks the
-  // chain of demands that created it.
-  const double score =
-      mv.promise * opt_.MoveWinRate(mv) * (1.0 / (1.0 + std::log1p(card)));
-  return std::min(rec->priority, score);
-}
-
-void TaskEngine::BfReduce(BfGoalRec* rec) {
-  const CostModel& cm = cm_;
-  SearchStats& st = opt_.stats_;
-  const GroupId group = opt_.memo_.Find(rec->group);
-  // Re-probe the winner table first: a class merge (or a duplicate record
-  // that finished while this one waited) may have settled this goal already.
-  Optimizer::Result answer;
-  if (ProbeWinner(group, rec->goal, rec->limit, &answer)) {
-    const bool ok = answer.plan != nullptr;
-    BfSettle(rec, std::move(answer), ok);
-    return;
-  }
-  // Canonical-order reduce with the serial install semantics: within the
-  // limit, strictly cheaper than the incumbent, ties to the earlier move.
-  Optimizer::Result best{nullptr, rec->limit};
-  Cost best_cost = rec->limit;
-  for (size_t i = 0; i < rec->moves.size(); ++i) {
-    const Optimizer::Move& mv = rec->moves[i];
-    const BfGoalRec::MoveIn& in = rec->inputs[i];
-    if (in.failed) continue;
-    Cost total;
-    std::vector<PlanPtr> children;
-    if (mv.rule != nullptr) {
-      ++st.algorithm_moves;
-      ++st.cost_estimates;
-      ++opt_.metrics_.implementations[mv.rule->id()].fired;
-      VOLCANO_TRACE(opt_.options_.trace,
-                    {.kind = TraceEventKind::kAlgorithmPursued,
-                     .group = group,
-                     .rule_id = mv.rule->id(),
-                     .rule = mv.rule->name().c_str(),
-                     .promise = mv.promise});
-      total = mv.rule->LocalCost(mv.binding, opt_.memo_);
-      if (!opt_.AdmitLocalCost(&total)) continue;
-      if (std::isinf(cm.Total(total))) continue;
-      children.reserve(in.children.size());
-      bool failed = false;
-      for (BfGoalRec* c : in.children) {
-        if (!c->done_ok) {
-          failed = true;
-          break;
-        }
-        total = cm.Add(total, c->cost);
-        children.push_back(c->plan);
-      }
-      if (failed) continue;
-    } else {
-      ++st.enforcer_moves;
-      ++st.cost_estimates;
-      ++opt_.metrics_.enforcers[mv.enforcer_id].fired;
-      VOLCANO_TRACE(opt_.options_.trace,
-                    {.kind = TraceEventKind::kEnforcerPursued,
-                     .group = group,
-                     .rule_id = mv.enforcer_id,
-                     .rule = mv.enforcer->name().c_str(),
-                     .promise = mv.promise});
-      Cost local = mv.enforcer->LocalCost(*rec->logical, *mv.app.delivered);
-      if (!opt_.AdmitLocalCost(&local)) continue;
-      if (std::isinf(cm.Total(local))) continue;
-      BfGoalRec* c = in.children.empty() ? nullptr : in.children[0];
-      if (c == nullptr || !c->done_ok) continue;
-      total = cm.Add(local, c->cost);
-      children.push_back(c->plan);
-    }
-    if (!cm.LessEq(total, best_cost)) continue;
-    if (best.plan != nullptr && !cm.Less(total, best_cost)) continue;
-    VOLCANO_TRACE(
-        opt_.options_.trace,
-        {.kind = best.plan == nullptr ? TraceEventKind::kWinnerInstalled
-                                      : TraceEventKind::kWinnerImproved,
-         .group = group,
-         .rule_id = mv.rule != nullptr ? mv.rule->id() : mv.enforcer_id,
-         .rule = mv.rule != nullptr ? mv.rule->name().c_str()
-                                    : mv.enforcer->name().c_str(),
-         .cost = cm.Total(total)});
-    if (mv.rule != nullptr) {
-      best.plan = PlanNode::Make(
-          mv.rule->algorithm(), mv.rule->PlanArg(mv.binding, opt_.memo_),
-          std::move(children), mv.alt.delivered, rec->logical, total,
-          mv.rule->name().c_str(), /*from_enforcer=*/false);
-      ++opt_.metrics_.implementations[mv.rule->id()].succeeded;
-    } else {
-      best.plan = PlanNode::Make(
-          mv.enforcer->enforcer(), mv.enforcer->PlanArg(*mv.app.delivered),
-          std::move(children), mv.app.delivered, rec->logical, total,
-          mv.enforcer->name().c_str(), /*from_enforcer=*/true);
-      ++opt_.metrics_.enforcers[mv.enforcer_id].succeeded;
-    }
-    best.cost = total;
-    best_cost = total;
-  }
-  // Maintain the look-up table of explored facts, exactly like FinishGoal.
-  if (!opt_.aborted()) {
-    if (opt_.options_.memoize_winners && best.plan != nullptr) {
-      opt_.memo_.StoreWinner(group, rec->goal, Winner{best.plan, best.cost});
-    }
-    ++st.goals_completed;
-    ++st.goals_finished;
-    if (best.plan != nullptr) opt_.CreditWinner(*best.plan);
-  }
-  const bool ok = best.plan != nullptr;
-  BfSettle(rec, std::move(best), ok);
-}
-
-void TaskEngine::BfSettle(BfGoalRec* rec, Optimizer::Result r, bool ok) {
-  rec->state = BfGoalRec::State::kDone;
-  rec->done_ok = ok;
-  rec->plan = std::move(r.plan);
-  rec->cost = r.cost;
-  rec->moves.clear();
-  rec->inputs.clear();
-  std::vector<BfGoalRec*> waiters = std::move(rec->waiters);
-  rec->waiters.clear();
-  for (BfGoalRec* w : waiters) {
-    // Per-occurrence decrement balances the duplicate edges of
-    // BfRegisterChildren; a stall-broken waiter may already be at zero.
-    if (w->pending > 0) --w->pending;
-    if (w->pending == 0 && w->state == BfGoalRec::State::kWaiting) {
-      bf_ripe_.push_back(w);
-    }
-  }
-}
-
-void TaskEngine::BfBreakStall() {
-  // Frontier empty, nothing ripe, root unsettled: every remaining record
-  // waits on a dependency cycle the creator-chain check could not see (two
-  // subtrees demanding each other's goals). Fail the oldest waiter's
-  // unresolved moves; its settlement unblocks the rest. Deterministic (seq
-  // order) and loss-free for this rule set — within-group cycles all run
-  // through the demander's own creator chain, so this backstop should never
-  // fire on the digest grid.
-  BfGoalRec* victim = nullptr;
-  for (const auto& up : bf_recs_) {
-    if (up->state == BfGoalRec::State::kWaiting && up->pending > 0) {
-      victim = up.get();
-      break;
-    }
-  }
-  VOLCANO_CHECK(victim != nullptr);
-  ++opt_.stats_.in_progress_hits;
-  for (BfGoalRec::MoveIn& in : victim->inputs) {
-    if (in.failed) continue;
-    for (BfGoalRec* c : in.children) {
-      if (c->state != BfGoalRec::State::kDone) {
-        in.failed = true;
-        break;
-      }
-    }
-  }
-  victim->pending = 0;
-  bf_ripe_.push_back(victim);
-}
-
-Optimizer::Result TaskEngine::BfIncumbent() const {
-  if (bf_root_ == nullptr) return Optimizer::Result{};
-  if (bf_root_->state == BfGoalRec::State::kDone) {
-    return bf_root_->done_ok
-               ? Optimizer::Result{bf_root_->plan, bf_root_->cost}
-               : Optimizer::Result{nullptr, bf_root_->limit};
-  }
-  if (bf_root_->state != BfGoalRec::State::kWaiting) {
-    return Optimizer::Result{nullptr, bf_root_->limit};
-  }
-  // Partial reduce over the root's settled moves: the best complete plan
-  // assembled so far, with the reduce's install semantics but none of its
-  // side effects (no stats, no trace, no StoreWinner — and no
-  // AdmitLocalCost, whose fault hook must not fire on this emergency path).
-  const CostModel& cm = cm_;
-  Optimizer::Result best{nullptr, bf_root_->limit};
-  Cost best_cost = bf_root_->limit;
-  for (size_t i = 0; i < bf_root_->moves.size(); ++i) {
-    const Optimizer::Move& mv = bf_root_->moves[i];
-    const BfGoalRec::MoveIn& in = bf_root_->inputs[i];
-    if (in.failed) continue;
-    bool usable = !in.children.empty() || mv.rule != nullptr;
-    for (BfGoalRec* c : in.children) {
-      if (c->state != BfGoalRec::State::kDone || !c->done_ok) {
-        usable = false;
-        break;
-      }
-    }
-    if (!usable) continue;
-    Cost total;
-    std::vector<PlanPtr> children;
-    children.reserve(in.children.size());
-    if (mv.rule != nullptr) {
-      total = mv.rule->LocalCost(mv.binding, opt_.memo_);
-    } else {
-      total = mv.enforcer->LocalCost(*bf_root_->logical, *mv.app.delivered);
-    }
-    if (!total.IsValid() || std::isinf(cm.Total(total))) continue;
-    for (BfGoalRec* c : in.children) {
-      total = cm.Add(total, c->cost);
-      children.push_back(c->plan);
-    }
-    if (!cm.LessEq(total, best_cost)) continue;
-    if (best.plan != nullptr && !cm.Less(total, best_cost)) continue;
-    if (mv.rule != nullptr) {
-      best.plan = PlanNode::Make(
-          mv.rule->algorithm(), mv.rule->PlanArg(mv.binding, opt_.memo_),
-          std::move(children), mv.alt.delivered, bf_root_->logical, total,
-          mv.rule->name().c_str(), /*from_enforcer=*/false);
-    } else {
-      best.plan = PlanNode::Make(
-          mv.enforcer->enforcer(), mv.enforcer->PlanArg(*mv.app.delivered),
-          std::move(children), mv.app.delivered, bf_root_->logical, total,
-          mv.enforcer->name().c_str(), /*from_enforcer=*/true);
-    }
-    best.cost = total;
-    best_cost = total;
-  }
-  return best;
-}
-
-void TaskEngine::BfClear() {
-  bf_frontier_.Clear();
-  bf_index_.clear();
-  bf_ripe_.clear();
-  bf_ripe_cursor_ = 0;
-  bf_recs_.clear();
-  bf_root_ = nullptr;
-  bf_expanding_ = nullptr;
-  bf_scratch_result_ = Optimizer::Result{};
 }
 
 }  // namespace volcano

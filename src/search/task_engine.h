@@ -1,12 +1,12 @@
-// The explicit task-based search core.
+// The search engine's core: Figure 2 on an explicit task stack.
 //
-// Figure 2's FindBestPlan is a recursive procedure; run literally (see
-// SearchOptions::Engine::kRecursive) its search depth is bounded by the
-// native call stack and a tripped budget can only abandon the search.
-// TaskEngine executes the same algorithm as an explicit stack of small
-// state-machine frames — OptimizeGoal, ApplyMove, ExploreGroup, plus an
-// iterative pattern matcher — whose pending state lives in an arena next to
-// the memo (support/task_stack.h). Two properties follow:
+// Figure 2's FindBestPlan is a recursive procedure; run literally, its
+// search depth would be bounded by the native call stack and a tripped
+// budget could only abandon the search. TaskEngine executes the algorithm
+// as an explicit stack of small state-machine frames — OptimizeGoal,
+// ApplyMove, ExploreGroup, plus an iterative pattern matcher — whose
+// pending state lives in an arena next to the memo (support/task_stack.h).
+// Two properties follow:
 //
 //   1. Stack safety: native stack consumption is constant in plan depth; a
 //      256-way chain join optimizes in a few kilobytes of C++ stack.
@@ -19,29 +19,24 @@
 // answers, a rule the matcher binds without exploring, a fired rule or a
 // dead expression costs no return to the dispatch loop. Frames hold no
 // ownership of interned properties: a goal frame points at its required
-// and excluding vectors (owned by the parent move, the best-first record or
-// the engine's root slots) and at its class's logical properties (owned by
-// the memo), and a move frame reads both through its goal.
+// and excluding vectors (owned by the parent move or the engine's root
+// slots) and at its class's logical properties (owned by the memo), and a
+// move frame reads both through its goal.
 //
-// The engine replicates the recursive control flow site for site — budget
-// checkpoints, move collection and ordering, branch-and-bound limits,
-// in-progress cycle detection, enforcer glue, winner memoization — and is
-// verified plan-for-plan identical against the recursive engine by
-// tests/engine_differential_test.cc and the committed plan digest.
+// The committed plan digests (tools/plan_digest) pin the plans and the
+// search work; tests/engine_differential_test.cc pins the interleaved and
+// glue strategies and patterns deeper than two levels.
 
 #ifndef VOLCANO_SEARCH_TASK_ENGINE_H_
 #define VOLCANO_SEARCH_TASK_ENGINE_H_
 
 #include <cstdint>
-#include <memory>
 #include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "search/optimizer.h"
 #include "support/arena.h"
-#include "support/bounded_heap.h"
 #include "support/task_stack.h"
 
 namespace volcano {
@@ -54,11 +49,10 @@ class TaskEngine {
   TaskEngine(const TaskEngine&) = delete;
   TaskEngine& operator=(const TaskEngine&) = delete;
 
-  /// Runs FindBestPlan(group, required, limit, excluded) to completion
-  /// (or budget trip / suspension) on the task stack. Mirrors the recursive
-  /// engine's result exactly.
+  /// Runs FindBestPlan(group, required, limit) to completion (or budget
+  /// trip / suspension) on the task stack.
   Optimizer::Result Run(GroupId group, const PhysPropsPtr& required,
-                        Cost limit, const PhysPropsPtr& excluded = nullptr);
+                        Cost limit);
 
   /// True when a budget trip froze the stack (SearchOptions::suspend_on_trip)
   /// instead of unwinding it.
@@ -73,20 +67,14 @@ class TaskEngine {
   /// the frames, and leaves the memo consistent for a fresh Optimize call.
   void Abandon();
 
-  /// True when the last best-first run (Engine::kBestFirst) degraded under
-  /// one of its memory caps — a frontier eviction or the memo byte gate —
-  /// and its result therefore is not a proven optimum. Always false for the
-  /// other engines; folded into OptimizeOutcome::approximate.
-  bool best_first_degraded() const { return bf_degraded_; }
-
- private:
   // --- the iterative pattern matcher --------------------------------------
-  // Replaces the MatchNode/MatchChildren recursion (which recurses across
-  // equivalence classes and is therefore depth-proportional on deep plans)
-  // with an explicit activation stack. Suspends with kNeedExplore when a
-  // specific-operator child position requires its input class explored,
-  // mirroring the on-demand ExploreGroup call in the recursive matcher.
-  // The two shapes every rule of the shipped models has take shortcuts: a
+  // Enumerates the bindings of a pattern rooted at one expression with an
+  // explicit activation stack, so matching never recurses across
+  // equivalence classes. Suspends with kNeedExplore when a specific-operator
+  // child position requires its input class explored (directed
+  // exploration); the caller explores the class, or — in the greedy
+  // descent, which must not grow the memo — re-invokes Step at once. The
+  // two shapes every rule of the shipped models has take shortcuts: a
   // single-node pattern binds inside Start, and a two-level pattern (one
   // child position names a single-node operator) asks for one exploration
   // and then binds that class's expressions in a loop.
@@ -94,7 +82,7 @@ class TaskEngine {
    public:
     enum class Status : uint8_t { kDone, kNeedExplore };
 
-    /// Mirrors Optimizer::CollectBindings.
+    /// Begins enumerating the matches of `pattern` rooted at `m` into *out.
     void Start(const Pattern& pattern, const MExpr& m, Memo& memo,
                std::vector<Binding>* out);
 
@@ -150,14 +138,14 @@ class TaskEngine {
     uint32_t nested_pos_ = 0;
   };
 
+ private:
   // --- frames --------------------------------------------------------------
 
   struct GoalFrame;
 
   /// The search phase a frame's steps are timed under
   /// (SearchOptions::collect_phase_timing): everything below a pursued move
-  /// is pursue time, exploration outside a move is explore time, as in the
-  /// recursive engine's nested phase scopes.
+  /// is pursue time, exploration outside a move is explore time.
   enum Phase : uint8_t { kPhaseOther, kPhaseExplore, kPhasePursue };
 
   struct Frame {
@@ -177,10 +165,6 @@ class TaskEngine {
     const PhysPropsPtr* excluded = nullptr;
     Cost limit;
     Optimizer::Result* out = nullptr;
-    /// Best-first expansion: run only the explore + collect + order phases,
-    /// then hand the moves to the frontier record (BfHarvest) instead of
-    /// pursuing them on the task stack.
-    bool collect_only = false;
 
     // Search state.
     Goal goal{};
@@ -324,8 +308,6 @@ class TaskEngine {
   /// CollectAlgorithmMoves as a resumable sweep. Returns true when the
   /// sweep is complete, false when it waits on an exploration frame.
   bool Sweep(GoalFrame* f);
-  /// Turns the matched bindings of f->sweep_rule into algorithm moves.
-  void AddAlgorithmMoves(GoalFrame* f);
 
   /// Applies a transformation rule to its bindings (expression `expr`, in
   /// the class `group` names for tracing); returns how many applied.
@@ -357,114 +339,12 @@ class TaskEngine {
   /// True when a budget trip should freeze the stack instead of unwinding.
   bool Parking() const;
 
-  // --- best-first engine (SearchOptions::Engine::kBestFirst) ---------------
-  //
-  // A global frontier of goal records ordered by adaptive promise replaces
-  // the depth-first task stack as the scheduler (DESIGN.md §13). Each record
-  // is one FindBestPlan goal; expansion reuses the existing explore + collect
-  // state machine (a collect_only GoalFrame run through Loop()), registration
-  // turns the collected moves into child demands at infinite cost limits
-  // (limit-independent memoized optima), and a canonical-order reduce
-  // reproduces the depth-first engine's winners move for move. Two memory
-  // caps degrade the search instead of growing it: frontier eviction fails
-  // the least promising goal, and the memo byte gate completes remaining
-  // goals through the greedy descent. Either cap sets bf_degraded_.
-
-  /// One best-first goal record: a FindBestPlan demand keyed by
-  /// (group, canonical goal), deduplicated in bf_index_.
-  struct BfGoalRec {
-    enum class State : uint8_t {
-      kReady,      // interned; waiting in the frontier for expansion
-      kExpanding,  // collect_only GoalFrame on the stack deriving its moves
-      kWaiting,    // moves registered; waiting on child records
-      kDone,       // settled (won, failed, or evicted)
-    };
-
-    uint32_t seq = 0;  ///< creation order; FIFO tie-break + stall scan order
-    GroupId group = kInvalidGroup;  ///< Find-resolved at interning
-    PhysPropsPtr required;
-    PhysPropsPtr excluded;
-    Goal goal{};
-    Cost limit;         ///< root: the search limit; children: cm.Infinity()
-    double priority = 0.0;
-    BfGoalRec* creator = nullptr;  ///< demand chain for cycle detection
-    State state = State::kReady;
-    bool in_frontier = false;
-    bool done_ok = false;  ///< kDone: true when plan/cost hold a winner
-    PlanPtr plan;
-    Cost cost;
-    LogicalPropsPtr logical;
-    std::vector<Optimizer::Move> moves;
-
-    /// Per-move child demands (the move's reduce slot).
-    struct MoveIn {
-      std::vector<BfGoalRec*> children;
-      bool failed = false;  ///< cycle hit or a child settled without a plan
-    };
-    std::vector<MoveIn> inputs;
-    size_t pending = 0;  ///< unresolved waiter edges (duplicates counted)
-    std::vector<BfGoalRec*> waiters;  ///< records to notify on settle
-  };
-
-  /// Dedup key: one record per (group, canonical goal). Goal compares by
-  /// interned-property pointer identity, same as the memo's tables.
-  struct BfKey {
-    GroupId group;
-    Goal goal;
-    bool operator==(const BfKey& o) const {
-      return group == o.group && goal == o.goal;
-    }
-  };
-  struct BfKeyHash {
-    size_t operator()(const BfKey& k) const {
-      return HashCombine(GoalHash{}(k.goal), static_cast<uint64_t>(k.group));
-    }
-  };
-
-  /// Entry point (from Run) and scheduling loop.
-  Optimizer::Result RunBestFirst(GroupId group, const PhysPropsPtr& required,
-                                 Cost limit, const PhysPropsPtr& excluded);
-  Optimizer::Result BfLoop();
-
-  /// Deduplicating demand: probes the winner table exactly like EnterGoal,
-  /// returns the existing or new record (possibly born kDone).
-  BfGoalRec* BfIntern(GroupId group, const PhysPropsPtr& required, Cost limit,
-                      const PhysPropsPtr& excluded, BfGoalRec* creator,
-                      double priority);
-  void BfPushFrontier(BfGoalRec* rec);
-
-  /// Expansion: explore the group and collect + order its moves via a
-  /// collect_only GoalFrame, or complete greedily when the memo gate is shut.
-  void BfExpand(BfGoalRec* rec);
-  void BfHarvest(GoalFrame* f);  ///< collect_only frame done; take its moves
-  void BfRegisterChildren(BfGoalRec* rec);
-  double BfMoveScore(const BfGoalRec* rec, const Optimizer::Move& mv) const;
-
-  /// Canonical-order reduce over the record's moves (serial install
-  /// semantics), then StoreWinner + settle.
-  void BfReduce(BfGoalRec* rec);
-  void BfSettle(BfGoalRec* rec, Optimizer::Result r, bool ok);
-
-  /// Deterministic backstop: fails the oldest waiting record's unresolved
-  /// moves when neither frontier nor ripe list can make progress.
-  void BfBreakStall();
-
-  /// Anytime incumbent: a partial reduce over the root's settled moves,
-  /// emitted when the budget trips without suspension.
-  Optimizer::Result BfIncumbent() const;
-  void BfClear();
-
-  /// True when memo arena growth must stop (memo_byte_limit, with slack for
-  /// in-flight allocations).
-  bool BfMemoGate() const;
-
   Optimizer& opt_;
   const CostModel& cm_;  // the model's, looked up once
   const RuleSet& rules_;
-  // The root goal's property handles, borrowed by its frame for the whole
-  // run (a suspended run outlives the caller's handles).
+  // The root goal's required vector, borrowed by its frame for the whole
+  // run (a suspended run outlives the caller's handle).
   PhysPropsPtr root_required_;
-  PhysPropsPtr root_excluded_;
   Arena arena_;
   FramePool<GoalFrame> goal_pool_;
   FramePool<MoveFrame> move_pool_;
@@ -473,18 +353,6 @@ class TaskEngine {
   Optimizer::Result root_result_;
   bool suspended_ = false;
   bool abandoning_ = false;
-
-  // Best-first state (live only while bf_active_).
-  std::vector<std::unique_ptr<BfGoalRec>> bf_recs_;
-  std::unordered_map<BfKey, BfGoalRec*, BfKeyHash> bf_index_;
-  BoundedFrontier<BfGoalRec*> bf_frontier_;
-  std::vector<BfGoalRec*> bf_ripe_;  ///< records whose pending hit zero
-  size_t bf_ripe_cursor_ = 0;
-  BfGoalRec* bf_root_ = nullptr;
-  BfGoalRec* bf_expanding_ = nullptr;  ///< record the stacked frame feeds
-  Optimizer::Result bf_scratch_result_;  ///< collect_only frames' out target
-  bool bf_active_ = false;
-  bool bf_degraded_ = false;
 };
 
 }  // namespace volcano

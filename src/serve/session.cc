@@ -77,8 +77,9 @@ void Session::RenderPlan(Result* r, const PlanNode& plan,
                          const OptimizeOutcome& outcome) {
   r->source = outcome.source;
   // `approximate` covers searches that completed under a tripped exploration
-  // cap or a best-first memory cap: they returned a plan without proving it
-  // optimal, so they must not be cached as the catalog-state optimum.
+  // cap, or whose guided big-join search ended on its join seed: they
+  // returned a plan without proving it optimal, so they must not be cached
+  // as the catalog-state optimum.
   r->degraded =
       outcome.source != PlanSource::kExhaustive || outcome.approximate;
   r->plan = PlanToLine(plan, model_->registry());

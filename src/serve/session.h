@@ -102,8 +102,9 @@ class Session {
 
   /// Fills plan/cost/source/degraded from a successful optimization. A plan
   /// is cache-eligible only when neither degraded nor approximate — a search
-  /// that tripped its exploration cap or a best-first memory cap produced a
-  /// plan, not the optimum (serve's PlanCache keys off `degraded`).
+  /// that tripped its exploration cap, or whose guided big-join search ended
+  /// on its join seed, produced a plan, not the optimum (serve's PlanCache
+  /// keys off `degraded`).
   void RenderPlan(Result* r, const PlanNode& plan,
                   const OptimizeOutcome& outcome);
 

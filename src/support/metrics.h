@@ -17,7 +17,6 @@
 #define VOLCANO_SUPPORT_METRICS_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -40,15 +39,16 @@ struct RuleCounters {
   uint64_t winners = 0;
 };
 
-/// Coarse wall-clock decomposition of one optimizer's lifetime. Only the
-/// outermost activation of each phase accumulates (the search is mutually
-/// recursive), so the phases do not double-count; `other` in reports is
-/// total − explore − pursue (move collection, table look-ups, bookkeeping).
+/// Coarse wall-clock decomposition of one optimizer's lifetime. The task
+/// engine times each step under one phase — a step below a pursued move is
+/// pursue time, an exploration outside any move is explore time — so the
+/// phases do not double-count; `other` in reports is total − explore −
+/// pursue (goal entry, move collection, table look-ups, bookkeeping).
 struct PhaseTimers {
   bool enabled = false;
   double total_seconds = 0.0;    ///< inside top-level Optimize/OptimizeGroup
-  double explore_seconds = 0.0;  ///< inside the outermost ExploreGroup
-  double pursue_seconds = 0.0;   ///< inside the outermost PursueMove
+  double explore_seconds = 0.0;  ///< exploration outside any pursued move
+  double pursue_seconds = 0.0;   ///< everything below a pursued move
 };
 
 /// The per-optimizer registry: one RuleCounters slot per registered rule,
@@ -63,30 +63,20 @@ struct SearchMetrics {
 
 namespace metrics_internal {
 
-inline void AppendRuleArray(const char* key,
-                            const std::vector<RuleCounters>& rules,
-                            bool with_winners, std::string* out) {
-  out->append("\"");
-  out->append(key);
-  out->append("\": [");
-  bool first = true;
+inline void WriteRuleArray(const char* key,
+                           const std::vector<RuleCounters>& rules,
+                           bool with_winners, JsonWriter* w) {
+  w->Key(key).BeginArray();
   for (const RuleCounters& r : rules) {
     if (r.fired == 0 && r.succeeded == 0 && r.winners == 0) continue;
-    if (!first) out->append(", ");
-    first = false;
-    out->append("{\"rule\": \"");
-    JsonWriter::Escape(r.name, out);
-    out->append("\", \"fired\": ");
-    out->append(std::to_string(r.fired));
-    out->append(", \"succeeded\": ");
-    out->append(std::to_string(r.succeeded));
-    if (with_winners) {
-      out->append(", \"winners\": ");
-      out->append(std::to_string(r.winners));
-    }
-    out->append("}");
+    w->BeginObject();
+    w->Key("rule").Value(r.name);
+    w->Key("fired").Value(r.fired);
+    w->Key("succeeded").Value(r.succeeded);
+    if (with_winners) w->Key("winners").Value(r.winners);
+    w->EndObject();
   }
-  out->append("]");
+  w->EndArray();
 }
 
 }  // namespace metrics_internal
@@ -94,28 +84,26 @@ inline void AppendRuleArray(const char* key,
 /// Renders the registry as a JSON object (rules with all-zero counters are
 /// elided; timers appear only when they were collected).
 inline std::string MetricsToJson(const SearchMetrics& m) {
-  std::string out = "{";
-  metrics_internal::AppendRuleArray("transformations", m.transformations,
-                                    /*with_winners=*/false, &out);
-  out.append(", ");
-  metrics_internal::AppendRuleArray("implementations", m.implementations,
-                                    /*with_winners=*/true, &out);
-  out.append(", ");
-  metrics_internal::AppendRuleArray("enforcers", m.enforcers,
-                                    /*with_winners=*/true, &out);
+  JsonWriter w;
+  w.BeginObject();
+  metrics_internal::WriteRuleArray("transformations", m.transformations,
+                                   /*with_winners=*/false, &w);
+  metrics_internal::WriteRuleArray("implementations", m.implementations,
+                                   /*with_winners=*/true, &w);
+  metrics_internal::WriteRuleArray("enforcers", m.enforcers,
+                                   /*with_winners=*/true, &w);
   if (m.phases.enabled) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  ", \"phases\": {\"total_s\": %.6f, \"explore_s\": %.6f, "
-                  "\"pursue_s\": %.6f, \"other_s\": %.6f}",
-                  m.phases.total_seconds, m.phases.explore_seconds,
-                  m.phases.pursue_seconds,
-                  m.phases.total_seconds - m.phases.explore_seconds -
-                      m.phases.pursue_seconds);
-    out.append(buf);
+    const PhaseTimers& p = m.phases;
+    w.Key("phases").BeginObject();
+    w.Key("total_s").Fixed(p.total_seconds, 6);
+    w.Key("explore_s").Fixed(p.explore_seconds, 6);
+    w.Key("pursue_s").Fixed(p.pursue_seconds, 6);
+    w.Key("other_s").Fixed(
+        p.total_seconds - p.explore_seconds - p.pursue_seconds, 6);
+    w.EndObject();
   }
-  out.append("}");
-  return out;
+  w.EndObject();
+  return w.Take();
 }
 
 }  // namespace volcano

@@ -1,7 +1,7 @@
 // ScratchPool<T>: a free-list of reusable std::vector buffers.
 //
-// FindBestPlan and exploration are mutually recursive, so a single member
-// scratch buffer is unsafe — an inner call would clobber the outer call's
+// A recursive collector (the optimizer's greedy descent) cannot share one
+// member scratch buffer — an inner call would clobber the outer call's
 // in-flight moves. A pool fixes that: each (possibly nested) call acquires
 // its own vector, and released vectors keep their capacity, so steady-state
 // move collection performs zero heap allocations regardless of recursion

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "exec/datagen.h"
@@ -251,6 +252,79 @@ TEST(Budget, PreCancelledTokenDegradesImmediately) {
   const std::string* tripped = rejected.status().FindDetail("budget");
   ASSERT_NE(tripped, nullptr);
   EXPECT_EQ(*tripped, "cancelled");
+}
+
+TEST(Budget, GreedyRungPlansArePinned) {
+  // Ladder step 2 plans over whatever the search had derived when the
+  // budget tripped, so its plan depends on the order in which the greedy
+  // descent binds patterns and collects moves. These chain and star
+  // workloads trip a FindBestPlan-call cap with no root incumbent; their
+  // heuristic plans are pinned line for line, so a change in binding or
+  // move order shows here.
+  struct Case {
+    bool star;
+    int relations;
+    uint64_t seed;
+    uint64_t call_cap;
+    double cost;
+    const char* plan;
+  };
+  const Case cases[] = {
+      {false, 4, 1, 20, 12.209438934994285,
+       "MERGE_JOIN[R0.a0 = R1.a2](FILTER[R0.a1 < 381](FILE_SCAN[R0]), "
+       "SORT[sorted(R1.a2)](MERGE_JOIN[R2.a2 = R3.a1]("
+       "MERGE_JOIN[R2.a2 = R1.a1](SORT[sorted(R2.a2)]("
+       "FILTER[R2.a1 < 280](FILE_SCAN[R2])), SORT[sorted(R1.a1)]("
+       "FILTER[R1.a2 < 206](FILE_SCAN[R1]))), FILTER[R3.a0 < 3630]("
+       "FILE_SCAN[R3]))))"},
+      {false, 6, 2, 20, 6.7862248116971609,
+       "MERGE_JOIN[R2.a1 = R3.a2](MERGE_JOIN[R2.a1 = R1.a2]("
+       "FILTER[R2.a1 < 346](FILE_SCAN[R2]), MERGE_JOIN[R1.a2 = R0.a1]("
+       "FILTER[R1.a0 < 3290](FILE_SCAN[R1]), SORT[sorted(R0.a1)]("
+       "FILTER[R0.a2 < 45](FILE_SCAN[R0])))), "
+       "MERGE_JOIN[R3.a2 = R4.a0](FILTER[R3.a2 < 658](FILE_SCAN[R3]), "
+       "SORT[sorted(R4.a0)](MERGE_JOIN[R4.a2 = R5.a1]("
+       "FILTER[R4.a2 < 1174](SORT[sorted(R4.a2)](FILE_SCAN[R4])), "
+       "FILTER[R5.a2 < 519](SORT[sorted(R5.a1)](FILE_SCAN[R5]))))))"},
+      {true, 4, 1, 10, 3.9559145706464163,
+       "MERGE_JOIN[R0.a0 = R3.a1](MERGE_JOIN[R0.a0 = R1.a2]("
+       "SORT[sorted(R0.a0)](MERGE_JOIN[R0.a1 = R2.a2](SORT[sorted("
+       "R0.a1)](FILTER[R0.a1 < 381](FILE_SCAN[R0])), "
+       "FILTER[R2.a1 < 280](SORT[sorted(R2.a2)](FILE_SCAN[R2])))), "
+       "FILTER[R1.a2 < 206](FILE_SCAN[R1])), FILTER[R3.a0 < 3630]("
+       "FILE_SCAN[R3]))"},
+      {true, 6, 2, 20, 7.7540252756319097,
+       "MERGE_JOIN[R0.a1 = R4.a0](MERGE_JOIN[R0.a1 = R3.a2]("
+       "MERGE_JOIN[R0.a1 = R2.a1](MERGE_JOIN[R0.a1 = R1.a2]("
+       "SORT[sorted(R0.a1)](MERGE_JOIN[R0.a2 = R5.a1](SORT[sorted("
+       "R0.a2)](FILTER[R0.a2 < 45](FILE_SCAN[R0])), SORT[sorted("
+       "R5.a1)](FILTER[R5.a2 < 519](FILE_SCAN[R5])))), "
+       "FILTER[R1.a0 < 3290](FILE_SCAN[R1])), FILTER[R2.a1 < 346]("
+       "FILE_SCAN[R2])), FILTER[R3.a2 < 658](FILE_SCAN[R3])), "
+       "FILTER[R4.a2 < 1174](FILE_SCAN[R4]))"},
+  };
+  for (const Case& c : cases) {
+    rel::WorkloadOptions wopts;
+    wopts.num_relations = c.relations;
+    wopts.join_graph = c.star ? rel::WorkloadOptions::JoinGraph::kStar
+                              : rel::WorkloadOptions::JoinGraph::kChain;
+    wopts.sorted_base_prob = 0.5;
+    wopts.order_by_prob = 0.5;
+    rel::Workload w = rel::GenerateWorkload(wopts, c.seed);
+    SearchOptions opts;
+    opts.budget.max_find_best_plan_calls = c.call_cap;
+    Optimizer opt(*w.model, SearchConfig::FromOptions(opts).value());
+    StatusOr<PlanPtr> plan = opt.Optimize(*w.query, w.required);
+    SCOPED_TRACE(std::string(c.star ? "star" : "chain") + " n=" +
+                 std::to_string(c.relations) +
+                 " seed=" + std::to_string(c.seed));
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(opt.outcome().trip, BudgetTrip::kCallLimit);
+    EXPECT_EQ(opt.outcome().source, PlanSource::kHeuristic);
+    EXPECT_EQ(PlanToLine(**plan, w.model->registry()), c.plan);
+    EXPECT_DOUBLE_EQ(w.model->cost_model().Total((*plan)->cost()), c.cost);
+    ExpectPlanIsSound(w, *plan, c.seed, /*check_execution=*/false);
+  }
 }
 
 TEST(Budget, CancelFromAnotherThreadStopsTheSearch) {

@@ -1,11 +1,12 @@
 // Deep-plan stress: the explicit task stack makes search depth a heap
 // property, not a native-stack property. A 256-way chain join must optimize
-// under the task engine with native stack consumption that stays flat as the
-// plan deepens, while the recursive Figure-2 engine's consumption grows in
-// proportion to depth (SearchStats::native_stack_high_water measures both).
+// with native stack consumption that stays flat as the plan deepens
+// (SearchStats::native_stack_high_water measures it); a literal recursive
+// descent of Figure 2 would consume native stack in proportion to depth.
 
 #include <gtest/gtest.h>
 
+#include "pinned_search.h"
 #include "relational/query_gen.h"
 #include "search/optimizer.h"
 #include "search/search_config.h"
@@ -28,11 +29,9 @@ rel::Workload MakeDeepChain(int n) {
   return rel::GenerateWorkload(wopts, /*seed=*/1, mopts);
 }
 
-SearchStats OptimizeDeepChain(int n, SearchOptions::Engine engine) {
+SearchStats OptimizeDeepChain(int n) {
   rel::Workload w = MakeDeepChain(n);
-  SearchOptions opts;
-  opts.engine = engine;
-  Optimizer opt(*w.model, SearchConfig::FromOptions(opts).value());
+  Optimizer opt(*w.model);
   StatusOr<PlanPtr> plan = opt.Optimize(*w.query, w.required);
   EXPECT_TRUE(plan.ok()) << "n=" << n << ": " << plan.status().ToString();
   if (plan.ok()) {
@@ -42,8 +41,8 @@ SearchStats OptimizeDeepChain(int n, SearchOptions::Engine engine) {
 }
 
 TEST(DeepPlan, TaskEngineNativeStackStaysFlatAt256Way) {
-  SearchStats shallow = OptimizeDeepChain(32, SearchOptions::Engine::kTask);
-  SearchStats deep = OptimizeDeepChain(256, SearchOptions::Engine::kTask);
+  SearchStats shallow = OptimizeDeepChain(32);
+  SearchStats deep = OptimizeDeepChain(256);
 
   ASSERT_GT(shallow.native_stack_high_water, 0u);
   ASSERT_GT(deep.native_stack_high_water, 0u);
@@ -57,39 +56,20 @@ TEST(DeepPlan, TaskEngineNativeStackStaysFlatAt256Way) {
   EXPECT_GT(deep.task_stack_high_water, shallow.task_stack_high_water);
 }
 
-TEST(DeepPlan, RecursiveEngineNativeStackGrowsWithDepth) {
-  SearchStats shallow =
-      OptimizeDeepChain(32, SearchOptions::Engine::kRecursive);
-  SearchStats deep = OptimizeDeepChain(256, SearchOptions::Engine::kRecursive);
-
-  // The recursive engine consumes native stack in proportion to plan depth —
-  // this is the failure mode the task engine removes, kept here as the
-  // baseline that makes the flat-stack assertion above meaningful.
-  EXPECT_GT(deep.native_stack_high_water,
-            3 * shallow.native_stack_high_water);
-  // And at equal depth the task engine uses far less native stack.
-  SearchStats task = OptimizeDeepChain(256, SearchOptions::Engine::kTask);
-  EXPECT_LT(task.native_stack_high_water,
-            deep.native_stack_high_water / 4);
-}
-
+// The 256-way chain's plan, cost and work, recorded from the recursive
+// Figure-2 engine before it was removed (tests/pinned_search.h).
 TEST(DeepPlan, DeepChainMatchesAcrossEngines) {
   rel::Workload w = MakeDeepChain(256);
-  SearchOptions task;
-  task.engine = SearchOptions::Engine::kTask;
-  SearchOptions recursive;
-  recursive.engine = SearchOptions::Engine::kRecursive;
-
-  Optimizer topt(*w.model, SearchConfig::FromOptions(task).value());
-  Optimizer ropt(*w.model, SearchConfig::FromOptions(recursive).value());
-  StatusOr<PlanPtr> tp = topt.Optimize(*w.query, w.required);
-  StatusOr<PlanPtr> rp = ropt.Optimize(*w.query, w.required);
-  ASSERT_TRUE(tp.ok());
-  ASSERT_TRUE(rp.ok());
-  EXPECT_EQ(PlanToLine(**tp, w.model->registry()),
-            PlanToLine(**rp, w.model->registry()));
-  EXPECT_DOUBLE_EQ(w.model->cost_model().Total((*tp)->cost()),
-                   w.model->cost_model().Total((*rp)->cost()));
+  Pinned run;
+  run.Add(*w.model, *w.query, w.required, SearchOptions{}, "n=256");
+  run.ExpectEq({.digest = 0x4e31ac776ceb4b5dULL,
+                .cost_sum = 8.2047052988868631e+20,
+                .mexprs_created = 767,
+                .mexprs_deduped = 0,
+                .transformations_applied = 0,
+                .cost_estimates = 3064,
+                .moves_pruned = 0,
+                .memo_winner_hits = 1272});
 }
 
 }  // namespace

@@ -71,12 +71,6 @@ Scenario MakeScenario(uint64_t seed) {
     sc.search.strategy = SearchOptions::Strategy::kInterleaved;
   }
   if (rng.NextDouble() < 0.1) sc.search.heuristic_fallback = false;
-  // Drawn last so earlier seeds derive the same scenarios as before this
-  // dimension existed. Both engines must uphold the robustness contract
-  // under the full fault mix.
-  if (rng.NextDouble() < 0.3) {
-    sc.search.engine = SearchOptions::Engine::kRecursive;
-  }
   return sc;
 }
 
@@ -104,17 +98,12 @@ RunResult RunScenario(const Scenario& sc, bool check_execution) {
       << "seed " << sc.workload_seed;
 
   // Task-engine counters stay consistent no matter how the search ended.
+  // Every frame beyond the root needed a step of its parent to be pushed,
+  // so the concurrent-frame high water is bounded by steps executed.
   SearchStats st = opt.stats();
-  if (opts.engine == SearchOptions::Engine::kTask) {
-    // Every frame beyond the root needed a step of its parent to be pushed,
-    // so the concurrent-frame high water is bounded by steps executed.
-    EXPECT_LE(st.task_stack_high_water, st.tasks_executed + 1)
-        << "seed " << sc.workload_seed;
-    if (st.tasks_executed == 0) {
-      EXPECT_EQ(st.task_stack_high_water, 0u) << "seed " << sc.workload_seed;
-    }
-  } else {
-    EXPECT_EQ(st.tasks_executed, 0u) << "seed " << sc.workload_seed;
+  EXPECT_LE(st.task_stack_high_water, st.tasks_executed + 1)
+      << "seed " << sc.workload_seed;
+  if (st.tasks_executed == 0) {
     EXPECT_EQ(st.task_stack_high_water, 0u) << "seed " << sc.workload_seed;
   }
   // No scenario enables suspension, so none may be recorded.

@@ -237,36 +237,32 @@ TEST(JoinSeed, WarmRuleStatsPreservePlansAtAndBelowThreshold) {
   // to the learned win-rate key once the cumulative rule tables hold
   // winners. That switch is gated on big_join_mode_, so at the escalation
   // threshold and below a reused optimizer whose tables are warm from a
-  // prior query must still produce byte-identical plans — on both engines.
-  for (auto engine :
-       {SearchOptions::Engine::kTask, SearchOptions::Engine::kRecursive}) {
-    for (int n : {4, 6, 8}) {
-      rel::WorkloadOptions wopts;
-      wopts.num_relations = n;
-      wopts.order_by_prob = 0.25;
-      rel::Workload w = rel::GenerateWorkload(wopts, 11);
+  // prior query must still produce byte-identical plans.
+  for (int n : {4, 6, 8}) {
+    rel::WorkloadOptions wopts;
+    wopts.num_relations = n;
+    wopts.order_by_prob = 0.25;
+    rel::Workload w = rel::GenerateWorkload(wopts, 11);
 
-      SearchOptions so;
-      so.engine = engine;
-      so.join_seed = true;
-      so.join_seed_threshold = 12;  // complexity at n<=8 stays below
-      Optimizer opt(*w.model, SearchConfig::FromOptions(so).value());
+    SearchOptions so;
+    so.join_seed = true;
+    so.join_seed_threshold = 12;  // complexity at n<=8 stays below
+    Optimizer opt(*w.model, SearchConfig::FromOptions(so).value());
 
-      StatusOr<PlanPtr> cold = opt.Optimize(*w.query, w.required);
-      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-      std::string cold_line = PlanToLine(**cold, w.model->registry());
-      // The first query recorded winners, so the reused optimizer now has
-      // learned stats — and must not act on them below the threshold.
-      ASSERT_GT(opt.metrics().implementations.size(), 0u);
+    StatusOr<PlanPtr> cold = opt.Optimize(*w.query, w.required);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    std::string cold_line = PlanToLine(**cold, w.model->registry());
+    // The first query recorded winners, so the reused optimizer now has
+    // learned stats — and must not act on them below the threshold.
+    ASSERT_GT(opt.metrics().implementations.size(), 0u);
 
-      opt.ResetForReuse();
-      StatusOr<PlanPtr> warm = opt.Optimize(*w.query, w.required);
-      ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-      EXPECT_EQ(cold_line, PlanToLine(**warm, w.model->registry()))
-          << "engine=" << static_cast<int>(engine) << " n=" << n;
-      const CostModel& cm = w.model->cost_model();
-      EXPECT_DOUBLE_EQ(cm.Total((*cold)->cost()), cm.Total((*warm)->cost()));
-    }
+    opt.ResetForReuse();
+    StatusOr<PlanPtr> warm = opt.Optimize(*w.query, w.required);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    EXPECT_EQ(cold_line, PlanToLine(**warm, w.model->registry()))
+        << "n=" << n;
+    const CostModel& cm = w.model->cost_model();
+    EXPECT_DOUBLE_EQ(cm.Total((*cold)->cost()), cm.Total((*warm)->cost()));
   }
 }
 

@@ -27,10 +27,8 @@ struct RunResult {
   SearchStats stats;
 };
 
-RunResult OptimizeWith(const rel::Workload& w, SearchOptions::Engine engine,
-                       bool branch_and_bound) {
+RunResult OptimizeWith(const rel::Workload& w, bool branch_and_bound) {
   SearchOptions options;
-  options.engine = engine;
   options.branch_and_bound = branch_and_bound;
   Optimizer opt(*w.model, SearchConfig::FromOptions(options).value());
   StatusOr<PlanPtr> plan = opt.Optimize(*w.query, w.required);
@@ -44,30 +42,25 @@ RunResult OptimizeWith(const rel::Workload& w, SearchOptions::Engine engine,
 }
 
 TEST(Pruning, IncumbentPruningNeverAddsWork) {
-  for (SearchOptions::Engine engine :
-       {SearchOptions::Engine::kTask, SearchOptions::Engine::kRecursive}) {
-    for (int order_by = 0; order_by <= 1; ++order_by) {
-      for (int n = 2; n <= 8; ++n) {
-        for (uint64_t q = 0; q < 5; ++q) {
-          // The Figure-4 workload (bench_figure4, bench_ablation_pruning).
-          rel::WorkloadOptions wopts;
-          wopts.num_relations = n;
-          wopts.sorted_base_prob = 0.5;
-          wopts.order_by_prob = order_by ? 1.0 : 0.0;
-          rel::Workload w = rel::GenerateWorkload(
-              wopts, 2000u * static_cast<uint64_t>(n) + q);
-          SCOPED_TRACE("engine=" +
-                       std::to_string(static_cast<int>(engine)) +
-                       " n=" + std::to_string(n) + " q=" + std::to_string(q) +
-                       " order_by=" + std::to_string(order_by));
-          RunResult on = OptimizeWith(w, engine, /*branch_and_bound=*/true);
-          RunResult off = OptimizeWith(w, engine, /*branch_and_bound=*/false);
-          EXPECT_EQ(on.plan_line, off.plan_line);
-          EXPECT_DOUBLE_EQ(on.cost, off.cost);
-          EXPECT_LE(on.stats.find_best_plan_calls,
-                    off.stats.find_best_plan_calls);
-          EXPECT_LE(on.stats.goals_started, off.stats.goals_started);
-        }
+  for (int order_by = 0; order_by <= 1; ++order_by) {
+    for (int n = 2; n <= 8; ++n) {
+      for (uint64_t q = 0; q < 5; ++q) {
+        // The Figure-4 workload (bench_figure4, bench_ablation_pruning).
+        rel::WorkloadOptions wopts;
+        wopts.num_relations = n;
+        wopts.sorted_base_prob = 0.5;
+        wopts.order_by_prob = order_by ? 1.0 : 0.0;
+        rel::Workload w = rel::GenerateWorkload(
+            wopts, 2000u * static_cast<uint64_t>(n) + q);
+        SCOPED_TRACE("n=" + std::to_string(n) + " q=" + std::to_string(q) +
+                     " order_by=" + std::to_string(order_by));
+        RunResult on = OptimizeWith(w, /*branch_and_bound=*/true);
+        RunResult off = OptimizeWith(w, /*branch_and_bound=*/false);
+        EXPECT_EQ(on.plan_line, off.plan_line);
+        EXPECT_DOUBLE_EQ(on.cost, off.cost);
+        EXPECT_LE(on.stats.find_best_plan_calls,
+                  off.stats.find_best_plan_calls);
+        EXPECT_LE(on.stats.goals_started, off.stats.goals_started);
       }
     }
   }

@@ -131,7 +131,7 @@ TEST(Trace, MetricsCountRuleWorkAndWinners) {
 
   ASSERT_TRUE(m.phases.enabled);
   EXPECT_GT(m.phases.total_seconds, 0.0);
-  // The default (task) engine times both phases.
+  // The engine times both phases.
   EXPECT_GT(m.phases.explore_seconds, 0.0);
   EXPECT_GT(m.phases.pursue_seconds, 0.0);
   // Explore under pursue accrues to pursue, so the parts never exceed the
@@ -142,6 +142,33 @@ TEST(Trace, MetricsCountRuleWorkAndWinners) {
   std::string json = MetricsToJson(m);
   EXPECT_NE(json.find("\"implementations\""), std::string::npos);
   EXPECT_NE(json.find("\"winners\""), std::string::npos);
+
+  // One full rendering, byte for byte: all-zero rules elided, names
+  // escaped, winners only for implementations and enforcers, and the
+  // phase timers at fixed precision with the "other" residue.
+  SearchMetrics fixed;
+  fixed.transformations = {{"join_commute", 12, 7, 0},
+                           {"idle", 0, 0, 0},
+                           {"sel\"ect\tpush", 3, 1, 0}};
+  fixed.implementations = {{"hash_join", 9, 4, 2}, {"merge_join", 0, 0, 1}};
+  fixed.enforcers = {{"sort", 5, 2, 1}};
+  fixed.phases.enabled = true;
+  fixed.phases.total_seconds = 0.125;
+  fixed.phases.explore_seconds = 0.0625;
+  fixed.phases.pursue_seconds = 0.03125;
+  EXPECT_EQ(MetricsToJson(fixed),
+            R"({"transformations": [{"rule": "join_commute", "fired": 12, )"
+            R"("succeeded": 7}, {"rule": "sel\"ect\tpush", "fired": 3, )"
+            R"("succeeded": 1}], "implementations": [{"rule": "hash_join", )"
+            R"("fired": 9, "succeeded": 4, "winners": 2}, {"rule": )"
+            R"("merge_join", "fired": 0, "succeeded": 0, "winners": 1}], )"
+            R"("enforcers": [{"rule": "sort", "fired": 5, "succeeded": 2, )"
+            R"("winners": 1}], "phases": {"total_s": 0.125000, )"
+            R"("explore_s": 0.062500, "pursue_s": 0.031250, )"
+            R"("other_s": 0.031250}})");
+  EXPECT_EQ(MetricsToJson(SearchMetrics{}),
+            R"({"transformations": [], "implementations": [], )"
+            R"("enforcers": []})");
 }
 
 TEST(Trace, GoldenJsonLines) {

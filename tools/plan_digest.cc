@@ -9,12 +9,10 @@
 // this to prove that memo-layout work changed no optimization outcome.
 //
 // Usage:
-//   plan_digest [--verbose] [--engine=task|recursive|best-first]
-//               [--join-seed] [--tpch]
+//   plan_digest [--verbose] [--join-seed] [--tpch]
 //
-// --engine selects the search engine; every engine must print the same
-// digest (tests/golden/plan_digest_grid.txt holds the committed output of
-// the default engine). --join-seed turns on greedy incumbent seeding
+// tests/golden/plan_digest_grid.txt holds the committed output.
+// --join-seed turns on greedy incumbent seeding
 // (DESIGN.md §12), which is digest-preserving below the escalation
 // threshold — the whole grid, so the flag must not change the digest
 // either; tools/bench_report --join-scaling enforces this.
@@ -22,8 +20,8 @@
 // --tpch swaps the generated-workload grid for the TPC-H-shaped SQL family
 // (query_gen.h), going through ParseSql — so this digest also covers the
 // front-end's translation, the unnesting/outer-join rules, and the
-// DISTINCT/HAVING paths. It is a separate committed value with the same
-// cross-engine invariance contract; tools/bench_report --tpch enforces it.
+// DISTINCT/HAVING paths. It is a separate committed value
+// (tests/golden/plan_digest_tpch.txt).
 //
 // Output (stdout):
 //   <lines, only with --verbose>
@@ -39,8 +37,7 @@
 //
 // The digest proves "same plans"; the seven SearchStats sums prove "same
 // search work" and, unlike timings, are exact on any host.
-// tests/golden/plan_digest_{grid,tpch}.txt pin both for the default (task)
-// engine.
+// tests/golden/plan_digest_{grid,tpch}.txt pin both.
 
 #include <cstdio>
 #include <cstring>
@@ -63,21 +60,14 @@ int main(int argc, char** argv) {
       verbose = true;
     } else if (std::strcmp(argv[i], "--tpch") == 0) {
       tpch = true;
-    } else if (std::strcmp(argv[i], "--engine=recursive") == 0) {
-      base.engine = SearchOptions::Engine::kRecursive;
-    } else if (std::strcmp(argv[i], "--engine=task") == 0) {
-      base.engine = SearchOptions::Engine::kTask;
-    } else if (std::strcmp(argv[i], "--engine=best-first") == 0) {
-      base.engine = SearchOptions::Engine::kBestFirst;
     } else if (std::strcmp(argv[i], "--join-seed") == 0) {
       base.join_seed = true;
     } else {
-      // An ignored flag would print the default engine's digest under the
-      // caller's label, so a mistyped or removed flag is an error.
+      // An ignored flag would print the default digest under the caller's
+      // label, so a mistyped or removed flag is an error.
       std::fprintf(stderr,
                    "plan_digest: unknown argument %s\nusage: plan_digest "
-                   "[--verbose] [--engine=task|recursive|best-first] "
-                   "[--join-seed] [--tpch]\n",
+                   "[--verbose] [--join-seed] [--tpch]\n",
                    argv[i]);
       return 2;
     }

@@ -48,17 +48,6 @@
 //   --strict         fail with RESOURCE_EXHAUSTED instead of degrading
 //   --fallback       use the EXODUS baseline as a last resort when even the
 //                    degradation ladder yields no plan
-//   --engine E       search engine: 'task' (default; explicit task stack,
-//                    suspendable, stack-safe), 'recursive' (Figure 2 run
-//                    literally), or 'best-first' (global frontier ordered by
-//                    adaptive promise; DESIGN.md §13); all three choose
-//                    identical plans when best-first runs uncapped
-//   --frontier-limit=N   best-first only: cap the frontier at N goals; the
-//                    least promising goal is evicted (plan becomes
-//                    approximate)
-//   --memo-byte-limit=N  best-first only: hard cap on memo arena bytes;
-//                    goals beyond the cap complete through the greedy
-//                    descent (plan becomes approximate)
 //   --join-seed=on|off  greedy join-order incumbent seeding (DESIGN.md §12):
 //                    a heuristic join order is planned first and its cost
 //                    tightens branch-and-bound from the first move; plans
@@ -347,26 +336,6 @@ int main(int argc, char** argv) {
           volcano::SearchOptions::Degradation::kStrict;
     } else if (arg == "--fallback") {
       fallback = true;
-    } else if (arg == "--engine" && i + 1 < argc) {
-      std::string engine = argv[++i];
-      if (engine == "task") {
-        search_options.engine = volcano::SearchOptions::Engine::kTask;
-      } else if (engine == "recursive") {
-        search_options.engine = volcano::SearchOptions::Engine::kRecursive;
-      } else if (engine == "best-first") {
-        search_options.engine = volcano::SearchOptions::Engine::kBestFirst;
-      } else {
-        std::fprintf(stderr, "vopt: unknown engine '%s'\n", engine.c_str());
-        return 2;
-      }
-    } else if (FlagWithValue(arg, "--frontier-limit=", &value)) {
-      if (!ParseFlagValue("vopt", "--frontier-limit", value,
-                          &search_options.frontier_limit))
-        return kExitUsage;
-    } else if (FlagWithValue(arg, "--memo-byte-limit=", &value)) {
-      if (!ParseFlagValue("vopt", "--memo-byte-limit", value,
-                          &search_options.memo_byte_limit))
-        return kExitUsage;
     } else if (arg == "--join-seed=on") {
       search_options.join_seed = true;
     } else if (arg == "--join-seed=off") {
@@ -388,8 +357,6 @@ int main(int argc, char** argv) {
                  "[--stats-json] [--explain] [--trace FILE] "
                  "[--execute SEED] [--timeout-ms N] [--max-mexprs N] "
                  "[--max-calls N] [--strict] [--fallback] "
-                 "[--engine task|recursive|best-first] "
-                 "[--frontier-limit=N] [--memo-byte-limit=N] "
                  "[--join-seed=on|off] [--join-threshold=N] \"SQL\"\n");
     return 2;
   }
