@@ -339,6 +339,12 @@ class TaskEngine {
   /// True when a budget trip should freeze the stack instead of unwinding.
   bool Parking() const;
 
+  /// True once the budget or the exploration cap stops exploration: a class
+  /// explored, or a transformation matched, from here on may be incomplete.
+  bool ExplorationCut() const {
+    return opt_.aborted() || opt_.ExploreCapReached();
+  }
+
   Optimizer& opt_;
   const CostModel& cm_;  // the model's, looked up once
   const RuleSet& rules_;
