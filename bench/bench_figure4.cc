@@ -58,8 +58,12 @@ LevelResult RunLevel(int relations, int queries, uint64_t seed_base) {
     wopts.num_relations = relations;
     wopts.sorted_base_prob = 0.5;
     wopts.order_by_prob = 0.25;
-    rel::Workload w =
-        rel::GenerateWorkload(wopts, seed_base + static_cast<uint64_t>(q));
+    // The classic join rules, which EXODUS shares: Figure 4 measures the
+    // paper's search effort, duplicate derivations included.
+    rel::RelModelOptions mopts;
+    mopts.duplicate_free_joins = false;
+    rel::Workload w = rel::GenerateWorkload(
+        wopts, seed_base + static_cast<uint64_t>(q), mopts);
 
     // --- Volcano ------------------------------------------------------------
     Timer t1;

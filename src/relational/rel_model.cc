@@ -69,14 +69,31 @@ void RelModel::RegisterOperators() {
 }
 
 void RelModel::RegisterRules() {
+  TransformationRule* commute = nullptr;
+  TransformationRule* assoc_left = nullptr;
+  TransformationRule* assoc_right = nullptr;
+  // Registers `rule` and returns it; the rule set owns it from then on.
+  auto add = [this](std::unique_ptr<TransformationRule> rule) {
+    TransformationRule* r = rule.get();
+    rules_.AddTransformation(std::move(rule));
+    return r;
+  };
   if (options_.enable_join_commute) {
-    rules_.AddTransformation(std::make_unique<JoinCommuteRule>(*this));
+    commute = add(std::make_unique<JoinCommuteRule>(*this));
   }
   if (options_.enable_join_assoc_left) {
-    rules_.AddTransformation(std::make_unique<JoinAssocLeftRule>(*this));
+    assoc_left = add(std::make_unique<JoinAssocLeftRule>(*this));
   }
   if (options_.enable_join_assoc_right) {
-    rules_.AddTransformation(std::make_unique<JoinAssocRightRule>(*this));
+    assoc_right = add(std::make_unique<JoinAssocRightRule>(*this));
+  }
+  if (options_.duplicate_free_joins && commute != nullptr &&
+      assoc_left != nullptr && assoc_right != nullptr) {
+    const uint64_t assoc =
+        (uint64_t{1} << assoc_left->id()) | (uint64_t{1} << assoc_right->id());
+    commute->set_disables(assoc | (uint64_t{1} << commute->id()));
+    assoc_left->set_disables(assoc);
+    assoc_right->set_disables(assoc);
   }
   if (options_.enable_select_pushdown) {
     rules_.AddTransformation(

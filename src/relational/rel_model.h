@@ -78,6 +78,13 @@ struct RelModelOptions {
   bool enable_join_commute = true;
   bool enable_join_assoc_left = true;   ///< JOIN(JOIN(a,b),c) -> JOIN(a,JOIN(b,c))
   bool enable_join_assoc_right = true;  ///< JOIN(a,JOIN(b,c)) -> JOIN(JOIN(a,b),c)
+  /// With all three join rules on, each rule disables on the join it
+  /// creates the rules that would only re-derive joins the memo already
+  /// holds (Pellenkoft et al., VLDB 1997): commutativity disables all three,
+  /// each associativity disables both associativities. The same expressions
+  /// are reached from far fewer transformations. Off, the classic rule set
+  /// derives each join many times, as the paper's Figure 4 measures.
+  bool duplicate_free_joins = true;
   bool enable_select_pushdown = false;  ///< SELECT over JOIN pushes into inputs
   bool enable_select_pullup = false;    ///< inverse of pushdown
   bool enable_intersect_commute = true;

@@ -80,6 +80,18 @@ class TransformationRule : public Rule {
   /// the matched expression's class (detecting duplicates and merging
   /// classes when needed).
   virtual RexPtr Apply(const Binding& binding, const Memo& memo) const = 0;
+
+  /// Transformation rules disabled on the top expression of this rule's
+  /// result, as a mask of rule ids. The engine ORs it into the expression's
+  /// fired mask when the insert creates the expression. A duplicate-free
+  /// rule set (Pellenkoft et al., VLDB 1997) disables the rules that would
+  /// only re-derive expressions the memo already holds. The default, 0, is
+  /// classic Volcano: every rule fires on every expression.
+  uint64_t disables() const { return disables_; }
+  void set_disables(uint64_t rule_mask) { disables_ = rule_mask; }
+
+ private:
+  uint64_t disables_ = 0;
 };
 
 /// One way an algorithm can satisfy a requirement: the physical property

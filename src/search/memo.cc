@@ -137,7 +137,9 @@ GroupId Memo::InsertQuery(const Expr& expr) {
   return Find(m->group());
 }
 
-GroupId Memo::InsertRex(const RexNode& rex, GroupId target) {
+GroupId Memo::InsertRex(const RexNode& rex, GroupId target,
+                        MExpr** created) {
+  if (created != nullptr) *created = nullptr;
   if (target != kInvalidGroup) target = Find(target);
   if (rex.is_leaf()) {
     VOLCANO_CHECK(target != kInvalidGroup);
@@ -157,14 +159,9 @@ GroupId Memo::InsertRex(const RexNode& rex, GroupId target) {
       inputs.push_back(InsertRex(*in, kInvalidGroup));
     }
   }
-  if (target == kInvalidGroup) {
-    auto [m, created] = InsertMExpr(rex.op(), rex.arg(), inputs,
-                                    kInvalidGroup);
-    (void)created;
-    return Find(m->group());
-  }
-  InsertMExpr(rex.op(), rex.arg(), inputs, target);
-  return Find(target);
+  auto [m, is_new] = InsertMExpr(rex.op(), rex.arg(), inputs, target);
+  if (created != nullptr && is_new) *created = m;
+  return Find(target == kInvalidGroup ? m->group() : target);
 }
 
 void Memo::MergeGroups(GroupId a, GroupId b) {

@@ -202,6 +202,62 @@ TEST(SuspendResume, FreshOptimizeAbandonsSuspendedRun) {
   EXPECT_EQ(PlanToLine(**plan, w.model->registry()), base.line);
 }
 
+// A transformation whose match was still waiting on its input class's
+// exploration when the budget tripped must not stay marked as fired on its
+// expression: the next Optimize on the same memo has to apply it, whether
+// the tripped run was frozen (and the fresh Optimize abandons it) or
+// unwound. The duplicate-free join rules derive each join once, so a rule
+// left marked loses its expressions for good; the next Optimize must reach
+// the uninterrupted run's memo and plan.
+TEST(SuspendResume, StoppedMatchIsAppliedByTheNextOptimize) {
+  int stopped = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    rel::WorkloadOptions wopts;
+    wopts.num_relations = 4 + static_cast<int>(seed % 2);
+    wopts.join_graph = rel::WorkloadOptions::JoinGraph::kChain;
+    wopts.order_by_prob = 0.5;
+    rel::Workload w = rel::GenerateWorkload(wopts, seed);
+    ASSERT_NE(w.model->rule_set().transformation(0).disables(), 0u);
+    for (auto strategy : {SearchOptions::Strategy::kExploreFirst,
+                          SearchOptions::Strategy::kInterleaved}) {
+      SearchOptions ref_opts;
+      ref_opts.strategy = strategy;
+      Optimizer ref(*w.model, SearchConfig::FromOptions(ref_opts).value());
+      StatusOr<PlanPtr> ref_plan = ref.Optimize(*w.query, w.required);
+      ASSERT_TRUE(ref_plan.ok()) << ref_plan.status().ToString();
+      const std::string ref_line =
+          PlanToLine(**ref_plan, w.model->registry());
+      const size_t ref_mexprs = ref.stats().mexprs_created;
+      for (uint64_t at = 1; at <= 60; ++at) {
+        for (bool suspend : {true, false}) {
+          const std::string where =
+              "seed " + std::to_string(seed) + " trip at " +
+              std::to_string(at) + (suspend ? " (suspended)" : "") +
+              (strategy == SearchOptions::Strategy::kInterleaved
+                   ? " interleaved"
+                   : "");
+          FaultInjector::Config fc;
+          fc.expire_budget_at = at;
+          FaultInjector injector(fc);
+          SearchOptions opts = ref_opts;
+          opts.suspend_on_trip = suspend;
+          opts.fault = &injector;
+          Optimizer opt(*w.model, SearchConfig::FromOptions(opts).value());
+          (void)opt.Optimize(*w.query, w.required);
+          if (opt.outcome().trip != BudgetTrip::kNone) ++stopped;
+          StatusOr<PlanPtr> plan = opt.Optimize(*w.query, w.required);
+          ASSERT_TRUE(plan.ok()) << where << ": " << plan.status().ToString();
+          EXPECT_EQ(opt.stats().mexprs_created, ref_mexprs) << where;
+          EXPECT_EQ(PlanToLine(**plan, w.model->registry()), ref_line)
+              << where;
+        }
+      }
+    }
+  }
+  // Most trip points fall inside the search, not after it.
+  EXPECT_GT(stopped, 1000);
+}
+
 // Big-join escalation + suspension: an above-threshold join installs
 // override knobs (deadline, move limit, exploration cap) for the duration of
 // the escalated call. A suspension mid-escalation must keep those overrides
