@@ -499,11 +499,17 @@ void Optimizer::PrepareJoinSeed(const Expr& query, GroupId root,
   // polynomial in the tree size, while the property-directed search still
   // picks the best algorithms and enforcers for the fixed shape. The plan's
   // nodes only borrow rule names from the model's RuleSet (which outlives
-  // both optimizers), so the plan safely outlives the private memo.
-  SearchOptions seed_options;
-  seed_options.physical_only = true;
-  Optimizer seeder(model_, seed_options, CtorTag{});
-  StatusOr<PlanPtr> planned = seeder.Optimize(*reordered, required);
+  // both optimizers), so the plan safely outlives the private memo. The
+  // seeder is kept and reset per query, as a serving session keeps its
+  // optimizer, so its memo and engine storage are reused.
+  if (seeder_ == nullptr) {
+    SearchOptions seed_options;
+    seed_options.physical_only = true;
+    seeder_.reset(new Optimizer(model_, seed_options, CtorTag{}));
+  } else {
+    seeder_->ResetForReuse();
+  }
+  StatusOr<PlanPtr> planned = seeder_->Optimize(*reordered, required);
   if (!planned.ok() || planned.value() == nullptr) return;
   seed_.plan = planned.value();
   seed_.cost = seed_.plan->cost();
@@ -599,8 +605,7 @@ void Optimizer::CollectAlgorithmMoves(GroupId group,
                                       const PhysPropsPtr& excluded,
                                       std::vector<Move>* moves) {
   const RuleSet& rules = model_.rule_set();
-  ScratchLease<Binding> bindings_lease(binding_pool_);
-  std::vector<Binding>& bindings = *bindings_lease;
+  std::vector<Binding> bindings;
   using MatchStatus = TaskEngine::Matcher::Status;
   TaskEngine::Matcher matcher;
   for (const MExpr* m : memo_.group(memo_.Find(group)).exprs()) {
@@ -674,8 +679,7 @@ Optimizer::Result Optimizer::GreedyPlan(GroupId group,
 
   // Moves over the memo as it stands: no transformations, no exploration,
   // hence no memo growth.
-  ScratchLease<Move> moves_lease(move_pool_);
-  std::vector<Move>& moves = *moves_lease;
+  std::vector<Move> moves;
   CollectAlgorithmMoves(group, required, excluded, &moves);
   group = memo_.Find(group);
   const LogicalPropsPtr logical = memo_.LogicalOf(group);

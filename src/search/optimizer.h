@@ -26,7 +26,6 @@
 #include "search/search_options.h"
 #include "support/budget.h"
 #include "support/metrics.h"
-#include "support/scratch.h"
 #include "support/status.h"
 #include "support/trace.h"
 
@@ -263,11 +262,12 @@ class Optimizer {
 
   /// Greedy join-order seeding (SearchOptions::join_seed, DESIGN.md §12).
   /// Asks the model for a heuristic join order and plans it physical-only
-  /// in a private optimizer over the same model; on success stores the plan
-  /// and its cost in seed_ (keyed to `root` + `required`) so OptimizeGroup
-  /// can tighten the root search limit and FinalizeTopLevel can use the
-  /// plan as the degradation floor. Also decides big-join escalation
-  /// (big_join_mode_) from DataModel::JoinComplexity.
+  /// in a private optimizer over the same model (seeder_, created on the
+  /// first seeded query and reset for each later one); on success stores
+  /// the plan and its cost in seed_ (keyed to `root` + `required`) so
+  /// OptimizeGroup can tighten the root search limit and FinalizeTopLevel
+  /// can use the plan as the degradation floor. Also decides big-join
+  /// escalation (big_join_mode_) from DataModel::JoinComplexity.
   void PrepareJoinSeed(const Expr& query, GroupId root,
                        const PhysPropsPtr& required);
 
@@ -302,11 +302,6 @@ class Optimizer {
   /// Canonical (interned) "no requirement" vector: the FindBestPlan glue
   /// gate compares goal pointers against this instead of calling Equals.
   PhysPropsPtr any_props_;
-  // Scratch pools for the greedy descent's move/binding collection: each
-  // recursion level leases its own buffer, and released buffers keep their
-  // capacity.
-  ScratchPool<Move> move_pool_;
-  ScratchPool<Binding> binding_pool_;
   SearchStats stats_;
   SearchMetrics metrics_;
   mutable bool has_move_stats_ = false;  ///< HasMoveStats latch
@@ -318,6 +313,7 @@ class Optimizer {
   // FinalizeTopLevel). seed_ is valid only for the (group, required) pair
   // it was planned for; seed_active_ is the per-call gate.
   Result seed_{};
+  std::unique_ptr<Optimizer> seeder_;  // physical-only; see PrepareJoinSeed
   bool has_seed_ = false;
   bool seed_active_ = false;
   GroupId seed_group_ = kInvalidGroup;

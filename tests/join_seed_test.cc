@@ -12,6 +12,7 @@
 #include "relational/join_graph.h"
 #include "relational/query_gen.h"
 #include "relational/rel_plan_cost.h"
+#include "relational/sql.h"
 #include "search/optimizer.h"
 #include "search/search_config.h"
 #include "support/timer.h"
@@ -41,6 +42,43 @@ TEST(JoinSeed, SeedPlannedBeforeFirstExhaustiveMove) {
   EXPECT_EQ(opt.outcome().source, PlanSource::kGreedySeed);
   EXPECT_TRUE(opt.outcome().approximate);
   EXPECT_TRUE(rel::ValidatePlan(**plan, *w.model).ok());
+}
+
+TEST(JoinSeed, ReusedSeederPlansLikeAFreshOne) {
+  // An optimizer keeps its seeder and resets it for each query, as a
+  // serving session keeps its optimizer. Under a one-call budget the plan
+  // returned is the seed itself, so an optimizer reused over the TPC-H
+  // family (twice round) must return what a fresh one returns.
+  rel::TpchWorkload w = rel::MakeTpchWorkload();
+  SearchOptions so;
+  so.join_seed = true;
+  so.budget.max_find_best_plan_calls = 1;
+  const SearchConfig config = SearchConfig::FromOptions(so).value();
+  Optimizer reused(*w.model, config);
+  int seeded = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (const rel::TpchQuery& q : w.queries) {
+      StatusOr<rel::ParsedQuery> parsed =
+          rel::ParseSql(q.sql, *w.model, w.catalog->symbols());
+      ASSERT_TRUE(parsed.ok()) << q.name << ": " << parsed.status().ToString();
+      Optimizer fresh(*w.model, config);
+      StatusOr<PlanPtr> want = fresh.Optimize(*parsed->expr, parsed->required);
+      reused.ResetForReuse();
+      StatusOr<PlanPtr> got = reused.Optimize(*parsed->expr, parsed->required);
+      ASSERT_EQ(got.ok(), want.ok()) << q.name;
+      EXPECT_EQ(reused.stats().seed_plans, fresh.stats().seed_plans)
+          << q.name;
+      if (!want.ok() || fresh.outcome().source != PlanSource::kGreedySeed) {
+        continue;
+      }
+      ++seeded;
+      EXPECT_EQ(reused.outcome().source, PlanSource::kGreedySeed) << q.name;
+      EXPECT_EQ(PlanToLine(**got, w.model->registry()),
+                PlanToLine(**want, w.model->registry()))
+          << q.name;
+    }
+  }
+  EXPECT_GE(seeded, 4);
 }
 
 TEST(JoinSeed, SeededPlansIdenticalToUnseededAtSmallScale) {

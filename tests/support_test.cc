@@ -12,7 +12,6 @@
 #include "support/hash.h"
 #include "support/intern.h"
 #include "support/rng.h"
-#include "support/scratch.h"
 #include "support/small_vector.h"
 #include "support/status.h"
 #include "support/timer.h"
@@ -298,29 +297,6 @@ TEST(SmallVector, CopyAndMovePreserveContents) {
   SmallVector<std::string, 2> d = std::move(inline_src);
   ASSERT_EQ(d.size(), 1u);
   EXPECT_EQ(d[0], "x");
-}
-
-TEST(ScratchPool, BuffersRetainCapacityAcrossLeases) {
-  ScratchPool<int> pool;
-  int* data = nullptr;
-  {
-    ScratchLease<int> lease(pool);
-    for (int i = 0; i < 100; ++i) lease->push_back(i);
-    data = lease->data();
-  }
-  EXPECT_EQ(pool.idle(), 1u);
-  {
-    ScratchLease<int> lease(pool);
-    EXPECT_TRUE(lease->empty());
-    lease->push_back(1);
-    // Same heap buffer came back: capacity was retained.
-    EXPECT_EQ(lease->data(), data);
-    // A nested lease while one is held gets a distinct buffer.
-    ScratchLease<int> nested(pool);
-    nested->push_back(2);
-    EXPECT_NE(nested->data(), lease->data());
-  }
-  EXPECT_EQ(pool.idle(), 2u);
 }
 
 TEST(SymbolTable, StringViewProbesDoNotIntern) {
