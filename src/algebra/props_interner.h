@@ -65,9 +65,9 @@ class PropsInterner {
   /// cache. Callers that reuse an interner across memo lifetimes (Memo::Reset)
   /// must call this: the cache holds a raw pointer into the dropped set, and
   /// a stale hit would hand out a canonical pointer the interner no longer
-  /// pins alive.
+  /// pins alive. The table keeps its capacity for the next memo.
   void Clear() {
-    set_.Clear();
+    set_.ClearKeepingCapacity();
     last_canonical_ = nullptr;
   }
 

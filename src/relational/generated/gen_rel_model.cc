@@ -27,89 +27,93 @@ class RelSupport final : public genrel::Support {
   }
 
   // ----- transformation support -------------------------------------------
-  RexPtr JoinCommuteApply(const Binding& b, const Memo& m) const override {
-    return Transformation("join_commute").Apply(b, m);
+  Rex::Ref JoinCommuteApply(const Binding& b, const Memo& m,
+                            Rex& out) const override {
+    return Transformation("join_commute").Apply(b, m, out);
   }
   bool JoinAssocLeftCondition(const Binding& b,
                               const Memo& m) const override {
     return Transformation("join_assoc_left").Condition(b, m);
   }
-  RexPtr JoinAssocLeftApply(const Binding& b, const Memo& m) const override {
-    return Transformation("join_assoc_left").Apply(b, m);
+  Rex::Ref JoinAssocLeftApply(const Binding& b, const Memo& m,
+                              Rex& out) const override {
+    return Transformation("join_assoc_left").Apply(b, m, out);
   }
   bool JoinAssocRightCondition(const Binding& b,
                                const Memo& m) const override {
     return Transformation("join_assoc_right").Condition(b, m);
   }
-  RexPtr JoinAssocRightApply(const Binding& b, const Memo& m) const override {
-    return Transformation("join_assoc_right").Apply(b, m);
+  Rex::Ref JoinAssocRightApply(const Binding& b, const Memo& m,
+                               Rex& out) const override {
+    return Transformation("join_assoc_right").Apply(b, m, out);
   }
-  RexPtr IntersectCommuteApply(const Binding& b,
-                               const Memo& m) const override {
-    return Transformation("intersect_commute").Apply(b, m);
+  Rex::Ref IntersectCommuteApply(const Binding& b, const Memo& m,
+                                 Rex& out) const override {
+    return Transformation("intersect_commute").Apply(b, m, out);
   }
-  RexPtr UnionCommuteApply(const Binding& b, const Memo& m) const override {
-    return Transformation("union_commute").Apply(b, m);
+  Rex::Ref UnionCommuteApply(const Binding& b, const Memo& m,
+                             Rex& out) const override {
+    return Transformation("union_commute").Apply(b, m, out);
   }
   bool SelectThroughAggregateCondition(const Binding& b,
                                        const Memo& m) const override {
     return Transformation("select_through_aggregate").Condition(b, m);
   }
-  RexPtr SelectThroughAggregateApply(const Binding& b,
-                                     const Memo& m) const override {
-    return Transformation("select_through_aggregate").Apply(b, m);
+  Rex::Ref SelectThroughAggregateApply(const Binding& b, const Memo& m,
+                                       Rex& out) const override {
+    return Transformation("select_through_aggregate").Apply(b, m, out);
   }
   bool UnnestInToSemijoinCondition(const Binding& b,
                                    const Memo& m) const override {
     return Transformation("unnest_in_to_semijoin").Condition(b, m);
   }
-  RexPtr UnnestInToSemijoinApply(const Binding& b,
-                                 const Memo& m) const override {
-    return Transformation("unnest_in_to_semijoin").Apply(b, m);
+  Rex::Ref UnnestInToSemijoinApply(const Binding& b, const Memo& m,
+                                   Rex& out) const override {
+    return Transformation("unnest_in_to_semijoin").Apply(b, m, out);
   }
   bool UnnestExistsToSemijoinCondition(const Binding& b,
                                        const Memo& m) const override {
     return Transformation("unnest_exists_to_semijoin").Condition(b, m);
   }
-  RexPtr UnnestExistsToSemijoinApply(const Binding& b,
-                                     const Memo& m) const override {
-    return Transformation("unnest_exists_to_semijoin").Apply(b, m);
+  Rex::Ref UnnestExistsToSemijoinApply(const Binding& b, const Memo& m,
+                                       Rex& out) const override {
+    return Transformation("unnest_exists_to_semijoin").Apply(b, m, out);
   }
   bool UnnestToAntijoinCondition(const Binding& b,
                                  const Memo& m) const override {
     return Transformation("unnest_to_antijoin").Condition(b, m);
   }
-  RexPtr UnnestToAntijoinApply(const Binding& b,
-                               const Memo& m) const override {
-    return Transformation("unnest_to_antijoin").Apply(b, m);
+  Rex::Ref UnnestToAntijoinApply(const Binding& b, const Memo& m,
+                                 Rex& out) const override {
+    return Transformation("unnest_to_antijoin").Apply(b, m, out);
   }
   bool OuterJoinToJoinCondition(const Binding& b,
                                 const Memo& m) const override {
     return Transformation("outer_join_to_join").Condition(b, m);
   }
-  RexPtr OuterJoinToJoinApply(const Binding& b,
-                              const Memo& m) const override {
-    return Transformation("outer_join_to_join").Apply(b, m);
+  Rex::Ref OuterJoinToJoinApply(const Binding& b, const Memo& m,
+                                Rex& out) const override {
+    return Transformation("outer_join_to_join").Apply(b, m, out);
   }
   bool SemijoinReorderCondition(const Binding& b,
                                 const Memo& m) const override {
     return Transformation("semijoin_reorder").Condition(b, m);
   }
-  RexPtr SemijoinReorderApply(const Binding& b,
-                              const Memo& m) const override {
-    return Transformation("semijoin_reorder").Apply(b, m);
+  Rex::Ref SemijoinReorderApply(const Binding& b, const Memo& m,
+                                Rex& out) const override {
+    return Transformation("semijoin_reorder").Apply(b, m, out);
   }
-  RexPtr DistinctCollapseApply(const Binding& b,
-                               const Memo& m) const override {
-    return Transformation("distinct_collapse").Apply(b, m);
+  Rex::Ref DistinctCollapseApply(const Binding& b, const Memo& m,
+                                 Rex& out) const override {
+    return Transformation("distinct_collapse").Apply(b, m, out);
   }
-  RexPtr SemijoinAbsorbDistinctApply(const Binding& b,
-                                     const Memo& m) const override {
-    return Transformation("semijoin_absorb_distinct").Apply(b, m);
+  Rex::Ref SemijoinAbsorbDistinctApply(const Binding& b, const Memo& m,
+                                       Rex& out) const override {
+    return Transformation("semijoin_absorb_distinct").Apply(b, m, out);
   }
-  RexPtr AntijoinAbsorbDistinctApply(const Binding& b,
-                                     const Memo& m) const override {
-    return Transformation("antijoin_absorb_distinct").Apply(b, m);
+  Rex::Ref AntijoinAbsorbDistinctApply(const Binding& b, const Memo& m,
+                                       Rex& out) const override {
+    return Transformation("antijoin_absorb_distinct").Apply(b, m, out);
   }
 
   // ----- implementation support ---------------------------------------------

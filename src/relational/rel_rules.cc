@@ -26,6 +26,27 @@ const SelectArg& SelectArgOf(const MExpr& m) {
   return static_cast<const SelectArg&>(*m.arg());
 }
 
+/// The matched join's predicate with its sides swapped, made once per
+/// predicate and rule (Rex::Derived).
+OpArgPtr SwappedJoinArg(const TransformationRule* rule, const RelModel& model,
+                        const Binding& b, Rex& out) {
+  return out.Derived(rule, b.root().arg(), [&model](const OpArg& a) {
+    const auto& join = static_cast<const JoinArg&>(a);
+    return JoinArg::Make(model.symbols(), join.right_attr(), join.left_attr());
+  });
+}
+
+/// The predicate an unnesting rule puts on the semijoin or antijoin it makes
+/// of a subquery, outer attribute = inner attribute: made once per subquery
+/// argument and rule (Rex::Derived).
+OpArgPtr SubqueryJoinArg(const TransformationRule* rule, const RelModel& model,
+                         const Binding& b, Rex& out) {
+  return out.Derived(rule, b.root().arg(), [&model](const OpArg& a) {
+    const auto& sub = static_cast<const SubqueryArg&>(a);
+    return JoinArg::Make(model.symbols(), sub.outer_attr(), sub.inner_attr());
+  });
+}
+
 /// True if the class contains a JOIN expression. Whether a class's results
 /// are joins is invariant across its equivalent expressions (with this rule
 /// set), so inspecting the current contents needs no exploration.
@@ -46,13 +67,11 @@ JoinCommuteRule::JoinCommuteRule(const RelModel& model)
                                      {Pattern::Any(), Pattern::Any()})),
       model_(model) {}
 
-RexPtr JoinCommuteRule::Apply(const Binding& b, const Memo& memo) const {
+Rex::Ref JoinCommuteRule::Apply(const Binding& b, const Memo& memo,
+                                Rex& out) const {
   (void)memo;
-  const JoinArg& arg = JoinArgOf(b.root());
-  OpArgPtr swapped =
-      JoinArg::Make(model_.symbols(), arg.right_attr(), arg.left_attr());
-  return RexNode::Node(model_.ops().join, std::move(swapped),
-                       {RexNode::Leaf(b.leaf(1)), RexNode::Leaf(b.leaf(0))});
+  return out.Node(model_.ops().join, SwappedJoinArg(this, model_, b, out),
+                  {out.Leaf(b.leaf(1)), out.Leaf(b.leaf(0))});
 }
 
 // --- JoinAssocLeftRule -------------------------------------------------------
@@ -73,17 +92,14 @@ bool JoinAssocLeftRule::Condition(const Binding& b, const Memo& memo) const {
   return LeafProps(memo, b, 1).HasAttr(top.left_attr());
 }
 
-RexPtr JoinAssocLeftRule::Apply(const Binding& b, const Memo& memo) const {
+Rex::Ref JoinAssocLeftRule::Apply(const Binding& b, const Memo& memo,
+                                  Rex& out) const {
   (void)memo;
-  const JoinArg& top = JoinArgOf(b.node(0));    // links (a|b) with c
-  const JoinArg& inner = JoinArgOf(b.node(1));  // links a with b
-  RexPtr new_inner =
-      RexNode::Node(model_.ops().join, b.node(0).arg(),
-                    {RexNode::Leaf(b.leaf(1)), RexNode::Leaf(b.leaf(2))});
-  (void)top;
-  (void)inner;
-  return RexNode::Node(model_.ops().join, b.node(1).arg(),
-                       {RexNode::Leaf(b.leaf(0)), std::move(new_inner)});
+  // node(0)'s predicate links (a|b) with c, node(1)'s links a with b.
+  return out.Node(model_.ops().join, b.node(1).arg(),
+                  {out.Leaf(b.leaf(0)),
+                   out.Node(model_.ops().join, b.node(0).arg(),
+                            {out.Leaf(b.leaf(1)), out.Leaf(b.leaf(2))})});
 }
 
 // --- JoinAssocRightRule ------------------------------------------------------
@@ -102,13 +118,13 @@ bool JoinAssocRightRule::Condition(const Binding& b, const Memo& memo) const {
   return LeafProps(memo, b, 1).HasAttr(top.right_attr());
 }
 
-RexPtr JoinAssocRightRule::Apply(const Binding& b, const Memo& memo) const {
+Rex::Ref JoinAssocRightRule::Apply(const Binding& b, const Memo& memo,
+                                   Rex& out) const {
   (void)memo;
-  RexPtr new_inner =
-      RexNode::Node(model_.ops().join, b.node(0).arg(),
-                    {RexNode::Leaf(b.leaf(0)), RexNode::Leaf(b.leaf(1))});
-  return RexNode::Node(model_.ops().join, b.node(1).arg(),
-                       {std::move(new_inner), RexNode::Leaf(b.leaf(2))});
+  return out.Node(model_.ops().join, b.node(1).arg(),
+                  {out.Node(model_.ops().join, b.node(0).arg(),
+                            {out.Leaf(b.leaf(0)), out.Leaf(b.leaf(1))}),
+                   out.Leaf(b.leaf(2))});
 }
 
 // --- SelectPushThroughJoinRule ----------------------------------------------
@@ -127,13 +143,13 @@ bool SelectPushThroughJoinRule::Condition(const Binding& b,
   return LeafProps(memo, b, 0).HasAttr(sel.attr());
 }
 
-RexPtr SelectPushThroughJoinRule::Apply(const Binding& b,
-                                        const Memo& memo) const {
+Rex::Ref SelectPushThroughJoinRule::Apply(const Binding& b, const Memo& memo,
+                                          Rex& out) const {
   (void)memo;
-  RexPtr pushed = RexNode::Node(model_.ops().select, b.node(0).arg(),
-                                {RexNode::Leaf(b.leaf(0))});
-  return RexNode::Node(model_.ops().join, b.node(1).arg(),
-                       {std::move(pushed), RexNode::Leaf(b.leaf(1))});
+  return out.Node(model_.ops().join, b.node(1).arg(),
+                  {out.Node(model_.ops().select, b.node(0).arg(),
+                            {out.Leaf(b.leaf(0))}),
+                   out.Leaf(b.leaf(1))});
 }
 
 // --- SelectPullFromJoinRule --------------------------------------------------
@@ -146,14 +162,12 @@ SelectPullFromJoinRule::SelectPullFromJoinRule(const RelModel& model)
                        Pattern::Any()})),
       model_(model) {}
 
-RexPtr SelectPullFromJoinRule::Apply(const Binding& b,
-                                     const Memo& memo) const {
+Rex::Ref SelectPullFromJoinRule::Apply(const Binding& b, const Memo& memo,
+                                       Rex& out) const {
   (void)memo;
-  RexPtr join =
-      RexNode::Node(model_.ops().join, b.node(0).arg(),
-                    {RexNode::Leaf(b.leaf(0)), RexNode::Leaf(b.leaf(1))});
-  return RexNode::Node(model_.ops().select, b.node(1).arg(),
-                       {std::move(join)});
+  return out.Node(model_.ops().select, b.node(1).arg(),
+                  {out.Node(model_.ops().join, b.node(0).arg(),
+                            {out.Leaf(b.leaf(0)), out.Leaf(b.leaf(1))})});
 }
 
 // --- IntersectCommuteRule ----------------------------------------------------
@@ -164,10 +178,11 @@ IntersectCommuteRule::IntersectCommuteRule(const RelModel& model)
                                      {Pattern::Any(), Pattern::Any()})),
       model_(model) {}
 
-RexPtr IntersectCommuteRule::Apply(const Binding& b, const Memo& memo) const {
+Rex::Ref IntersectCommuteRule::Apply(const Binding& b, const Memo& memo,
+                                     Rex& out) const {
   (void)memo;
-  return RexNode::Node(model_.ops().intersect, nullptr,
-                       {RexNode::Leaf(b.leaf(1)), RexNode::Leaf(b.leaf(0))});
+  return out.Node(model_.ops().intersect, nullptr,
+                  {out.Leaf(b.leaf(1)), out.Leaf(b.leaf(0))});
 }
 
 // --- UnionCommuteRule --------------------------------------------------------
@@ -178,10 +193,11 @@ UnionCommuteRule::UnionCommuteRule(const RelModel& model)
                                      {Pattern::Any(), Pattern::Any()})),
       model_(model) {}
 
-RexPtr UnionCommuteRule::Apply(const Binding& b, const Memo& memo) const {
+Rex::Ref UnionCommuteRule::Apply(const Binding& b, const Memo& memo,
+                                 Rex& out) const {
   (void)memo;
-  return RexNode::Node(model_.ops().union_all, nullptr,
-                       {RexNode::Leaf(b.leaf(1)), RexNode::Leaf(b.leaf(0))});
+  return out.Node(model_.ops().union_all, nullptr,
+                  {out.Leaf(b.leaf(1)), out.Leaf(b.leaf(0))});
 }
 
 // --- SelectThroughAggregateRule ----------------------------------------------
@@ -202,13 +218,12 @@ bool SelectThroughAggregateRule::Condition(const Binding& b,
   return sel.attr() == agg.group_attr();
 }
 
-RexPtr SelectThroughAggregateRule::Apply(const Binding& b,
-                                         const Memo& memo) const {
+Rex::Ref SelectThroughAggregateRule::Apply(const Binding& b,
+                                           const Memo& memo, Rex& out) const {
   (void)memo;
-  RexPtr pushed = RexNode::Node(model_.ops().select, b.node(0).arg(),
-                                {RexNode::Leaf(b.leaf(0))});
-  return RexNode::Node(model_.ops().aggregate, b.node(1).arg(),
-                       {std::move(pushed)});
+  return out.Node(model_.ops().aggregate, b.node(1).arg(),
+                  {out.Node(model_.ops().select, b.node(0).arg(),
+                            {out.Leaf(b.leaf(0))})});
 }
 
 // --- UnnestInToSemijoinRule --------------------------------------------------
@@ -226,14 +241,11 @@ bool UnnestInToSemijoinRule::Condition(const Binding& b,
   return sub.kind() == SubqueryKind::kIn && !sub.negated();
 }
 
-RexPtr UnnestInToSemijoinRule::Apply(const Binding& b,
-                                     const Memo& memo) const {
+Rex::Ref UnnestInToSemijoinRule::Apply(const Binding& b, const Memo& memo,
+                                       Rex& out) const {
   (void)memo;
-  const auto& sub = static_cast<const SubqueryArg&>(*b.root().arg());
-  OpArgPtr join = JoinArg::Make(model_.symbols(), sub.outer_attr(),
-                                sub.inner_attr());
-  return RexNode::Node(model_.ops().semijoin, std::move(join),
-                       {RexNode::Leaf(b.leaf(0)), RexNode::Leaf(b.leaf(1))});
+  return out.Node(model_.ops().semijoin, SubqueryJoinArg(this, model_, b, out),
+                  {out.Leaf(b.leaf(0)), out.Leaf(b.leaf(1))});
 }
 
 // --- UnnestExistsToSemijoinRule ----------------------------------------------
@@ -251,14 +263,11 @@ bool UnnestExistsToSemijoinRule::Condition(const Binding& b,
   return sub.kind() == SubqueryKind::kExists && !sub.negated();
 }
 
-RexPtr UnnestExistsToSemijoinRule::Apply(const Binding& b,
-                                         const Memo& memo) const {
+Rex::Ref UnnestExistsToSemijoinRule::Apply(const Binding& b, const Memo& memo,
+                                           Rex& out) const {
   (void)memo;
-  const auto& sub = static_cast<const SubqueryArg&>(*b.root().arg());
-  OpArgPtr join = JoinArg::Make(model_.symbols(), sub.outer_attr(),
-                                sub.inner_attr());
-  return RexNode::Node(model_.ops().semijoin, std::move(join),
-                       {RexNode::Leaf(b.leaf(0)), RexNode::Leaf(b.leaf(1))});
+  return out.Node(model_.ops().semijoin, SubqueryJoinArg(this, model_, b, out),
+                  {out.Leaf(b.leaf(0)), out.Leaf(b.leaf(1))});
 }
 
 // --- UnnestToAntijoinRule ----------------------------------------------------
@@ -276,13 +285,11 @@ bool UnnestToAntijoinRule::Condition(const Binding& b,
   return sub.negated();
 }
 
-RexPtr UnnestToAntijoinRule::Apply(const Binding& b, const Memo& memo) const {
+Rex::Ref UnnestToAntijoinRule::Apply(const Binding& b, const Memo& memo,
+                                     Rex& out) const {
   (void)memo;
-  const auto& sub = static_cast<const SubqueryArg&>(*b.root().arg());
-  OpArgPtr join = JoinArg::Make(model_.symbols(), sub.outer_attr(),
-                                sub.inner_attr());
-  return RexNode::Node(model_.ops().antijoin, std::move(join),
-                       {RexNode::Leaf(b.leaf(0)), RexNode::Leaf(b.leaf(1))});
+  return out.Node(model_.ops().antijoin, SubqueryJoinArg(this, model_, b, out),
+                  {out.Leaf(b.leaf(0)), out.Leaf(b.leaf(1))});
 }
 
 // --- OuterJoinToJoinRule -----------------------------------------------------
@@ -304,13 +311,12 @@ bool OuterJoinToJoinRule::Condition(const Binding& b,
   return LeafProps(memo, b, 1).HasAttr(sel.attr());
 }
 
-RexPtr OuterJoinToJoinRule::Apply(const Binding& b, const Memo& memo) const {
+Rex::Ref OuterJoinToJoinRule::Apply(const Binding& b, const Memo& memo,
+                                    Rex& out) const {
   (void)memo;
-  RexPtr join =
-      RexNode::Node(model_.ops().join, b.node(1).arg(),
-                    {RexNode::Leaf(b.leaf(0)), RexNode::Leaf(b.leaf(1))});
-  return RexNode::Node(model_.ops().select, b.node(0).arg(),
-                       {std::move(join)});
+  return out.Node(model_.ops().select, b.node(0).arg(),
+                  {out.Node(model_.ops().join, b.node(1).arg(),
+                            {out.Leaf(b.leaf(0)), out.Leaf(b.leaf(1))})});
 }
 
 // --- SemijoinReorderRule -----------------------------------------------------
@@ -335,13 +341,13 @@ bool SemijoinReorderRule::Condition(const Binding& b,
   return a.HasAttr(top.left_attr()) && a.HasAttr(inner.left_attr());
 }
 
-RexPtr SemijoinReorderRule::Apply(const Binding& b, const Memo& memo) const {
+Rex::Ref SemijoinReorderRule::Apply(const Binding& b, const Memo& memo,
+                                    Rex& out) const {
   (void)memo;
-  RexPtr swapped =
-      RexNode::Node(model_.ops().semijoin, b.node(0).arg(),
-                    {RexNode::Leaf(b.leaf(0)), RexNode::Leaf(b.leaf(2))});
-  return RexNode::Node(model_.ops().semijoin, b.node(1).arg(),
-                       {std::move(swapped), RexNode::Leaf(b.leaf(1))});
+  return out.Node(model_.ops().semijoin, b.node(1).arg(),
+                  {out.Node(model_.ops().semijoin, b.node(0).arg(),
+                            {out.Leaf(b.leaf(0)), out.Leaf(b.leaf(2))}),
+                   out.Leaf(b.leaf(1))});
 }
 
 // --- DistinctCollapseRule ----------------------------------------------------
@@ -353,10 +359,10 @@ DistinctCollapseRule::DistinctCollapseRule(const RelModel& model)
                       {Pattern::Op(model.ops().distinct, {Pattern::Any()})})),
       model_(model) {}
 
-RexPtr DistinctCollapseRule::Apply(const Binding& b, const Memo& memo) const {
+Rex::Ref DistinctCollapseRule::Apply(const Binding& b, const Memo& memo,
+                                     Rex& out) const {
   (void)memo;
-  return RexNode::Node(model_.ops().distinct, nullptr,
-                       {RexNode::Leaf(b.leaf(0))});
+  return out.Node(model_.ops().distinct, nullptr, {out.Leaf(b.leaf(0))});
 }
 
 // --- SemijoinAbsorbDistinctRule ----------------------------------------------
@@ -369,11 +375,11 @@ SemijoinAbsorbDistinctRule::SemijoinAbsorbDistinctRule(const RelModel& model)
                        Pattern::Op(model.ops().distinct, {Pattern::Any()})})),
       model_(model) {}
 
-RexPtr SemijoinAbsorbDistinctRule::Apply(const Binding& b,
-                                         const Memo& memo) const {
+Rex::Ref SemijoinAbsorbDistinctRule::Apply(const Binding& b,
+                                           const Memo& memo, Rex& out) const {
   (void)memo;
-  return RexNode::Node(model_.ops().semijoin, b.node(0).arg(),
-                       {RexNode::Leaf(b.leaf(0)), RexNode::Leaf(b.leaf(1))});
+  return out.Node(model_.ops().semijoin, b.node(0).arg(),
+                  {out.Leaf(b.leaf(0)), out.Leaf(b.leaf(1))});
 }
 
 // --- AntijoinAbsorbDistinctRule ----------------------------------------------
@@ -386,11 +392,11 @@ AntijoinAbsorbDistinctRule::AntijoinAbsorbDistinctRule(const RelModel& model)
                        Pattern::Op(model.ops().distinct, {Pattern::Any()})})),
       model_(model) {}
 
-RexPtr AntijoinAbsorbDistinctRule::Apply(const Binding& b,
-                                         const Memo& memo) const {
+Rex::Ref AntijoinAbsorbDistinctRule::Apply(const Binding& b,
+                                           const Memo& memo, Rex& out) const {
   (void)memo;
-  return RexNode::Node(model_.ops().antijoin, b.node(0).arg(),
-                       {RexNode::Leaf(b.leaf(0)), RexNode::Leaf(b.leaf(1))});
+  return out.Node(model_.ops().antijoin, b.node(0).arg(),
+                  {out.Leaf(b.leaf(0)), out.Leaf(b.leaf(1))});
 }
 
 // --- GetToFileScanRule -------------------------------------------------------

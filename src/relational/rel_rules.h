@@ -25,7 +25,8 @@ class RelModel;
 class JoinCommuteRule final : public TransformationRule {
  public:
   explicit JoinCommuteRule(const RelModel& model);
-  RexPtr Apply(const Binding& binding, const Memo& memo) const override;
+  Rex::Ref Apply(const Binding& binding, const Memo& memo,
+                 Rex& out) const override;
 
  private:
   const RelModel& model_;
@@ -38,7 +39,8 @@ class JoinAssocLeftRule final : public TransformationRule {
  public:
   explicit JoinAssocLeftRule(const RelModel& model);
   bool Condition(const Binding& binding, const Memo& memo) const override;
-  RexPtr Apply(const Binding& binding, const Memo& memo) const override;
+  Rex::Ref Apply(const Binding& binding, const Memo& memo,
+                 Rex& out) const override;
 
  private:
   const RelModel& model_;
@@ -50,7 +52,8 @@ class JoinAssocRightRule final : public TransformationRule {
  public:
   explicit JoinAssocRightRule(const RelModel& model);
   bool Condition(const Binding& binding, const Memo& memo) const override;
-  RexPtr Apply(const Binding& binding, const Memo& memo) const override;
+  Rex::Ref Apply(const Binding& binding, const Memo& memo,
+                 Rex& out) const override;
 
  private:
   const RelModel& model_;
@@ -61,7 +64,8 @@ class SelectPushThroughJoinRule final : public TransformationRule {
  public:
   explicit SelectPushThroughJoinRule(const RelModel& model);
   bool Condition(const Binding& binding, const Memo& memo) const override;
-  RexPtr Apply(const Binding& binding, const Memo& memo) const override;
+  Rex::Ref Apply(const Binding& binding, const Memo& memo,
+                 Rex& out) const override;
 
  private:
   const RelModel& model_;
@@ -71,7 +75,8 @@ class SelectPushThroughJoinRule final : public TransformationRule {
 class SelectPullFromJoinRule final : public TransformationRule {
  public:
   explicit SelectPullFromJoinRule(const RelModel& model);
-  RexPtr Apply(const Binding& binding, const Memo& memo) const override;
+  Rex::Ref Apply(const Binding& binding, const Memo& memo,
+                 Rex& out) const override;
 
  private:
   const RelModel& model_;
@@ -81,7 +86,8 @@ class SelectPullFromJoinRule final : public TransformationRule {
 class IntersectCommuteRule final : public TransformationRule {
  public:
   explicit IntersectCommuteRule(const RelModel& model);
-  RexPtr Apply(const Binding& binding, const Memo& memo) const override;
+  Rex::Ref Apply(const Binding& binding, const Memo& memo,
+                 Rex& out) const override;
 
  private:
   const RelModel& model_;
@@ -91,7 +97,8 @@ class IntersectCommuteRule final : public TransformationRule {
 class UnionCommuteRule final : public TransformationRule {
  public:
   explicit UnionCommuteRule(const RelModel& model);
-  RexPtr Apply(const Binding& binding, const Memo& memo) const override;
+  Rex::Ref Apply(const Binding& binding, const Memo& memo,
+                 Rex& out) const override;
 
  private:
   const RelModel& model_;
@@ -104,7 +111,8 @@ class SelectThroughAggregateRule final : public TransformationRule {
  public:
   explicit SelectThroughAggregateRule(const RelModel& model);
   bool Condition(const Binding& binding, const Memo& memo) const override;
-  RexPtr Apply(const Binding& binding, const Memo& memo) const override;
+  Rex::Ref Apply(const Binding& binding, const Memo& memo,
+                 Rex& out) const override;
 
  private:
   const RelModel& model_;
@@ -119,7 +127,8 @@ class UnnestInToSemijoinRule final : public TransformationRule {
  public:
   explicit UnnestInToSemijoinRule(const RelModel& model);
   bool Condition(const Binding& binding, const Memo& memo) const override;
-  RexPtr Apply(const Binding& binding, const Memo& memo) const override;
+  Rex::Ref Apply(const Binding& binding, const Memo& memo,
+                 Rex& out) const override;
 
  private:
   const RelModel& model_;
@@ -131,7 +140,8 @@ class UnnestExistsToSemijoinRule final : public TransformationRule {
  public:
   explicit UnnestExistsToSemijoinRule(const RelModel& model);
   bool Condition(const Binding& binding, const Memo& memo) const override;
-  RexPtr Apply(const Binding& binding, const Memo& memo) const override;
+  Rex::Ref Apply(const Binding& binding, const Memo& memo,
+                 Rex& out) const override;
 
  private:
   const RelModel& model_;
@@ -143,7 +153,8 @@ class UnnestToAntijoinRule final : public TransformationRule {
  public:
   explicit UnnestToAntijoinRule(const RelModel& model);
   bool Condition(const Binding& binding, const Memo& memo) const override;
-  RexPtr Apply(const Binding& binding, const Memo& memo) const override;
+  Rex::Ref Apply(const Binding& binding, const Memo& memo,
+                 Rex& out) const override;
 
  private:
   const RelModel& model_;
@@ -158,7 +169,8 @@ class OuterJoinToJoinRule final : public TransformationRule {
  public:
   explicit OuterJoinToJoinRule(const RelModel& model);
   bool Condition(const Binding& binding, const Memo& memo) const override;
-  RexPtr Apply(const Binding& binding, const Memo& memo) const override;
+  Rex::Ref Apply(const Binding& binding, const Memo& memo,
+                 Rex& out) const override;
 
  private:
   const RelModel& model_;
@@ -172,7 +184,8 @@ class SemijoinReorderRule final : public TransformationRule {
  public:
   explicit SemijoinReorderRule(const RelModel& model);
   bool Condition(const Binding& binding, const Memo& memo) const override;
-  RexPtr Apply(const Binding& binding, const Memo& memo) const override;
+  Rex::Ref Apply(const Binding& binding, const Memo& memo,
+                 Rex& out) const override;
 
  private:
   const RelModel& model_;
@@ -182,7 +195,8 @@ class SemijoinReorderRule final : public TransformationRule {
 class DistinctCollapseRule final : public TransformationRule {
  public:
   explicit DistinctCollapseRule(const RelModel& model);
-  RexPtr Apply(const Binding& binding, const Memo& memo) const override;
+  Rex::Ref Apply(const Binding& binding, const Memo& memo,
+                 Rex& out) const override;
 
  private:
   const RelModel& model_;
@@ -193,7 +207,8 @@ class DistinctCollapseRule final : public TransformationRule {
 class SemijoinAbsorbDistinctRule final : public TransformationRule {
  public:
   explicit SemijoinAbsorbDistinctRule(const RelModel& model);
-  RexPtr Apply(const Binding& binding, const Memo& memo) const override;
+  Rex::Ref Apply(const Binding& binding, const Memo& memo,
+                 Rex& out) const override;
 
  private:
   const RelModel& model_;
@@ -203,7 +218,8 @@ class SemijoinAbsorbDistinctRule final : public TransformationRule {
 class AntijoinAbsorbDistinctRule final : public TransformationRule {
  public:
   explicit AntijoinAbsorbDistinctRule(const RelModel& model);
-  RexPtr Apply(const Binding& binding, const Memo& memo) const override;
+  Rex::Ref Apply(const Binding& binding, const Memo& memo,
+                 Rex& out) const override;
 
  private:
   const RelModel& model_;

@@ -75,11 +75,16 @@ class TransformationRule : public Rule {
  public:
   using Rule::Rule;
 
-  /// Builds the equivalent expression. Leaves reference the classes bound by
-  /// the pattern; inner nodes may be new. The engine inserts the result into
+  /// Builds the equivalent expression in `out` and returns its root, or
+  /// Rex::kNone to decline. Leaves reference the classes bound by the
+  /// pattern; inner nodes may be new. The engine inserts the result into
   /// the matched expression's class (detecting duplicates and merging
-  /// classes when needed).
-  virtual RexPtr Apply(const Binding& binding, const Memo& memo) const = 0;
+  /// classes when needed) and then clears `out`, a buffer the optimizer
+  /// owns and reuses: a body is one expression,
+  ///   return out.Node(op, arg, {out.Leaf(b.leaf(1)), out.Leaf(b.leaf(0))});
+  /// and an argument the rule must create goes through out.Derived().
+  virtual Rex::Ref Apply(const Binding& binding, const Memo& memo,
+                         Rex& out) const = 0;
 
   /// Transformation rules disabled on the top expression of this rule's
   /// result, as a mask of rule ids. The engine ORs it into the expression's

@@ -31,10 +31,19 @@ uint64_t MixInputs(uint64_t base, std::span<const GroupId> inputs) {
 }  // namespace
 
 Memo::~Memo() {
-  // Arena storage is released wholesale; run the node destructors explicitly
-  // (MExpr holds an OpArgPtr, Group holds plans and logical properties).
+  // Arena storage is released wholesale; run the expression destructors
+  // explicitly (MExpr holds an OpArgPtr).
   for (MExpr* m : exprs_) m->~MExpr();
-  for (Group* g : groups_) g->~Group();
+}
+
+void Group::Recycle() {
+  exprs_.clear();
+  referencing_.clear();
+  logical_.reset();
+  explored_ = false;
+  exploring_ = false;
+  winners_.ClearKeepingCapacity();
+  in_progress_.ClearKeepingCapacity();
 }
 
 GroupId Memo::Find(GroupId g) const {
@@ -59,10 +68,9 @@ GroupId Memo::NewGroup(OperatorId op, const OpArg* arg,
   LogicalPropsPtr lp = model_.DeriveLogicalProps(op, arg, scratch_in_props_);
   scratch_in_props_.clear();
 
-  GroupId id = static_cast<GroupId>(groups_.size());
-  Group* grp = arena_.New<Group>();
-  grp->logical_ = std::move(lp);
-  groups_.push_back(grp);
+  GroupId id = static_cast<GroupId>(parent_.size());
+  if (id == groups_.size()) groups_.push_back(std::make_unique<Group>());
+  groups_[id]->logical_ = std::move(lp);
   parent_.push_back(id);
   ++num_live_groups_;
   VOLCANO_TRACE(trace_, {.kind = TraceEventKind::kGroupCreated, .group = id});
@@ -117,12 +125,13 @@ std::pair<MExpr*, bool> Memo::InsertMExpr(OperatorId op, OpArgPtr arg,
   sig_table_.InsertHashed(hash, m);
 
   // Register m under each distinct input class for later re-canonicalization.
-  scratch_distinct_ = scratch_inputs_;
-  std::sort(scratch_distinct_.begin(), scratch_distinct_.end());
-  scratch_distinct_.erase(
-      std::unique(scratch_distinct_.begin(), scratch_distinct_.end()),
-      scratch_distinct_.end());
-  for (GroupId in : scratch_distinct_) referencing_[in].push_back(m);
+  for (size_t i = 0; i < scratch_inputs_.size(); ++i) {
+    const GroupId in = scratch_inputs_[i];
+    if (std::find(scratch_inputs_.begin(), scratch_inputs_.begin() + i, in) ==
+        scratch_inputs_.begin() + i) {
+      groups_[in]->referencing_.push_back(m);
+    }
+  }
 
   return {m, true};
 }
@@ -137,29 +146,30 @@ GroupId Memo::InsertQuery(const Expr& expr) {
   return Find(m->group());
 }
 
-GroupId Memo::InsertRex(const RexNode& rex, GroupId target,
+GroupId Memo::InsertRex(const Rex& rex, Rex::Ref root, GroupId target,
                         MExpr** created) {
   if (created != nullptr) *created = nullptr;
   if (target != kInvalidGroup) target = Find(target);
-  if (rex.is_leaf()) {
+  if (rex.is_leaf(root)) {
     VOLCANO_CHECK(target != kInvalidGroup);
     // The rule rewrote the expression to one of its sub-results (e.g. a
     // no-op elimination): the classes are simply equivalent.
-    GroupId leaf = Find(rex.group());
+    GroupId leaf = Find(rex.group(root));
     if (leaf != target) MergeGroups(leaf, target);
     return Find(target);
   }
 
-  std::vector<GroupId> inputs;
-  inputs.reserve(rex.inputs().size());
-  for (const auto& in : rex.inputs()) {
-    if (in->is_leaf()) {
-      inputs.push_back(Find(in->group()));
-    } else {
-      inputs.push_back(InsertRex(*in, kInvalidGroup));
-    }
+  // Rule outputs are a few operators deep with a handful of inputs each,
+  // so the input list stays inline.
+  SmallVector<GroupId, 4> inputs;
+  for (Rex::Ref in : rex.inputs(root)) {
+    inputs.push_back(rex.is_leaf(in) ? Find(rex.group(in))
+                                     : InsertRex(rex, in, kInvalidGroup));
   }
-  auto [m, is_new] = InsertMExpr(rex.op(), rex.arg(), inputs, target);
+  auto [m, is_new] =
+      InsertMExpr(rex.op(root), rex.arg(root),
+                  std::span<const GroupId>(inputs.data(), inputs.size()),
+                  target);
   if (created != nullptr && is_new) *created = m;
   return Find(target == kInvalidGroup ? m->group() : target);
 }
@@ -216,11 +226,9 @@ void Memo::RunMergeWorklist() {
     ga.explored_ = false;
 
     // Re-canonicalize every expression that referenced the loser class.
-    std::vector<MExpr*>* rvec = referencing_.Find(b);
-    if (rvec == nullptr) continue;
-    std::vector<MExpr*> refs = std::move(*rvec);
-    referencing_.Erase(b);
-    for (MExpr* m : refs) {
+    merge_refs_.clear();
+    merge_refs_.swap(gb.referencing_);
+    for (MExpr* m : merge_refs_) {
       if (m->dead_) continue;
       // Invariant: a live expression's signature-table entry is keyed by its
       // current sig_hash_ and (op, arg, inputs). Erase, normalize the input
@@ -253,7 +261,7 @@ void Memo::RunMergeWorklist() {
       sig_table_.InsertHashed(h, m);
       for (GroupId in : m->inputs()) {
         if (in == a) {
-          std::vector<MExpr*>& vec = referencing_[a];
+          std::vector<MExpr*>& vec = groups_[a]->referencing_;
           if (std::find(vec.begin(), vec.end(), m) == vec.end()) {
             vec.push_back(m);
           }
@@ -266,7 +274,7 @@ void Memo::RunMergeWorklist() {
 }
 
 void Memo::StoreWinner(GroupId g, Goal goal, Winner w) {
-  VOLCANO_DCHECK(w.plan != nullptr);
+  VOLCANO_DCHECK(w.choice != nullptr);
   Group& grp = *groups_[Find(g)];
   Winner* cur = grp.winners_.Find(goal);
   if (cur == nullptr) {
@@ -276,17 +284,33 @@ void Memo::StoreWinner(GroupId g, Goal goal, Winner w) {
   if (model_.cost_model().Less(w.cost, cur->cost)) *cur = std::move(w);
 }
 
+void Memo::DropWinners() {
+  for (size_t g = 0; g < parent_.size(); ++g) {
+    groups_[g]->winners_.ClearKeepingCapacity();
+  }
+}
+
+PlanChoice* Memo::NewChoice() {
+  const size_t block = num_choices_ / kChoiceBlock;
+  if (block == choice_blocks_.size()) {
+    choice_blocks_.emplace_back(new PlanChoice[kChoiceBlock]);
+  }
+  return &choice_blocks_[block][num_choices_++ % kChoiceBlock];
+}
+
 void Memo::Reset() {
   for (MExpr* m : exprs_) m->~MExpr();
-  for (Group* g : groups_) g->~Group();
   exprs_.clear();
-  groups_.clear();
+  for (size_t g = 0; g < parent_.size(); ++g) groups_[g]->Recycle();
+  for (size_t i = 0; i < num_choices_; ++i) {
+    choice_blocks_[i / kChoiceBlock][i % kChoiceBlock] = PlanChoice{};
+  }
+  num_choices_ = 0;
   parent_.clear();
-  sig_table_.Clear();
-  referencing_.Clear();
+  sig_table_.ClearKeepingCapacity();
+  merge_refs_.clear();
   merge_worklist_.clear();
   scratch_inputs_.clear();
-  scratch_distinct_.clear();
   scratch_in_props_.clear();
   interner_.Clear();  // must precede arena Reset conceptually: its cached
                       // canonical pointer refers to vectors it pinned alive
@@ -301,7 +325,7 @@ void Memo::Reset() {
 
 std::vector<GroupId> Memo::LiveGroups() const {
   std::vector<GroupId> out;
-  for (GroupId g = 0; g < groups_.size(); ++g) {
+  for (GroupId g = 0; g < parent_.size(); ++g) {
     if (Find(g) == g) out.push_back(g);
   }
   return out;
@@ -331,7 +355,7 @@ std::string Memo::ToString() const {
       os << "  goal " << key.required->ToString();
       if (key.excluded != nullptr)
         os << " excluding " << key.excluded->ToString();
-      os << " -> " << PlanToLine(*w.plan, reg) << " cost "
+      os << " -> " << PlanToLine(*BuildPlan(*w.choice), reg) << " cost "
          << model_.cost_model().ToString(w.cost) << "\n";
     });
   }

@@ -14,9 +14,10 @@
 // without a cost limit (search_options.h, branch_and_bound), so below the
 // root nothing fails for cost and a failure record would never be read.
 //
-// Memory layout (see DESIGN.md §7): multi-expressions and classes are
-// bump-allocated from a per-memo arena; input-class lists are arena arrays
-// normalized in place across merges; all look-up tables are open-addressing
+// Memory layout (see DESIGN.md §7): multi-expressions are bump-allocated
+// from a per-memo arena; input-class lists are arena arrays normalized in
+// place across merges; classes and plan choices are kept across Reset and
+// reused by the next query; all look-up tables are open-addressing
 // (support/flat_hash.h); and optimization goals are canonicalized through a
 // property-vector interner so goal equality is pointer identity and goal
 // hashes are precomputed.
@@ -127,9 +128,10 @@ class MExpr {
 };
 
 /// The best plan found for one (class, required properties, exclusion)
-/// optimization goal, with its cost.
+/// optimization goal, with its cost: the winning move as the search
+/// recorded it (see PlanChoice), owned by the memo.
 struct Winner {
-  PlanPtr plan;  ///< never null
+  const PlanChoice* choice = nullptr;  ///< never null once stored
   Cost cost;
 };
 
@@ -175,7 +177,9 @@ struct GoalHash {
 };
 
 /// An equivalence class: logical expressions, winners per goal, logical
-/// properties, and exploration state. Instances live in the memo's arena.
+/// properties, and exploration state. The memo keeps its Group objects
+/// across Reset and hands them out again, with their vectors' and tables'
+/// capacity, to the next query's classes.
 class Group {
  public:
   const std::vector<MExpr*>& exprs() const { return exprs_; }
@@ -209,7 +213,13 @@ class Group {
  private:
   friend class Memo;
 
+  /// Empties the class for reuse, keeping every container's capacity.
+  void Recycle();
+
   std::vector<MExpr*> exprs_;
+  // Parents index: expressions that take this class as an input, used to
+  // re-canonicalize their signatures when the class merges away.
+  std::vector<MExpr*> referencing_;
   LogicalPropsPtr logical_;
   bool explored_ = false;
   bool exploring_ = false;
@@ -230,11 +240,12 @@ class Memo {
   /// Copies a query tree into the memo; returns the root class.
   GroupId InsertQuery(const Expr& expr);
 
-  /// Inserts a rule-produced expression, with the root going into class
-  /// `target`. May merge classes; returns the (normalized) root class.
-  /// `*created`, when given, is set to the root expression if this call
-  /// created it, and to null if it already existed (or the root is a leaf).
-  GroupId InsertRex(const RexNode& rex, GroupId target,
+  /// Inserts the rule-produced expression rooted at `root` of `rex`, with
+  /// the root going into class `target`. May merge classes; returns the
+  /// (normalized) root class. `*created`, when given, is set to the root
+  /// expression if this call created it, and to null if it already existed
+  /// (or the root is a leaf).
+  GroupId InsertRex(const Rex& rex, Rex::Ref root, GroupId target,
                     MExpr** created = nullptr);
 
   /// Inserts one multi-expression. `target == kInvalidGroup` means "create a
@@ -295,6 +306,14 @@ class Memo {
     StoreWinner(g, CanonicalGoal(key.required, key.excluded), std::move(w));
   }
 
+  /// Forgets every class's winners (the choices stay valid until Reset).
+  void DropWinners();
+
+  /// A blank plan choice from the memo's store, valid until Reset. The
+  /// store keeps its blocks across Reset, so a query that records no more
+  /// choices than an earlier one allocates none.
+  PlanChoice* NewChoice();
+
   bool IsInProgress(GroupId g, Goal goal) const {
     return group(g).in_progress_.Contains(goal);
   }
@@ -334,10 +353,13 @@ class Memo {
 
   // --- reuse --------------------------------------------------------------
 
-  /// Returns the memo to its freshly-constructed state: destroys every node,
-  /// clears all tables, rewinds the arena, and — critically — clears the
-  /// property interner (its one-entry cache would otherwise serve stale
-  /// canonical pointers into freed storage; see PropsInterner::Clear).
+  /// Returns the memo to its freshly-constructed state: destroys every
+  /// expression, empties every class and table, rewinds the arena, and —
+  /// critically — clears the property interner (its one-entry cache would
+  /// otherwise serve stale canonical pointers into freed storage; see
+  /// PropsInterner::Clear). Class objects, plan choices and table capacity
+  /// are kept for the next query, so a query no larger than an earlier one
+  /// allocates nothing for them.
   void Reset();
 
   // --- statistics ---------------------------------------------------------
@@ -363,27 +385,34 @@ class Memo {
   void MergeGroups(GroupId a, GroupId b);
   void RunMergeWorklist();
 
+  static constexpr size_t kChoiceBlock = 64;
+
   const DataModel& model_;
   Arena arena_;
-  // All nodes ever created, live and dead; the arena never runs destructors,
-  // so ~Memo destroys them explicitly through these lists.
-  std::vector<Group*> groups_;
+  // Class objects: the first parent_.size() are this query's classes (live
+  // and merged away), the rest wait for reuse.
+  std::vector<std::unique_ptr<Group>> groups_;
+  // All expressions created, live and dead; the arena never runs
+  // destructors, so Reset and ~Memo destroy them through this list.
   std::vector<MExpr*> exprs_;
-  mutable std::vector<GroupId> parent_;  // union-find
+  mutable std::vector<GroupId> parent_;  // union-find; one entry per class
   // Signature table: the key *is* the expression (its op/arg/inputs are the
   // signature; its sig_hash_ is the stored slot hash). Every access goes
   // through the *Hashed entry points; the set's default hash functor is
   // never invoked.
   FlatHashSet<MExpr*> sig_table_;
-  // Parents index: classes -> expressions referencing them as inputs; used
-  // to re-canonicalize signatures after merges.
-  FlatHashMap<GroupId, std::vector<MExpr*>> referencing_;
+  // A merged-away class's parents index while it is re-canonicalized
+  // (swapped, so both vectors keep their capacity).
+  std::vector<MExpr*> merge_refs_;
   std::vector<std::pair<GroupId, GroupId>> merge_worklist_;
+  // Plan choices in fixed blocks (stable addresses); the first
+  // num_choices_ are this query's.
+  std::vector<std::unique_ptr<PlanChoice[]>> choice_blocks_;
+  size_t num_choices_ = 0;
   mutable PropsInterner interner_;
   // Scratch buffers for the non-reentrant insertion path (InsertMExpr never
   // calls itself; merges normalize in place and don't use these).
   std::vector<GroupId> scratch_inputs_;
-  std::vector<GroupId> scratch_distinct_;
   std::vector<LogicalPropsPtr> scratch_in_props_;
   bool merging_ = false;
   size_t num_live_groups_ = 0;

@@ -183,7 +183,7 @@ void Optimizer::ResetForReuse() {
   trip_ = BudgetTrip::kNone;
   // The seed plan references logical properties and groups of the memo era
   // being discarded; a reused optimizer must re-seed per query.
-  seed_ = Result{};
+  seed_plan_ = nullptr;
   has_seed_ = false;
   seed_active_ = false;
   seed_group_ = kInvalidGroup;
@@ -191,6 +191,8 @@ void Optimizer::ResetForReuse() {
   big_join_mode_ = false;
   join_complexity_ = 0;
   transforms_fired_ = 0;
+  capped_winners_ = false;
+  if (engine_ != nullptr) engine_->ResetForReuse();
   resume_group_ = kInvalidGroup;
   resume_required_ = nullptr;
   stack_base_ = nullptr;
@@ -291,6 +293,10 @@ StatusOr<PlanPtr> Optimizer::OptimizeGroup(GroupId group,
     engine_->Abandon();
     RestoreEscalation();
   }
+  if (capped_winners_) {
+    memo_.DropWinners();
+    capped_winners_ = false;
+  }
   char base;
   stack_base_ = &base;
   PhaseScope total_scope(options_.collect_phase_timing,
@@ -307,11 +313,11 @@ StatusOr<PlanPtr> Optimizer::OptimizeGroup(GroupId group,
   seed_active_ = has_seed_ &&
                  memo_.Find(seed_group_) == memo_.Find(group) &&
                  seed_required_.get() == required.get();
-  const bool tightened = seed_active_ && cm.Less(seed_.cost, limit);
-  Cost run_limit = tightened ? seed_.cost : limit;
+  const bool tightened = seed_active_ && cm.Less(seed_cost_, limit);
+  Cost run_limit = tightened ? seed_cost_ : limit;
   if (engine_ == nullptr) engine_ = std::make_unique<TaskEngine>(*this);
   Result r = engine_->Run(group, required, run_limit);
-  if (!engine_->suspended() && r.plan == nullptr && tightened && !aborted() &&
+  if (!engine_->suspended() && r.choice == nullptr && tightened && !aborted() &&
       !big_join_mode_) {
     // The optimum sits on the tightened boundary (the greedy seed was
     // already optimal, modulo cost-accumulation rounding): prove it out
@@ -327,7 +333,7 @@ StatusOr<PlanPtr> Optimizer::OptimizeGroup(GroupId group,
     resume_limit_ = run_limit;
     return SuspendedStatus();
   }
-  return FinalizeTopLevel(std::move(r), group, required, limit);
+  return FinalizeTopLevel(r, group, required, limit);
 }
 
 Status Optimizer::SuspendedStatus() {
@@ -366,8 +372,8 @@ StatusOr<PlanPtr> Optimizer::Resume() {
                          &metrics_.phases.total_seconds);
   Result r = engine_->Continue();
   if (engine_->suspended()) return SuspendedStatus();
-  StatusOr<PlanPtr> result = FinalizeTopLevel(
-      std::move(r), resume_group_, resume_required_, resume_limit_);
+  StatusOr<PlanPtr> result =
+      FinalizeTopLevel(r, resume_group_, resume_required_, resume_limit_);
   // A resumed big-join call ends here: hand the caller's knobs back, after
   // FinalizeTopLevel has consumed big_join_mode_ (exactly as the
   // uninterrupted Optimize() flow orders restore after finalize).
@@ -418,34 +424,34 @@ StatusOr<PlanPtr> Optimizer::FinalizeTopLevel(Result r, GroupId group,
     // Ladder step 1 — anytime mode: the root goal's incumbent, if any, is a
     // complete, executable plan within the cost limit (a move installs only
     // once all its inputs are planned); return it tagged approximate.
-    if (r.plan != nullptr) {
-      VOLCANO_CHECK(r.plan->props().get() == required.get() ||
-                    r.plan->props()->Covers(*required));
+    if (r.choice != nullptr) {
+      VOLCANO_CHECK(r.choice->props.get() == required.get() ||
+                    r.choice->props->Covers(*required));
       outcome_.source = PlanSource::kAnytimeIncumbent;
       outcome_.approximate = true;
-      return std::move(r.plan);
+      return BuildPlan(*r.choice);
     }
     // Ladder step 1.5 — the greedy join seed planned before the search
     // started (SearchOptions::join_seed): a complete plan within the limit,
     // guaranteed for above-threshold joins whose escalation deadline
     // tripped before the search installed any incumbent.
-    if (seed_active_ && seed_.plan != nullptr &&
-        cm.LessEq(seed_.cost, limit)) {
-      VOLCANO_CHECK(seed_.plan->props().get() == required.get() ||
-                    seed_.plan->props()->Covers(*required));
+    if (seed_active_ && seed_plan_ != nullptr &&
+        cm.LessEq(seed_cost_, limit)) {
+      VOLCANO_CHECK(seed_plan_->props().get() == required.get() ||
+                    seed_plan_->props()->Covers(*required));
       outcome_.source = PlanSource::kGreedySeed;
       outcome_.approximate = true;
-      return seed_.plan;
+      return seed_plan_;
     }
     // Ladder step 2 — bounded greedy heuristic over the frozen memo.
     if (options_.heuristic_fallback) {
       Result g = GreedyPlan(group, required, nullptr, 0);
-      if (g.plan != nullptr && cm.LessEq(g.cost, limit)) {
-        VOLCANO_CHECK(g.plan->props().get() == required.get() ||
-                      g.plan->props()->Covers(*required));
+      if (g.choice != nullptr && cm.LessEq(g.cost, limit)) {
+        VOLCANO_CHECK(g.choice->props.get() == required.get() ||
+                      g.choice->props->Covers(*required));
         outcome_.source = PlanSource::kHeuristic;
         outcome_.approximate = true;
-        return std::move(g.plan);
+        return BuildPlan(*g.choice);
       }
     }
     return ExhaustedStatus();
@@ -454,20 +460,20 @@ StatusOr<PlanPtr> Optimizer::FinalizeTopLevel(Result r, GroupId group,
   // cut-down transformation closure: the plan is usable but must not be
   // treated — or cached by the serving layer — as proven optimal.
   if (ExploreCapReached()) outcome_.approximate = true;
-  if (r.plan == nullptr) {
+  if (r.choice == nullptr) {
     // A seeded search that completes empty proved no plan beats the seed
     // under the tightened limit — the seed itself is then the optimum
     // within the caller's limit (modulo limit-boundary ties).
-    if (seed_active_ && seed_.plan != nullptr &&
-        cm.LessEq(seed_.cost, limit)) {
-      VOLCANO_CHECK(seed_.plan->props().get() == required.get() ||
-                    seed_.plan->props()->Covers(*required));
+    if (seed_active_ && seed_plan_ != nullptr &&
+        cm.LessEq(seed_cost_, limit)) {
+      VOLCANO_CHECK(seed_plan_->props().get() == required.get() ||
+                    seed_plan_->props()->Covers(*required));
       outcome_.source = PlanSource::kGreedySeed;
       // A guided (big-join) search skips moves, so completing empty under
       // the tightened limit does not prove the seed optimal. OR-preserving:
       // the explore-cap flag above must survive.
       if (big_join_mode_) outcome_.approximate = true;
-      return seed_.plan;
+      return seed_plan_;
     }
     return Status::NotFound(
         "no plan satisfies required properties " + required->ToString() +
@@ -477,9 +483,9 @@ StatusOr<PlanPtr> Optimizer::FinalizeTopLevel(Result r, GroupId group,
   // properties really do satisfy the physical property vector of the goal.
   // A pointer match (plan props shared with the goal) skips the virtual
   // Covers call.
-  VOLCANO_CHECK(r.plan->props().get() == required.get() ||
-                r.plan->props()->Covers(*required));
-  return std::move(r.plan);
+  VOLCANO_CHECK(r.choice->props.get() == required.get() ||
+                r.choice->props->Covers(*required));
+  return BuildPlan(*r.choice);
 }
 
 void Optimizer::PrepareJoinSeed(const Expr& query, GroupId root,
@@ -487,7 +493,7 @@ void Optimizer::PrepareJoinSeed(const Expr& query, GroupId root,
   has_seed_ = false;
   seed_active_ = false;
   big_join_mode_ = false;
-  seed_ = Result{};
+  seed_plan_ = nullptr;
   const int complexity = model_.JoinComplexity(query);
   join_complexity_ = complexity;
   if (complexity < 3) return;  // nothing a join order could improve
@@ -511,8 +517,8 @@ void Optimizer::PrepareJoinSeed(const Expr& query, GroupId root,
   }
   StatusOr<PlanPtr> planned = seeder_->Optimize(*reordered, required);
   if (!planned.ok() || planned.value() == nullptr) return;
-  seed_.plan = planned.value();
-  seed_.cost = seed_.plan->cost();
+  seed_plan_ = planned.value();
+  seed_cost_ = seed_plan_->cost();
   has_seed_ = true;
   seed_group_ = memo_.Find(root);
   seed_required_ = required;
@@ -623,19 +629,44 @@ void Optimizer::CollectAlgorithmMoves(GroupId group,
   }
 }
 
-void Optimizer::CreditWinner(const PlanNode& plan) {
-  const char* rule = plan.rule();
-  if (rule == nullptr) return;
-  // Rule names on plan nodes are borrowed from the RuleSet's std::strings,
-  // so pointer equality identifies the rule.
-  std::vector<RuleCounters>& table =
-      plan.from_enforcer() ? metrics_.enforcers : metrics_.implementations;
-  for (RuleCounters& rc : table) {
-    if (rc.name == rule) {
-      ++rc.winners;
-      return;
-    }
-  }
+void Optimizer::CreditWinner(const PlanChoice& choice) {
+  if (choice.rule == nullptr) return;
+  std::vector<RuleCounters>& table = choice.from_enforcer()
+                                         ? metrics_.enforcers
+                                         : metrics_.implementations;
+  ++table[choice.rule_index].winners;
+}
+
+void Optimizer::RecordAlgorithm(
+    PlanChoice* c, const Move& mv, const LogicalPropsPtr& logical,
+    const Cost& total, const std::vector<const PlanChoice*>& inputs) const {
+  c->op = mv.rule->algorithm();
+  c->arg = mv.rule->PlanArg(mv.binding, memo_);
+  c->enforcer = nullptr;
+  c->rule = mv.rule->name().c_str();
+  c->rule_index = mv.rule->id();
+  c->props = mv.alt.delivered;
+  c->logical = logical;
+  c->cost = total;
+  c->inputs.clear();
+  for (const PlanChoice* in : inputs) c->inputs.push_back(in);
+}
+
+void Optimizer::RecordEnforcer(PlanChoice* c, const EnforcerRule& enforcer,
+                               uint32_t enforcer_id,
+                               const PhysPropsPtr& delivered,
+                               const LogicalPropsPtr& logical,
+                               const Cost& total, const PlanChoice* input) {
+  c->op = enforcer.enforcer();
+  c->arg = nullptr;
+  c->enforcer = &enforcer;
+  c->rule = enforcer.name().c_str();
+  c->rule_index = enforcer_id;
+  c->props = delivered;
+  c->logical = logical;
+  c->cost = total;
+  c->inputs.clear();
+  c->inputs.push_back(input);
 }
 
 void Optimizer::CollectEnforcerMoves(const PhysPropsPtr& required,
@@ -672,7 +703,7 @@ Optimizer::Result Optimizer::GreedyPlan(GroupId group,
   // Winners recorded before the budget tripped are optimal and complete —
   // reuse them rather than re-planning greedily.
   if (const Winner* w = memo_.FindWinner(group, goal)) {
-    return {w->plan, w->cost};
+    return {w->choice, w->cost};
   }
   if (memo_.IsInProgress(group, goal)) return failure;
   memo_.MarkInProgress(group, goal);
@@ -696,26 +727,23 @@ Optimizer::Result Optimizer::GreedyPlan(GroupId group,
       Cost total = mv.rule->LocalCost(mv.binding, memo_);
       if (!AdmitLocalCost(&total)) continue;
       if (std::isinf(cm.Total(total))) continue;
-      std::vector<PlanPtr> children;
+      std::vector<const PlanChoice*> children;
       children.reserve(mv.binding.num_leaves());
       bool ok = true;
       for (size_t i = 0; i < mv.binding.num_leaves(); ++i) {
         Result r = GreedyPlan(mv.binding.leaf(i), mv.alt.input_props[i],
                               nullptr, depth + 1);
-        if (r.plan == nullptr) {
+        if (r.choice == nullptr) {
           ok = false;
           break;
         }
         total = cm.Add(total, r.cost);
-        children.push_back(std::move(r.plan));
+        children.push_back(r.choice);
       }
       if (!ok) continue;
-      best.plan = PlanNode::Make(mv.rule->algorithm(),
-                                 mv.rule->PlanArg(mv.binding, memo_),
-                                 std::move(children), mv.alt.delivered,
-                                 logical, total, mv.rule->name().c_str(),
-                                 /*from_enforcer=*/false);
-      best.cost = total;
+      PlanChoice* c = memo_.NewChoice();
+      RecordAlgorithm(c, mv, logical, total, children);
+      best = Result{c, total};
       break;
     }
     ++stats_.enforcer_moves;
@@ -725,14 +753,12 @@ Optimizer::Result Optimizer::GreedyPlan(GroupId group,
     if (std::isinf(cm.Total(local))) continue;
     Result r = GreedyPlan(group, mv.app.input_required, mv.app.excluded,
                           depth + 1);
-    if (r.plan == nullptr) continue;
+    if (r.choice == nullptr) continue;
     Cost total = cm.Add(local, r.cost);
-    best.plan = PlanNode::Make(mv.enforcer->enforcer(),
-                               mv.enforcer->PlanArg(*mv.app.delivered),
-                               {r.plan}, mv.app.delivered, logical, total,
-                               mv.enforcer->name().c_str(),
-                               /*from_enforcer=*/true);
-    best.cost = total;
+    PlanChoice* c = memo_.NewChoice();
+    RecordEnforcer(c, *mv.enforcer, mv.enforcer_id, mv.app.delivered, logical,
+                   total, r.choice);
+    best = Result{c, total};
     break;
   }
   memo_.UnmarkInProgress(group, goal);

@@ -96,8 +96,9 @@ class Optimizer {
   StatusOr<PlanPtr> Resume(const OptimizationBudget& budget);
 
   /// Returns the optimizer to a fresh-query state while retaining its warmed
-  /// allocations: abandons any suspended search, resets the memo (arena
-  /// blocks and hash-table capacity are retained, see Memo::Reset), re-interns
+  /// allocations: abandons any suspended search, resets the memo (its
+  /// classes, plan choices, first arena block and hash-table capacity are
+  /// retained, see Memo::Reset), empties the rule-output buffer, re-interns
   /// the canonical "any" property vector, and zeroes the per-query stats and
   /// outcome. Cumulative rule metrics survive. This is the serving-layer hook
   /// that lets one Optimizer handle an unbounded request stream with a flat
@@ -144,8 +145,11 @@ class Optimizer {
   struct CtorTag {};
   Optimizer(const DataModel& model, SearchOptions options, CtorTag);
 
+  /// A goal's answer: its best plan as recorded in the memo, or null on
+  /// failure. BuildPlan turns the plan a top-level call returns into
+  /// PlanNodes.
   struct Result {
-    PlanPtr plan;  // null on failure
+    const PlanChoice* choice = nullptr;
     Cost cost;
   };
 
@@ -247,8 +251,21 @@ class Optimizer {
   bool AdmitLocalCost(Cost* cost);
 
   /// Credits the rule that produced a goal's final winner in the metrics
-  /// registry (matches by borrowed name pointer; see PlanNode::rule()).
-  void CreditWinner(const PlanNode& plan);
+  /// registry.
+  void CreditWinner(const PlanChoice& choice);
+
+  /// Records an algorithm move's plan in `c`: the move, its total cost and
+  /// the choices for its inputs.
+  void RecordAlgorithm(PlanChoice* c, const Move& mv,
+                       const LogicalPropsPtr& logical, const Cost& total,
+                       const std::vector<const PlanChoice*>& inputs) const;
+
+  /// Records an enforcer move's plan in `c` over the choice for its input.
+  static void RecordEnforcer(PlanChoice* c, const EnforcerRule& enforcer,
+                             uint32_t enforcer_id,
+                             const PhysPropsPtr& delivered,
+                             const LogicalPropsPtr& logical,
+                             const Cost& total, const PlanChoice* input);
 
   /// Ladder step 2: bounded promise-ordered greedy descent. Considers only
   /// algorithm/enforcer moves over expressions already in the memo (no
@@ -310,9 +327,10 @@ class Optimizer {
   BudgetTrip trip_ = BudgetTrip::kNone;
   // Join-order seeding state for the current top-level call (set by
   // Optimize(Expr) via PrepareJoinSeed, consumed by OptimizeGroup and
-  // FinalizeTopLevel). seed_ is valid only for the (group, required) pair
-  // it was planned for; seed_active_ is the per-call gate.
-  Result seed_{};
+  // FinalizeTopLevel). The seed plan is valid only for the (group,
+  // required) pair it was planned for; seed_active_ is the per-call gate.
+  PlanPtr seed_plan_;
+  Cost seed_cost_;
   std::unique_ptr<Optimizer> seeder_;  // physical-only; see PrepareJoinSeed
   bool has_seed_ = false;
   bool seed_active_ = false;
@@ -343,6 +361,11 @@ class Optimizer {
   // Transformation applications this top-level call, against
   // options_.explore_limit.
   uint64_t transforms_fired_ = 0;
+  // Set when a winner was memoized after the exploration cap was reached:
+  // chosen from a cut-down space, so the next top-level call drops the
+  // memo's winners before it searches (the rest of this call, big-join
+  // escalation included, still answers goals from them).
+  bool capped_winners_ = false;
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_{};
   size_t mexpr_cap_ = 0;

@@ -1,8 +1,24 @@
 #include "search/plan.h"
 
 #include <sstream>
+#include <utility>
+#include <vector>
+
+#include "rules/rule.h"
 
 namespace volcano {
+
+PlanPtr BuildPlan(const PlanChoice& choice) {
+  std::vector<PlanPtr> inputs;
+  inputs.reserve(choice.inputs.size());
+  for (const PlanChoice* in : choice.inputs) inputs.push_back(BuildPlan(*in));
+  OpArgPtr arg = choice.enforcer != nullptr
+                     ? choice.enforcer->PlanArg(*choice.props)
+                     : choice.arg;
+  return PlanNode::Make(choice.op, std::move(arg), std::move(inputs),
+                        choice.props, choice.logical, choice.cost, choice.rule,
+                        choice.from_enforcer());
+}
 
 namespace {
 
@@ -17,6 +33,25 @@ void Render(const PlanNode& plan, const OperatorRegistry& reg,
   for (const auto& in : plan.inputs()) Render(*in, reg, cm, indent + 1, os);
 }
 
+/// Appends the one-line rendering of `plan` to *out, so a whole plan is
+/// written into one string.
+void AppendLine(const PlanNode& plan, const OperatorRegistry& reg,
+                std::string* out) {
+  *out += reg.Name(plan.op());
+  if (plan.arg() != nullptr) {
+    *out += '[';
+    *out += plan.arg()->ToString();
+    *out += ']';
+  }
+  if (plan.inputs().empty()) return;
+  *out += '(';
+  for (size_t i = 0; i < plan.inputs().size(); ++i) {
+    if (i) *out += ", ";
+    AppendLine(*plan.input(i), reg, out);
+  }
+  *out += ')';
+}
+
 }  // namespace
 
 std::string PlanToString(const PlanNode& plan, const OperatorRegistry& reg,
@@ -27,16 +62,8 @@ std::string PlanToString(const PlanNode& plan, const OperatorRegistry& reg,
 }
 
 std::string PlanToLine(const PlanNode& plan, const OperatorRegistry& reg) {
-  std::string s = reg.Name(plan.op());
-  if (plan.arg() != nullptr) s += "[" + plan.arg()->ToString() + "]";
-  if (!plan.inputs().empty()) {
-    s += "(";
-    for (size_t i = 0; i < plan.inputs().size(); ++i) {
-      if (i) s += ", ";
-      s += PlanToLine(*plan.input(i), reg);
-    }
-    s += ")";
-  }
+  std::string s;
+  AppendLine(plan, reg, &s);
   return s;
 }
 

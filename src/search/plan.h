@@ -1,10 +1,13 @@
 // Physical plans.
 //
 // "The output of the optimizer is a plan, which is an expression over the
-// algebra of algorithms" (paper, section 2.2). PlanNode trees are immutable
-// and shared: the memo keeps the best plan per (class, physical property
-// vector), and larger plans reference those sub-plans without copying —
-// this sharing is the dynamic-programming memory saving.
+// algebra of algorithms" (paper, section 2.2). During the search the memo
+// keeps the best plan per (class, physical property vector) as a PlanChoice:
+// the winning move, its cost, and references to the choices for its inputs,
+// so larger plans share sub-plans without copying — the dynamic-programming
+// memory saving — and improving an incumbent builds nothing. PlanNode trees
+// are immutable and shared; they are built from choices once, for the plan
+// the optimizer returns.
 
 #ifndef VOLCANO_SEARCH_PLAN_H_
 #define VOLCANO_SEARCH_PLAN_H_
@@ -19,8 +22,11 @@
 #include "algebra/op_arg.h"
 #include "algebra/operator_def.h"
 #include "algebra/properties.h"
+#include "support/small_vector.h"
 
 namespace volcano {
+
+class EnforcerRule;
 
 class PlanNode;
 using PlanPtr = std::shared_ptr<const PlanNode>;
@@ -90,6 +96,35 @@ class PlanNode {
   const char* rule_;
   bool from_enforcer_;
 };
+
+/// The move a goal's search settled on, with its cost and the choices made
+/// for the move's inputs: a plan in the memo's own terms. The search records
+/// one per goal that finds a plan (its incumbent, then the memoized winner)
+/// in storage the memo recycles between queries (Memo::NewChoice); a
+/// PlanNode tree is built only for a plan handed out (BuildPlan).
+struct PlanChoice {
+  OperatorId op = kInvalidOperator;  ///< algorithm or enforcer
+  /// The algorithm's argument (ImplementationRule::PlanArg, taken when the
+  /// move installed). Null for an enforcer move: its argument depends only
+  /// on `props`, so BuildPlan asks `enforcer` for it.
+  OpArgPtr arg;
+  const EnforcerRule* enforcer = nullptr;  ///< set for an enforcer move
+  const char* rule = nullptr;  ///< producing rule's name (borrowed), or null
+  /// Implementation rule id, or enforcer registration index when `enforcer`
+  /// is set: the slot SearchMetrics credits.
+  uint32_t rule_index = 0;
+  PhysPropsPtr props;       ///< properties the plan delivers
+  LogicalPropsPtr logical;  ///< the class's logical properties
+  Cost cost;                ///< total, inputs included
+  SmallVector<const PlanChoice*, 3> inputs;
+
+  bool from_enforcer() const { return enforcer != nullptr; }
+};
+
+/// Builds the PlanNode tree a choice stands for. Every node's fields are the
+/// ones a plan built during the search would have had, the property vector
+/// the same pointer as the choice's.
+PlanPtr BuildPlan(const PlanChoice& choice);
 
 /// Multi-line, indented plan rendering for examples and debugging.
 std::string PlanToString(const PlanNode& plan, const OperatorRegistry& reg,

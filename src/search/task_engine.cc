@@ -233,6 +233,7 @@ TaskEngine::Matcher::Status TaskEngine::Matcher::Step(Memo& memo) {
 void TaskEngine::GoalFrame::Reuse() {
   marked = false;
   best = Optimizer::Result{};
+  incumbent = nullptr;
   logical = nullptr;
   moves.clear();
   bindings.clear();
@@ -410,7 +411,7 @@ bool TaskEngine::ProbeWinner(GroupId group, Goal goal, Cost limit,
   ++st.goals_completed;
   if (cm_.LessEq(w->cost, limit)) {
     ++st.memo_winner_hits;
-    *out = Optimizer::Result{w->plan, w->cost};
+    *out = Optimizer::Result{w->choice, w->cost};
   } else {
     ++st.memo_above_limit_hits;
     *out = Optimizer::Result{nullptr, limit};
@@ -496,16 +497,19 @@ void TaskEngine::FinishGoal(GoalFrame* f) {
   // Nothing is recorded once the budget has tripped: a truncated search
   // proves no plan optimal.
   if (!opt_.aborted()) {
-    if (opt_.options_.memoize_winners && f->best.plan != nullptr) {
+    if (opt_.options_.memoize_winners && f->best.choice != nullptr) {
       opt_.memo_.StoreWinner(group, f->goal,
-                             Winner{f->best.plan, f->best.cost});
+                             Winner{f->best.choice, f->best.cost});
+      // Chosen from a space the exploration cap cut down: good enough for
+      // the rest of this call, but the next one must not take it as final.
+      if (opt_.ExploreCapReached()) opt_.capped_winners_ = true;
     }
     SearchStats& st = opt_.stats_;
     ++st.goals_completed;
     ++st.goals_finished;
-    if (f->best.plan != nullptr) opt_.CreditWinner(*f->best.plan);
+    if (f->best.choice != nullptr) opt_.CreditWinner(*f->best.choice);
   }
-  *f->out = std::move(f->best);
+  *f->out = f->best;
   stack_.Pop();
   f->Reuse();
   goal_pool_.Release(f);
@@ -600,8 +604,11 @@ uint32_t TaskEngine::ApplyTransformation(const TransformationRule& rule,
       continue;  // injected: the rule fails to fire
     }
     ++metrics.transformations[rule.id()].fired;
-    RexPtr rex = rule.Apply(b, opt_.memo_);
-    if (rex == nullptr) continue;
+    const Rex::Ref root = rule.Apply(b, opt_.memo_, rex_);
+    if (root == Rex::kNone) {
+      rex_.Clear();
+      continue;
+    }
     ++st.transformations_applied;
     ++opt_.transforms_fired_;
     ++metrics.transformations[rule.id()].succeeded;
@@ -609,7 +616,8 @@ uint32_t TaskEngine::ApplyTransformation(const TransformationRule& rule,
     // Rules the deriving rule disables never fire on the expression it
     // creates; an expression the memo already held keeps its own bits.
     MExpr* created = nullptr;
-    opt_.memo_.InsertRex(*rex, opt_.memo_.Find(expr.group()), &created);
+    opt_.memo_.InsertRex(rex_, root, opt_.memo_.Find(expr.group()), &created);
+    rex_.Clear();
     if (created != nullptr) created->MarkFiredMask(rule.disables());
   }
   opt_.memo_.SetProvenance(nullptr);
@@ -813,12 +821,12 @@ void TaskEngine::StepGoal(GoalFrame* f) {
     case kGoalGlueDone: {
       // The glue ablation's tail: the base "any properties" goal has been
       // answered into glue_base; patch it with glue enforcers if needed.
-      if (f->glue_base.plan == nullptr) {
+      if (f->glue_base.choice == nullptr) {
         f->best = Optimizer::Result{nullptr, f->limit};
         FinishGoal(f);
         return;
       }
-      if (f->glue_base.plan->props()->Covers(**f->required)) {
+      if (f->glue_base.choice->props->Covers(**f->required)) {
         f->best = f->glue_base;
         f->best_cost = f->best.cost;
         FinishGoal(f);
@@ -826,27 +834,28 @@ void TaskEngine::StepGoal(GoalFrame* f) {
       }
       GroupId group = opt_.memo_.Find(f->group);
       const LogicalPropsPtr& logical = opt_.memo_.LogicalOf(group);
+      const std::vector<std::unique_ptr<EnforcerRule>>& enforcers =
+          rules_.enforcers();
       Optimizer::Result best{nullptr, f->limit};
-      for (const auto& enf : rules_.enforcers()) {
+      for (size_t i = 0; i < enforcers.size(); ++i) {
+        const EnforcerRule& enf = *enforcers[i];
         std::optional<EnforcerApplication> app =
-            enf->Enforce(*f->required, *logical);
+            enf.Enforce(*f->required, *logical);
         if (!app.has_value()) continue;
         ++opt_.stats_.enforcer_moves;
         ++opt_.stats_.cost_estimates;
-        Cost local = enf->LocalCost(*logical, *app->delivered);
+        Cost local = enf.LocalCost(*logical, *app->delivered);
         if (!opt_.AdmitLocalCost(&local)) continue;
         Cost total = cm.Add(f->glue_base.cost, local);
         if (!cm.LessEq(total, f->limit)) continue;
-        if (best.plan != nullptr && !cm.Less(total, best.cost)) continue;
-        best.plan = PlanNode::Make(enf->enforcer(),
-                                   enf->PlanArg(*app->delivered),
-                                   {f->glue_base.plan}, app->delivered,
-                                   logical, total, enf->name().c_str(),
-                                   /*from_enforcer=*/true);
-        best.cost = total;
+        if (best.choice != nullptr && !cm.Less(total, best.cost)) continue;
+        PlanChoice* c = Incumbent(f);
+        opt_.RecordEnforcer(c, enf, static_cast<uint32_t>(i), app->delivered,
+                            logical, total, f->glue_base.choice);
+        best = Optimizer::Result{c, total};
       }
-      f->best = std::move(best);
-      if (f->best.plan != nullptr) f->best_cost = f->best.cost;
+      f->best = best;
+      if (f->best.choice != nullptr) f->best_cost = f->best.cost;
       FinishGoal(f);
       return;
     }
@@ -973,43 +982,47 @@ void TaskEngine::StepGoal(GoalFrame* f) {
 // ---------------------------------------------------------------------------
 
 bool TaskEngine::TakeInput(MoveFrame* f) {
-  if (f->child_result.plan == nullptr) {
+  if (f->child_result.choice == nullptr) {
     FinishMove(f);
     return false;
   }
   f->total = cm_.Add(f->total, f->child_result.cost);
-  f->children.push_back(std::move(f->child_result.plan));
+  f->children.push_back(f->child_result.choice);
   ++f->input_idx;
   return true;
+}
+
+PlanChoice* TaskEngine::Incumbent(GoalFrame* goal) {
+  if (goal->incumbent == nullptr) goal->incumbent = opt_.memo_.NewChoice();
+  return goal->incumbent;
 }
 
 void TaskEngine::FinishEnforcer(MoveFrame* f) {
   const CostModel& cm = cm_;
   const Optimizer::Move& mv = *f->mv;
   GoalFrame* goal = f->goal;
-  if (f->child_result.plan == nullptr) {
+  if (f->child_result.choice == nullptr) {
     FinishMove(f);
     return;
   }
   Cost total = cm.Add(f->total, f->child_result.cost);
   if (!cm.LessEq(total, goal->best_cost) ||
-      (goal->best.plan != nullptr && !cm.Less(total, goal->best_cost))) {
+      (goal->best.choice != nullptr && !cm.Less(total, goal->best_cost))) {
     FinishMove(f);
     return;
   }
   VOLCANO_TRACE(opt_.options_.trace,
-                {.kind = goal->best.plan == nullptr
+                {.kind = goal->best.choice == nullptr
                              ? TraceEventKind::kWinnerInstalled
                              : TraceEventKind::kWinnerImproved,
                  .group = goal->group,
                  .rule_id = mv.enforcer_id,
                  .rule = mv.enforcer->name().c_str(),
                  .cost = cm.Total(total)});
-  goal->best.plan = PlanNode::Make(
-      mv.enforcer->enforcer(), mv.enforcer->PlanArg(*mv.app.delivered),
-      {f->child_result.plan}, mv.app.delivered, *goal->logical, total,
-      mv.enforcer->name().c_str(), /*from_enforcer=*/true);
-  goal->best.cost = total;
+  PlanChoice* c = Incumbent(goal);
+  opt_.RecordEnforcer(c, *mv.enforcer, mv.enforcer_id, mv.app.delivered,
+                      *goal->logical, total, f->child_result.choice);
+  goal->best = Optimizer::Result{c, total};
   goal->best_cost = total;
   ++opt_.metrics_.enforcers[mv.enforcer_id].succeeded;
   FinishMove(f);
@@ -1125,23 +1138,21 @@ void TaskEngine::StepMove(MoveFrame* f) {
 
   // All inputs planned: install if the move beats the incumbent.
   if (!cm.LessEq(f->total, goal->best_cost) ||
-      (goal->best.plan != nullptr && !cm.Less(f->total, goal->best_cost))) {
+      (goal->best.choice != nullptr && !cm.Less(f->total, goal->best_cost))) {
     FinishMove(f);
     return;
   }
   VOLCANO_TRACE(opt_.options_.trace,
-                {.kind = goal->best.plan == nullptr
+                {.kind = goal->best.choice == nullptr
                              ? TraceEventKind::kWinnerInstalled
                              : TraceEventKind::kWinnerImproved,
                  .group = goal->group,
                  .rule_id = mv.rule->id(),
                  .rule = mv.rule->name().c_str(),
                  .cost = cm.Total(f->total)});
-  goal->best.plan = PlanNode::Make(
-      mv.rule->algorithm(), mv.rule->PlanArg(mv.binding, opt_.memo_),
-      std::move(f->children), mv.alt.delivered, *goal->logical, f->total,
-      mv.rule->name().c_str(), /*from_enforcer=*/false);
-  goal->best.cost = f->total;
+  PlanChoice* c = Incumbent(goal);
+  opt_.RecordAlgorithm(c, mv, *goal->logical, f->total, f->children);
+  goal->best = Optimizer::Result{c, f->total};
   goal->best_cost = f->total;
   ++opt_.metrics_.implementations[mv.rule->id()].succeeded;
   FinishMove(f);

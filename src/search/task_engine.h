@@ -67,6 +67,10 @@ class TaskEngine {
   /// the frames, and leaves the memo consistent for a fresh Optimize call.
   void Abandon();
 
+  /// Forgets the rule-output buffer's derived arguments (between queries;
+  /// Optimizer::ResetForReuse).
+  void ResetForReuse() { rex_.Reset(); }
+
   // --- the iterative pattern matcher --------------------------------------
   // Enumerates the bindings of a pattern rooted at one expression with an
   // explicit activation stack, so matching never recurses across
@@ -171,6 +175,10 @@ class TaskEngine {
     bool marked = false;  ///< MarkInProgress done (Abandon must undo)
     Optimizer::Result best;
     Cost best_cost;
+    /// The memo choice this goal records its incumbent in, taken on the
+    /// first install and rewritten by each improvement: nobody else sees it
+    /// until FinishGoal hands it out.
+    PlanChoice* incumbent = nullptr;
     const LogicalPropsPtr* logical = nullptr;  ///< the class's, in the memo
     std::vector<Optimizer::Move> moves;
     size_t move_idx = 0;
@@ -214,7 +222,7 @@ class TaskEngine {
     const Optimizer::Move* mv = nullptr;
     GoalFrame* goal = nullptr;  ///< incumbent lives in the owning goal
     Cost total;
-    std::vector<PlanPtr> children;
+    std::vector<const PlanChoice*> children;
     size_t input_idx = 0;
     Optimizer::Result child_result;
 
@@ -318,6 +326,8 @@ class TaskEngine {
   /// Takes an answered algorithm input into the move; false (and the move
   /// finished) when the input has no plan.
   bool TakeInput(MoveFrame* f);
+  /// The goal's incumbent choice, ready to be rewritten by an improvement.
+  PlanChoice* Incumbent(GoalFrame* goal);
   /// Installs an enforcer move whose input goal was answered.
   void FinishEnforcer(MoveFrame* f);
 
@@ -356,6 +366,9 @@ class TaskEngine {
   FramePool<MoveFrame> move_pool_;
   FramePool<ExploreFrame> explore_pool_;
   TaskStack<Frame> stack_;
+  // Transformation output, written by a rule's Apply and cleared after the
+  // memo inserts it (rules/rex.h).
+  Rex rex_;
   Optimizer::Result root_result_;
   bool suspended_ = false;
   bool abandoning_ = false;

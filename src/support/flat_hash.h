@@ -62,6 +62,19 @@ class FlatHashMap {
     size_ = 0;
   }
 
+  /// Empties the table but keeps its slot array, so refilling it to the
+  /// same size allocates nothing (the memo's per-query tables).
+  void ClearKeepingCapacity() {
+    if (size_ == 0) return;
+    for (Slot& s : slots_) {
+      if (s.hash == 0) continue;
+      s.hash = 0;
+      s.key = K{};
+      s.value = V{};
+    }
+    size_ = 0;
+  }
+
   /// Pointer to the mapped value, or null.
   V* Find(const K& key) {
     return FindHashed(NormHash(Hash{}(key)),
@@ -245,6 +258,7 @@ class FlatHashSet {
   size_t size() const { return map_.size(); }
   bool empty() const { return map_.empty(); }
   void Clear() { map_.Clear(); }
+  void ClearKeepingCapacity() { map_.ClearKeepingCapacity(); }
 
   bool Contains(const K& key) const { return map_.Find(key) != nullptr; }
 

@@ -131,8 +131,8 @@ class ForwardTransformation final : public TransformationRule {
   double Promise(const Binding& b, const Memo& m) const override {
     return r_.Promise(b, m);
   }
-  RexPtr Apply(const Binding& b, const Memo& m) const override {
-    return r_.Apply(b, m);
+  Rex::Ref Apply(const Binding& b, const Memo& m, Rex& out) const override {
+    return r_.Apply(b, m, out);
   }
 
  private:
@@ -205,7 +205,9 @@ class MatchOnlyRule final : public TransformationRule {
     }
     return true;
   }
-  RexPtr Apply(const Binding&, const Memo&) const override { return nullptr; }
+  Rex::Ref Apply(const Binding&, const Memo&, Rex&) const override {
+    return Rex::kNone;
+  }
 
   int malformed() const { return malformed_; }
 

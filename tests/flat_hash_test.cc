@@ -212,5 +212,22 @@ TEST(FlatHashMap, ClearResetsToEmpty) {
   EXPECT_EQ(*fm.Find(5), 7);
 }
 
+TEST(FlatHashMap, ClearKeepingCapacityEmptiesInPlace) {
+  FlatHashMap<uint64_t, int> fm;
+  for (uint64_t k = 0; k < 100; ++k) fm[k] = 1;
+  const size_t capacity = fm.capacity();
+  fm.ClearKeepingCapacity();
+  EXPECT_EQ(fm.size(), 0u);
+  EXPECT_EQ(fm.capacity(), capacity);
+  for (uint64_t k = 0; k < 100; ++k) EXPECT_EQ(fm.Find(k), nullptr) << k;
+  // Refilled to the same size, the table does not grow.
+  for (uint64_t k = 100; k < 200; ++k) fm[k] = 2;
+  EXPECT_EQ(fm.capacity(), capacity);
+  EXPECT_EQ(fm.size(), 100u);
+  ASSERT_NE(fm.Find(150), nullptr);
+  EXPECT_EQ(*fm.Find(150), 2);
+  EXPECT_EQ(fm.Find(50), nullptr);
+}
+
 }  // namespace
 }  // namespace volcano

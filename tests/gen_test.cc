@@ -153,7 +153,7 @@ TEST(Codegen, EmitsExpectedSections) {
   ASSERT_TRUE(code.ok()) << code.status().ToString();
   EXPECT_NE(code->header.find("struct Ops"), std::string::npos);
   EXPECT_NE(code->header.find("class Support"), std::string::npos);
-  EXPECT_NE(code->header.find("virtual RexPtr CommuteApply"),
+  EXPECT_NE(code->header.find("virtual Rex::Ref CommuteApply"),
             std::string::npos);
   EXPECT_NE(code->source.find("class Rule_commute"), std::string::npos);
   EXPECT_NE(code->source.find("RegisterLogical(\"GET\", 0)"),

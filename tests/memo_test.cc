@@ -16,6 +16,19 @@ namespace {
 using rel::Catalog;
 using rel::RelModel;
 
+/// A plan choice with no inputs, as a scan move records it.
+const PlanChoice* Recorded(Memo& memo, OperatorId op, OpArgPtr arg,
+                           PhysPropsPtr props, LogicalPropsPtr logical,
+                           Cost cost) {
+  PlanChoice* c = memo.NewChoice();
+  c->op = op;
+  c->arg = std::move(arg);
+  c->props = std::move(props);
+  c->logical = std::move(logical);
+  c->cost = cost;
+  return c;
+}
+
 struct Fixture {
   Fixture() {
     VOLCANO_CHECK(catalog.AddRelation("A", 1000, 100, 2).ok());
@@ -86,14 +99,15 @@ TEST(Memo, InsertRexIntoClassAddsExpression) {
   // Commuted variant inserted into the same class.
   OpArgPtr arg =
       rel::JoinArg::Make(f.catalog.symbols(), f.Attr("B.a0"), f.Attr("A.a0"));
-  RexPtr rex = RexNode::Node(f.model->ops().join, arg,
-                             {RexNode::Leaf(gb), RexNode::Leaf(ga)});
-  memo.InsertRex(*rex, root);
+  Rex rex;
+  Rex::Ref top = rex.Node(f.model->ops().join, arg,
+                          {rex.Leaf(gb), rex.Leaf(ga)});
+  memo.InsertRex(rex, top, root);
   EXPECT_EQ(memo.group(root).exprs().size(), 2u);
   EXPECT_EQ(memo.num_groups(), 3u);  // no new class
 
   // Re-inserting is a no-op.
-  memo.InsertRex(*rex, root);
+  memo.InsertRex(rex, top, root);
   EXPECT_EQ(memo.group(root).exprs().size(), 2u);
 }
 
@@ -117,13 +131,14 @@ TEST(Memo, AssociativityCreatesNewClassFigure3) {
 
   OpArgPtr bc_arg =
       rel::JoinArg::Make(f.catalog.symbols(), f.Attr("B.a1"), f.Attr("C.a0"));
-  RexPtr bc = RexNode::Node(f.model->ops().join, bc_arg,
-                            {RexNode::Leaf(gb), RexNode::Leaf(gc)});
   OpArgPtr top_arg =
       rel::JoinArg::Make(f.catalog.symbols(), f.Attr("A.a0"), f.Attr("B.a0"));
-  RexPtr rex = RexNode::Node(f.model->ops().join, top_arg,
-                             {RexNode::Leaf(ga), bc});
-  memo.InsertRex(*rex, root);
+  Rex rex;
+  Rex::Ref top = rex.Node(
+      f.model->ops().join, top_arg,
+      {rex.Leaf(ga),
+       rex.Node(f.model->ops().join, bc_arg, {rex.Leaf(gb), rex.Leaf(gc)})});
+  memo.InsertRex(rex, top, root);
 
   EXPECT_EQ(memo.num_groups(), groups_before + 1);  // exactly one new class
   EXPECT_EQ(memo.group(root).exprs().size(), 2u);
@@ -141,7 +156,8 @@ TEST(Memo, LeafRexMergesClasses) {
   ASSERT_NE(memo.Find(root), memo.Find(ga));
 
   size_t merges_before = memo.num_merges();
-  memo.InsertRex(*RexNode::Leaf(ga), root);
+  Rex rex;
+  memo.InsertRex(rex, rex.Leaf(ga), root);
   EXPECT_EQ(memo.Find(root), memo.Find(ga));
   EXPECT_EQ(memo.num_merges(), merges_before + 1);
 }
@@ -171,7 +187,8 @@ TEST(Memo, MergePropagatesToParents) {
   ASSERT_NE(memo.Find(p1->group()), memo.Find(p2->group()));
 
   // Declare g1 == ga; the parents must merge too.
-  memo.InsertRex(*RexNode::Leaf(ga), g1);
+  Rex rex;
+  memo.InsertRex(rex, rex.Leaf(ga), g1);
   EXPECT_EQ(memo.Find(p1->group()), memo.Find(p2->group()));
 }
 
@@ -181,21 +198,21 @@ TEST(Memo, WinnerStorageKeepsBetterPlan) {
   GroupId g = memo.InsertQuery(*f.model->Get("A"));
   GoalKey key{f.model->AnyProps(), nullptr};
 
-  PlanPtr plan1 = PlanNode::Make(f.model->ops().file_scan, nullptr, {},
-                                 f.model->AnyProps(), memo.LogicalOf(g),
-                                 Cost::Vector({1.0, 1.0}));
-  PlanPtr plan2 = PlanNode::Make(f.model->ops().file_scan, nullptr, {},
-                                 f.model->AnyProps(), memo.LogicalOf(g),
-                                 Cost::Vector({0.5, 0.5}));
-  memo.StoreWinner(g, key, Winner{plan1, plan1->cost()});
-  memo.StoreWinner(g, key, Winner{plan2, plan2->cost()});
+  const PlanChoice* plan1 =
+      Recorded(memo, f.model->ops().file_scan, nullptr, f.model->AnyProps(),
+               memo.LogicalOf(g), Cost::Vector({1.0, 1.0}));
+  const PlanChoice* plan2 =
+      Recorded(memo, f.model->ops().file_scan, nullptr, f.model->AnyProps(),
+               memo.LogicalOf(g), Cost::Vector({0.5, 0.5}));
+  memo.StoreWinner(g, key, Winner{plan1, plan1->cost});
+  memo.StoreWinner(g, key, Winner{plan2, plan2->cost});
   const Winner* w = memo.FindWinner(g, key);
   ASSERT_NE(w, nullptr);
-  EXPECT_EQ(w->plan, plan2);
+  EXPECT_EQ(w->choice, plan2);
 
   // A worse plan does not displace the winner.
-  memo.StoreWinner(g, key, Winner{plan1, plan1->cost()});
-  EXPECT_EQ(memo.FindWinner(g, key)->plan, plan2);
+  memo.StoreWinner(g, key, Winner{plan1, plan1->cost});
+  EXPECT_EQ(memo.FindWinner(g, key)->choice, plan2);
 }
 
 TEST(Memo, WinnersAreKeyedByPropertyVector) {
@@ -207,15 +224,15 @@ TEST(Memo, WinnersAreKeyedByPropertyVector) {
   GoalKey sorted_excl{f.model->Sorted({f.Attr("A.a0")}),
                       f.model->Sorted({f.Attr("A.a0")})};
 
-  PlanPtr plan = PlanNode::Make(f.model->ops().file_scan, nullptr, {},
-                                f.model->AnyProps(), memo.LogicalOf(g),
-                                Cost::Scalar(1.0));
-  memo.StoreWinner(g, any, Winner{plan, plan->cost()});
+  const PlanChoice* plan =
+      Recorded(memo, f.model->ops().file_scan, nullptr, f.model->AnyProps(),
+               memo.LogicalOf(g), Cost::Scalar(1.0));
+  memo.StoreWinner(g, any, Winner{plan, plan->cost});
   EXPECT_NE(memo.FindWinner(g, any), nullptr);
   EXPECT_EQ(memo.FindWinner(g, sorted), nullptr);
   EXPECT_EQ(memo.FindWinner(g, sorted_excl), nullptr);
 
-  memo.StoreWinner(g, sorted_excl, Winner{plan, plan->cost()});
+  memo.StoreWinner(g, sorted_excl, Winner{plan, plan->cost});
   EXPECT_EQ(memo.FindWinner(g, sorted), nullptr);
   EXPECT_NE(memo.FindWinner(g, sorted_excl), nullptr);
 }
@@ -275,27 +292,25 @@ TEST(Memo, MergeRecanonicalizesSignaturesAndPreservesWinners) {
   // costs, plus a winner under a second goal on one class only.
   GoalKey any{f.model->AnyProps(), nullptr};
   GoalKey sorted{f.model->Sorted({f.Attr("A.a0")}), nullptr};
-  PlanPtr costly = PlanNode::Make(f.model->ops().file_scan, nullptr, {},
-                                  f.model->AnyProps(),
-                                  memo.LogicalOf(p1->group()),
-                                  Cost::Scalar(4.0));
-  PlanPtr cheap = PlanNode::Make(f.model->ops().file_scan, nullptr, {},
-                                 f.model->AnyProps(),
-                                 memo.LogicalOf(p2->group()),
-                                 Cost::Scalar(1.0));
-  memo.StoreWinner(p1->group(), any, Winner{costly, costly->cost()});
-  memo.StoreWinner(p2->group(), any, Winner{cheap, cheap->cost()});
-  PlanPtr ordered = PlanNode::Make(f.model->ops().file_scan, nullptr, {},
-                                   sorted.required,
-                                   memo.LogicalOf(p2->group()),
-                                   Cost::Scalar(7.0));
-  memo.StoreWinner(p2->group(), sorted, Winner{ordered, ordered->cost()});
+  const PlanChoice* costly =
+      Recorded(memo, f.model->ops().file_scan, nullptr, f.model->AnyProps(),
+               memo.LogicalOf(p1->group()), Cost::Scalar(4.0));
+  const PlanChoice* cheap =
+      Recorded(memo, f.model->ops().file_scan, nullptr, f.model->AnyProps(),
+               memo.LogicalOf(p2->group()), Cost::Scalar(1.0));
+  memo.StoreWinner(p1->group(), any, Winner{costly, costly->cost});
+  memo.StoreWinner(p2->group(), any, Winner{cheap, cheap->cost});
+  const PlanChoice* ordered =
+      Recorded(memo, f.model->ops().file_scan, nullptr, sorted.required,
+               memo.LogicalOf(p2->group()), Cost::Scalar(7.0));
+  memo.StoreWinner(p2->group(), sorted, Winner{ordered, ordered->cost});
 
   size_t exprs_before = memo.num_exprs();
   size_t merges_before = memo.num_merges();
 
   // Declare g1 == ga; level-1 and level-2 classes must cascade-merge.
-  memo.InsertRex(*RexNode::Leaf(ga), g1);
+  Rex rex;
+  memo.InsertRex(rex, rex.Leaf(ga), g1);
   EXPECT_EQ(memo.Find(g1), memo.Find(ga));
   EXPECT_EQ(memo.Find(p1->group()), memo.Find(p2->group()));
   EXPECT_EQ(memo.Find(q1->group()), memo.Find(q2->group()));
@@ -338,10 +353,10 @@ TEST(Memo, MergeRecanonicalizesSignaturesAndPreservesWinners) {
   // the canonical-goal probe (cached hashes stayed consistent).
   const Winner* w = memo.FindWinner(merged, any);
   ASSERT_NE(w, nullptr);
-  EXPECT_EQ(w->plan, cheap);
+  EXPECT_EQ(w->choice, cheap);
   const Winner* wf = memo.FindWinner(merged, sorted);
   ASSERT_NE(wf, nullptr);
-  EXPECT_EQ(wf->plan, ordered);
+  EXPECT_EQ(wf->choice, ordered);
   EXPECT_DOUBLE_EQ(wf->cost[0], 7.0);
   EXPECT_EQ(memo.group(merged).num_winners(), 2u);
 }
@@ -351,12 +366,11 @@ TEST(Memo, ToStringMentionsClassesAndWinners) {
   Memo memo(*f.model);
   GroupId g = memo.InsertQuery(*f.model->Get("A"));
   GoalKey key{f.model->AnyProps(), nullptr};
-  PlanPtr plan = PlanNode::Make(f.model->ops().file_scan,
-                                rel::GetArg::Make(f.catalog.symbols(),
-                                                  f.Attr("A.a0")),
-                                {}, f.model->AnyProps(), memo.LogicalOf(g),
-                                Cost::Scalar(1.0));
-  memo.StoreWinner(g, key, Winner{plan, plan->cost()});
+  const PlanChoice* plan = Recorded(
+      memo, f.model->ops().file_scan,
+      rel::GetArg::Make(f.catalog.symbols(), f.Attr("A.a0")),
+      f.model->AnyProps(), memo.LogicalOf(g), Cost::Scalar(1.0));
+  memo.StoreWinner(g, key, Winner{plan, plan->cost});
   std::string dump = memo.ToString();
   EXPECT_NE(dump.find("class"), std::string::npos);
   EXPECT_NE(dump.find("GET"), std::string::npos);

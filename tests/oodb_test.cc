@@ -139,8 +139,8 @@ TEST(OodbModel, WinnersKeyedByAssembledness) {
       opt.memo().Find(g), GoalKey{f.model.Assembled(), nullptr});
   ASSERT_NE(w_any, nullptr);
   ASSERT_NE(w_asm, nullptr);
-  EXPECT_EQ(w_any->plan->op(), f.model.ops().kEXTENT_SCAN);
-  EXPECT_EQ(w_asm->plan->op(), f.model.ops().kASSEMBLY);
+  EXPECT_EQ(w_any->choice->op, f.model.ops().kEXTENT_SCAN);
+  EXPECT_EQ(w_asm->choice->op, f.model.ops().kASSEMBLY);
 }
 
 TEST(OodbModel, UnknownClassIsRejected) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <set>
 
 #include "relational/catalog.h"
 #include "relational/query_gen.h"
@@ -208,6 +210,43 @@ TEST(PhysicalProperties, OrderByOnUnsortedBaseUsesSortOrMergeJoin) {
   StatusOr<PlanPtr> plan = opt.Optimize(*q, required);
   ASSERT_TRUE(plan.ok());
   EXPECT_TRUE((*plan)->props()->Covers(*required));
+}
+
+TEST(PhysicalProperties, ReturnedPlanSharesTheSearchsObjects) {
+  // The search records plans as memo choices and builds PlanNodes once, for
+  // the returned plan; the nodes must carry the very objects the search
+  // used: the class's logical properties, the delivered property vector
+  // (a SORT enforcer on top delivers the caller's own `required`) and the
+  // rule set's name strings.
+  int sorted_roots = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    rel::WorkloadOptions wopts;
+    wopts.num_relations = 4;
+    wopts.order_by_prob = 1.0;
+    rel::Workload w = rel::GenerateWorkload(wopts, seed);
+    Optimizer opt(*w.model);
+    StatusOr<PlanPtr> plan = opt.Optimize(*w.query, w.required);
+    ASSERT_TRUE(plan.ok());
+    const PlanNode& root = **plan;
+    const GroupId root_class = opt.AddQuery(*w.query);  // already present
+    EXPECT_EQ(root.logical().get(), opt.memo().LogicalOf(root_class).get());
+    if (root.op() == w.model->ops().sort) {
+      ++sorted_roots;
+      EXPECT_EQ(root.props().get(), w.required.get()) << "seed " << seed;
+    }
+    std::set<const char*> names;
+    const RuleSet& rules = w.model->rule_set();
+    for (const auto& r : rules.implementations()) {
+      names.insert(r->name().c_str());
+    }
+    for (const auto& e : rules.enforcers()) names.insert(e->name().c_str());
+    std::function<void(const PlanNode&)> walk = [&](const PlanNode& node) {
+      EXPECT_EQ(names.count(node.rule()), 1u) << "seed " << seed;
+      for (const auto& in : node.inputs()) walk(*in);
+    };
+    walk(root);
+  }
+  EXPECT_GT(sorted_roots, 0);
 }
 
 TEST(PhysicalProperties, ExcludingVectorPreventsRedundantMergeJoinUnderSort) {

@@ -199,8 +199,8 @@ TEST(Parallel, WinnersKeyedPerPartitioning) {
   const Winner* w_part = opt.memo().FindWinner(opt.memo().Find(g), part_goal);
   ASSERT_NE(w_any, nullptr);
   ASSERT_NE(w_part, nullptr);
-  EXPECT_EQ(w_any->plan->op(), model.ops().file_scan);
-  EXPECT_EQ(w_part->plan->op(), model.ops().exchange);
+  EXPECT_EQ(w_any->choice->op, model.ops().file_scan);
+  EXPECT_EQ(w_part->choice->op, model.ops().exchange);
 }
 
 }  // namespace

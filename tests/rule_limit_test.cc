@@ -26,7 +26,9 @@ class NopRule final : public TransformationRule {
   explicit NopRule(OperatorId op)
       : TransformationRule("nop", Pattern::Op(op, {Pattern::Any(),
                                                    Pattern::Any()})) {}
-  RexPtr Apply(const Binding&, const Memo&) const override { return nullptr; }
+  Rex::Ref Apply(const Binding&, const Memo&, Rex&) const override {
+    return Rex::kNone;
+  }
 };
 
 TEST(RuleLimit, MaskWidthMatchesRuleCeiling) {

@@ -258,6 +258,56 @@ TEST(SuspendResume, StoppedMatchIsAppliedByTheNextOptimize) {
   EXPECT_GT(stopped, 1000);
 }
 
+// A winner memoized after the exploration cap was reached was chosen from a
+// cut-down space. The next Optimize on the same optimizer must not answer
+// goals from it: each call either says its plan is approximate or returns
+// the uncapped optimum. (Regression: the capped call's winners answered the
+// second call, which fired too few transformations to reach the cap again,
+// returned another plan and did not mark it approximate — on seed 1's
+// 5-relation chain, with 30 expressions against the uncapped search's 50.)
+TEST(SuspendResume, CappedWinnersDoNotAnswerTheNextOptimize) {
+  int capped_calls = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    rel::WorkloadOptions wopts;
+    wopts.num_relations = 4 + static_cast<int>(seed % 2);
+    wopts.join_graph = rel::WorkloadOptions::JoinGraph::kChain;
+    wopts.order_by_prob = 0.5;
+    rel::Workload w = rel::GenerateWorkload(wopts, seed);
+    Optimizer ref(*w.model);
+    StatusOr<PlanPtr> ref_plan = ref.Optimize(*w.query, w.required);
+    ASSERT_TRUE(ref_plan.ok()) << ref_plan.status().ToString();
+    const std::string ref_line = PlanToLine(**ref_plan, w.model->registry());
+    for (size_t cap : {5u, 8u, 13u}) {
+      SearchOptions opts;
+      opts.explore_limit = cap;
+      Optimizer opt(*w.model, SearchConfig::FromOptions(opts).value());
+      bool exact = false;
+      // Each call fires up to `cap` more transformations, so the memo
+      // reaches the uncapped closure within a few calls. (A cap below the
+      // bindings of one rule application never gets there: the application
+      // is cut and taken back on every call, so the caps start at 5.)
+      for (int call = 1; call <= 100 && !exact; ++call) {
+        const std::string where = "seed " + std::to_string(seed) + " cap " +
+                                  std::to_string(cap) + " call " +
+                                  std::to_string(call);
+        StatusOr<PlanPtr> plan = opt.Optimize(*w.query, w.required);
+        ASSERT_TRUE(plan.ok()) << where << ": " << plan.status().ToString();
+        if (opt.outcome().approximate) {
+          ++capped_calls;
+          continue;
+        }
+        exact = true;
+        EXPECT_EQ(PlanToLine(**plan, w.model->registry()), ref_line) << where;
+        EXPECT_EQ((*plan)->cost()[0], (*ref_plan)->cost()[0]) << where;
+        EXPECT_EQ(opt.stats().mexprs_created, ref.stats().mexprs_created)
+            << where;
+      }
+      EXPECT_TRUE(exact) << "seed " << seed << " cap " << cap;
+    }
+  }
+  EXPECT_GT(capped_calls, 18);  // every first call is cut short
+}
+
 // Big-join escalation + suspension: an above-threshold join installs
 // override knobs (deadline, move limit, exploration cap) for the duration of
 // the escalated call. A suspension mid-escalation must keep those overrides
